@@ -163,7 +163,7 @@ def _stage_report(out_dir: Path, i: int, proc, ctrl, c, sweep) -> Path:
     if proc.name in ("tanh", "rational", "mlp", "phase_inv"):
         A.emit_plot_data(A.amplitude_response(proc), path)
         return path
-    if isinstance(ctrl, (C.DynamicController, C.DynamicCondController)):
+    if isinstance(ctrl, C.DynamicController):
         probe = np.random.default_rng(0).standard_normal(8192) * 0.1
         A.emit_plot_data(A.time_trace(proc, ctrl, probe, c), path)
         return path

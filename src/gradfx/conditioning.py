@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .controllers import num_blocks
+from .controllers import append_controls, block_means, num_blocks
 from .tensor import Tensor
 
 
@@ -99,10 +99,8 @@ class TFiLM(nn.Module):
         return [None] * len(self.lstms)
 
     def modulate(self, k: int, h: Tensor, c, state_k):
-        feats = T.transpose(T.maxpool1d(h, self.block_size))  # [Tb, C]
-        if c is not None and c.data.size:
-            tb = feats.data.shape[0]
-            feats = T.concat([feats, T.repeat_new_axis(c, tb, axis=0)], axis=1)
+        pooled = T.transpose(T.maxpool1d(h, self.block_size))  # [Tb, C]
+        feats = append_controls(pooled, c)
         hs, state_k = self.lstms[k](feats, state_k)
         gamma, beta = _split_gamma_beta(self.heads[k](hs), self.channels)
         return blockwise_affine(h, gamma, beta, self.block_size), state_k
@@ -132,10 +130,7 @@ class TTFiLM(nn.Module):
 
     def modulate(self, k: int, h: Tensor, c, state_k):
         pooled = T.transpose(T.maxpool1d(h, self.block_size))  # [Tb, C]
-        feats = self.reduce[k](pooled)
-        if c is not None and c.data.size:
-            tb = feats.data.shape[0]
-            feats = T.concat([feats, T.repeat_new_axis(c, tb, axis=0)], axis=1)
+        feats = append_controls(self.reduce[k](pooled), c)
         hs, state_k = self.lstms[k](feats, state_k)
         gamma, beta = _split_gamma_beta(self.expand[k](hs), self.channels)
         return blockwise_affine(h, gamma, beta, self.block_size), state_k
@@ -154,12 +149,8 @@ class TVFiLMController(nn.Module):
         return None
 
     def latents(self, x: Tensor, c, state):
-        nb = num_blocks(x.data.shape[-1], self.block_size)
-        feats = T.reshape(T.blockmean1d(x, self.block_size), (nb, 1))
-        if c is not None and c.data.size:
-            feats = T.concat([feats, T.repeat_new_axis(c, nb, axis=0)], axis=1)
-        z, state = self.lstm(feats, state)
-        return z, state
+        feats = append_controls(block_means(x, self.block_size), c)
+        return self.lstm(feats, state)
 
 
 class TVFiLM(nn.Module):

@@ -34,9 +34,28 @@ def num_blocks(signal_len: int, block_size: int) -> int:
     return -(-signal_len // block_size)
 
 
+def block_means(x: Tensor, block_size: int) -> Tensor:
+    """Non-overlapping block means of a 1-D signal as an [nb, 1] feature."""
+    nb = num_blocks(x.data.shape[-1], block_size)
+    return T.reshape(T.blockmean1d(x, block_size), (nb, 1))
+
+
+def append_controls(feats: Tensor, c) -> Tensor:
+    """Concatenate the control vector, repeated over time, to [T, F] features."""
+    if c is None or not c.data.size:
+        return feats
+    return T.concat([feats, T.repeat_new_axis(c, feats.data.shape[0], axis=0)],
+                    axis=1)
+
+
+def _check_controls(c, num_controls: int) -> None:
+    if c is None or c.data.shape[-1] != num_controls:
+        got = None if c is None else c.data.shape[-1]
+        raise ValueError(f"expected {num_controls} controls, got {got}")
+
+
 class Controller(nn.Module):
     num_params: int = 0
-    needs_signal = False
 
     def __call__(self, x=None, c=None, state=None):
         return self.forward(x=x, c=c, state=state)
@@ -71,61 +90,44 @@ class StaticCondController(Controller):
         self.num_params = num_params
         self.num_controls = num_controls
         sizes = [num_controls] + [hidden] * (layers - 1) + [num_params]
-        self.net = nn.MLP(sizes, rng, out_activation="sigmoid")
+        self.net = nn.MLP(sizes, rng)
 
     def forward(self, x=None, c=None, state=None):
-        if c is None or c.data.shape[-1] != self.num_controls:
-            got = None if c is None else c.data.shape[-1]
-            raise ValueError(f"expected {self.num_controls} controls, got {got}")
-        return ControlOutput(self.net(c)), None
+        _check_controls(c, self.num_controls)
+        return ControlOutput(T.sigmoid(self.net(c))), None
 
 
 class DynamicController(Controller):
-    """Signal-driven: block means -> LSTM (hidden = num params) -> sigmoid."""
-
-    needs_signal = True
+    """Signal-driven: block means (+ controls) -> LSTM (hidden = num
+    params) -> sigmoid. Controls are required when num_controls > 0."""
 
     def __init__(self, num_params: int, rng: np.random.Generator,
-                 block_size: int = 128, input_dim: int = 1):
+                 block_size: int = 128, num_controls: int = 0):
         self.num_params = num_params
+        self.num_controls = num_controls
         self.block_size = block_size
-        self.lstm = nn.LSTM(input_dim, num_params, rng)
+        self.lstm = nn.LSTM(1 + num_controls, num_params, rng)
 
     def zero_state(self, dtype=None):
         return self.lstm.zero_state(dtype)
 
-    def _features(self, x: Tensor, c=None) -> Tensor:
-        nb = num_blocks(x.data.shape[-1], self.block_size)
-        xb = T.reshape(T.blockmean1d(x, self.block_size), (nb, 1))
-        if c is None:
-            return xb
-        return T.concat([xb, T.repeat_new_axis(c, nb, axis=0)], axis=1)
-
     def forward(self, x=None, c=None, state=None):
         if x is None:
             raise ValueError("dynamic controller needs the signal")
-        feats = self._features(x)
+        feats = block_means(x, self.block_size)
+        if self.num_controls > 0:
+            _check_controls(c, self.num_controls)
+            feats = append_controls(feats, c)
         hs, state = self.lstm(feats, state)
         return ControlOutput(T.sigmoid(hs), self.block_size), state
 
 
 class DynamicCondController(DynamicController):
-    """Like DynamicController with controls appended to each block feature."""
+    """DynamicController with controls appended to each block feature."""
 
     def __init__(self, num_params: int, num_controls: int, rng: np.random.Generator,
                  block_size: int = 128):
-        super().__init__(num_params, rng, block_size, input_dim=1 + num_controls)
-        self.num_controls = num_controls
-
-    def forward(self, x=None, c=None, state=None):
-        if x is None:
-            raise ValueError("dynamic controller needs the signal")
-        if c is None or c.data.shape[-1] != self.num_controls:
-            got = None if c is None else c.data.shape[-1]
-            raise ValueError(f"expected {self.num_controls} controls, got {got}")
-        feats = self._features(x, c)
-        hs, state = self.lstm(feats, state)
-        return ControlOutput(T.sigmoid(hs), self.block_size), state
+        super().__init__(num_params, rng, block_size, num_controls)
 
 
 CONTROLLER_KINDS = {

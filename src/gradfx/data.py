@@ -58,8 +58,8 @@ def _decode(data: bytes, fmt: int, bits: int) -> np.ndarray:
     raise ValueError(f"unsupported WAV encoding: format {fmt}, {bits}-bit")
 
 
-def load_wav(path) -> tuple[np.ndarray, int]:
-    """Mono WAV -> (float32 samples in [-1, 1], sample rate)."""
+def _read_wav(path):
+    """((format, sample rate, bits), payload bytes) of a mono WAV file."""
     with open(path, "rb") as f:
         buf = f.read()
     fmt = None
@@ -74,26 +74,19 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     kind, channels, fs, bits = fmt
     if channels != 1:
         raise ValueError(f"{path}: {channels} channels, only mono is supported")
+    return (kind, fs, bits), data
+
+
+def load_wav(path) -> tuple[np.ndarray, int]:
+    """Mono WAV -> (float32 samples in [-1, 1], sample rate)."""
+    (kind, fs, bits), data = _read_wav(path)
     return _decode(data, kind, bits), fs
 
 
 def wav_info(path) -> tuple[int, int]:
     """(sample_rate, num_samples) without decoding the payload."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    fmt = None
-    data_len = None
-    for cid, body in _walk_chunks(buf):
-        if cid == b"fmt ":
-            fmt = _parse_fmt(body)
-        elif cid == b"data":
-            data_len = len(body)
-    if fmt is None or data_len is None:
-        raise ValueError(f"{path}: missing fmt or data chunk")
-    kind, channels, fs, bits = fmt
-    if channels != 1:
-        raise ValueError(f"{path}: {channels} channels, only mono is supported")
-    return fs, data_len // (bits // 8)
+    (_kind, fs, bits), data = _read_wav(path)
+    return fs, len(data) // (bits // 8)
 
 
 def save_wav(path, samples, fs: int, bitdepth="float32") -> None:

@@ -27,10 +27,6 @@ def l1(y, y_hat) -> Tensor:
     return T.mean_(T.abs_(T.sub(y, y_hat)))
 
 
-def mae(y, y_hat) -> Tensor:
-    return l1(y, y_hat)
-
-
 def mse(y, y_hat) -> Tensor:
     y, y_hat = _pair(y, y_hat)
     d = T.sub(y, y_hat)
@@ -142,19 +138,20 @@ class LossWeights:
         self.w_mrstft = float(w_mrstft)
 
 
-def combined_loss(y, y_hat, weights: LossWeights | None = None,
-                  cfg: MRSTFTConfig | None = None) -> Tensor:
-    """w_l1 * l1 + w_mrstft * mrstft. Zero-weight terms are skipped."""
+def weighted_loss(y, y_hat, weights: LossWeights | None = None,
+                  cfg: MRSTFTConfig | None = None):
+    """w_l1 * l1 + w_mrstft * mrstft -> (taped total, l1 value, mrstft value).
+
+    A zero-weight term is skipped, not computed, and its value reads 0.0.
+    """
     w = weights or LossWeights()
     y, y_hat = _pair(y, y_hat)
-    dt = y.data.dtype
-    parts = []
-    if w.w_l1 > 0:
-        parts.append(T.mul(l1(y, y_hat), Tensor(np.asarray(w.w_l1, dtype=dt))))
-    if w.w_mrstft > 0:
-        parts.append(T.mul(mrstft(y, y_hat, cfg),
-                           Tensor(np.asarray(w.w_mrstft, dtype=dt))))
-    out = parts[0]
-    for p in parts[1:]:
-        out = T.add(out, p)
-    return out
+    dt = y_hat.data.dtype
+    parts = (l1(y, y_hat) if w.w_l1 > 0 else None,
+             mrstft(y, y_hat, cfg) if w.w_mrstft > 0 else None)
+    tot = None
+    for part, weight in zip(parts, (w.w_l1, w.w_mrstft)):
+        if part is not None:
+            term = T.mul(part, Tensor(np.asarray(weight, dtype=dt)))
+            tot = term if tot is None else T.add(tot, term)
+    return (tot,) + tuple(0.0 if p is None else p.item() for p in parts)

@@ -74,7 +74,7 @@ class LSTMModel(nn.Module):
         if self.cond_mode == "concat":
             if c is None:
                 raise ValueError("cond_mode 'concat' requires controls")
-            feats = T.concat([feats, T.repeat_new_axis(c, n, axis=0)], axis=1)
+            feats = ctrl.append_controls(feats, c)
         elif self.cond_mode == "tvcond":
             z, gen_state = self.generator.generate(x, c, gen_state)
             feats = T.concat([feats, z], axis=1)
@@ -119,23 +119,17 @@ class TCNConfig:
         return cls(**d)
 
 
-def _make_conditioner(mode: str, num_controls: int, channels: int,
-                      net_blocks: int, rng) -> nn.Module | None:
-    if mode == "none":
-        return None
-    if mode == "film":
-        return cond.FiLM(num_controls, channels, net_blocks, rng)
-    if mode == "tfilm":
-        return cond.TFiLM(num_controls, channels, net_blocks, rng)
-    if mode == "ttfilm":
-        return cond.TTFiLM(num_controls, channels, net_blocks, rng)
-    if mode == "tvfilm":
-        return cond.TVFiLM(num_controls, channels, net_blocks, rng)
-    raise ValueError(f"unknown conditioning mode {mode!r}")
+_CONDITIONERS = {"film": cond.FiLM, "tfilm": cond.TFiLM,
+                 "ttfilm": cond.TTFiLM, "tvfilm": cond.TVFiLM}
 
 
 class _ConvStack(nn.Module):
-    """Shared plumbing for TCN and GCN: conv list, conditioner, mixer."""
+    """The block loop TCN and GCN share: conv list, norms, conditioner.
+
+    Each block runs shortcut (first block only), conv, norm, activation
+    (gated tanh * sigmoid before the modulation for GCN, tanh after it
+    for TCN), modulation and the residual add.
+    """
 
     def __init__(self, cfg: TCNConfig, num_controls: int, rng, gate: bool):
         if cfg.cond != "none" and num_controls < 1 and cfg.cond != "tvfilm":
@@ -143,6 +137,7 @@ class _ConvStack(nn.Module):
             raise ValueError(f"cond={cfg.cond!r} needs num_controls >= 1")
         self.cfg = cfg
         self.num_controls = num_controls
+        self.gate = gate
         ch = cfg.channels
         out_mult = 2 if gate else 1
         self.convs = []
@@ -156,13 +151,12 @@ class _ConvStack(nn.Module):
         self.shortcut = nn.Conv1d(1, ch, 1, rng)
         self.norms = ([nn.BatchNorm1d(ch * out_mult) for _ in range(cfg.blocks)]
                       if cfg.batchnorm else None)
-        self.conditioner = _make_conditioner(cfg.cond, num_controls, ch,
-                                             cfg.blocks, rng)
+        self.conditioner = (None if cfg.cond == "none" else
+                            _CONDITIONERS[cfg.cond](num_controls, ch,
+                                                    cfg.blocks, rng))
 
     def zero_state(self):
-        if self.cfg.cond in ("tfilm", "ttfilm"):
-            return self.conditioner.zero_state()
-        if self.cfg.cond == "tvfilm":
+        if self.cfg.cond in ("tfilm", "ttfilm", "tvfilm"):
             return self.conditioner.zero_state()
         return None
 
@@ -171,8 +165,7 @@ class _ConvStack(nn.Module):
         if self.cfg.cond == "film":
             return self.conditioner.latent(c), state
         if self.cfg.cond == "tvfilm":
-            z, state = self.conditioner.latents(x, c, state)
-            return z, state
+            return self.conditioner.latents(x, c, state)
         if self.cfg.cond in ("tfilm", "ttfilm") and state is None:
             return None, self.conditioner.zero_state()
         return None, state
@@ -180,12 +173,30 @@ class _ConvStack(nn.Module):
     def _modulate(self, k, h, c, z, state):
         if self.cfg.cond == "none":
             return h, state
-        if self.cfg.cond == "film":
-            return self.conditioner.modulate(k, h, z), state
-        if self.cfg.cond == "tvfilm":
+        if self.cfg.cond in ("film", "tvfilm"):
             return self.conditioner.modulate(k, h, z), state
         h, state[k] = self.conditioner.modulate(k, h, c, state[k])
         return h, state
+
+    def forward(self, x: Tensor, c: Tensor | None, state):
+        """Returns (last block's output, every block's activation, state)."""
+        ch = self.cfg.channels
+        h = T.reshape(x, (1, x.data.shape[-1]))
+        z, state = self._prepare_cond(x, c, state)
+        acts = []
+        for k, conv in enumerate(self.convs):
+            residual = self.shortcut(h) if k == 0 else h
+            h = conv(h)
+            if self.norms is not None:
+                h = self.norms[k](h)
+            if self.gate:
+                h = T.mul(T.tanh(h[0:ch]), T.sigmoid(h[ch:2 * ch]))
+            h, state = self._modulate(k, h, c, z, state)
+            if not self.gate:
+                h = T.tanh(h)
+            acts.append(h)
+            h = T.add(h, residual)
+        return h, acts, state
 
 
 class TCN(nn.Module):
@@ -197,27 +208,12 @@ class TCN(nn.Module):
         self.stack = _ConvStack(cfg, num_controls, rng, gate=False)
         self.mixer = nn.Conv1d(cfg.channels, 1, 1, rng)
 
-    @property
-    def cfg(self):
-        return self.stack.cfg
-
     def zero_state(self):
         return self.stack.zero_state()
 
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
-        s = self.stack
-        n = x.data.shape[-1]
-        h = T.reshape(x, (1, n))
-        z, state = s._prepare_cond(x, c, state)
-        for k, conv in enumerate(s.convs):
-            residual = s.shortcut(h) if k == 0 else h
-            h = conv(h)
-            if s.norms is not None:
-                h = s.norms[k](h)
-            h, state = s._modulate(k, h, c, z, state)
-            h = T.add(T.tanh(h), residual)
-        y = self.mixer(h)
-        return T.reshape(y, (n,)), state
+        h, _, state = self.stack(x, c, state)
+        return T.reshape(self.mixer(h), (x.data.shape[-1],)), state
 
 
 class GCN(nn.Module):
@@ -229,31 +225,13 @@ class GCN(nn.Module):
         self.stack = _ConvStack(cfg, num_controls, rng, gate=True)
         self.mixer = nn.Conv1d(cfg.channels * cfg.blocks, 1, 1, rng)
 
-    @property
-    def cfg(self):
-        return self.stack.cfg
-
     def zero_state(self):
         return self.stack.zero_state()
 
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
-        s = self.stack
-        ch = s.cfg.channels
-        n = x.data.shape[-1]
-        h = T.reshape(x, (1, n))
-        z, state = s._prepare_cond(x, c, state)
-        skips = []
-        for k, conv in enumerate(s.convs):
-            residual = s.shortcut(h) if k == 0 else h
-            hc = conv(h)
-            if s.norms is not None:
-                hc = s.norms[k](hc)
-            gated = T.mul(T.tanh(hc[0:ch]), T.sigmoid(hc[ch:2 * ch]))
-            gated, state = s._modulate(k, gated, c, z, state)
-            skips.append(gated)
-            h = T.add(gated, residual)
+        _, skips, state = self.stack(x, c, state)
         y = self.mixer(T.concat(skips, axis=0))
-        return T.reshape(y, (n,)), state
+        return T.reshape(y, (x.data.shape[-1],)), state
 
 
 # -- gray box ----------------------------------------------------------------
@@ -334,6 +312,8 @@ def _build_controller(st: StageSpec, p: proc.Processor, spec: GrayBoxSpec,
                          f"a dummy controller cannot drive it")
     if kind == "static":
         return ctrl.StaticController(p.num_params)
+    if spec.num_controls < 1 and kind in ("static_cond", "dynamic_cond"):
+        raise ValueError(f"a {kind} controller needs num_controls >= 1")
     if kind == "static_cond":
         return ctrl.StaticCondController(spec.num_controls, p.num_params,
                                          rng, **opts)
@@ -441,10 +421,6 @@ def build_model(spec: ModelSpec | dict,
     if isinstance(spec, dict):
         spec = ModelSpec.from_dict(spec)
     return spec.build(rng)
-
-
-def param_count(model: nn.Module) -> int:
-    return model.param_count()
 
 
 # -- checkpoints -------------------------------------------------------------

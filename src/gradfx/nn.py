@@ -125,33 +125,22 @@ class Module:
 class Linear(Module):
     """Affine map. Weight stored [in, out] so x @ w works without transpose."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features
         self.out_features = out_features
         self.w = _uniform(rng, (in_features, out_features), in_features)
         self.b = Tensor(np.zeros(out_features, dtype=T.default_dtype()),
-                        requires_grad=True) if bias else None
+                        requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.w)
-        if self.b is not None:
-            y = T.add(y, self.b)
-        return y
-
-    def zero_(self, bias_value: float = 0.0):
-        """Zero the weight; set all biases to bias_value. For identity heads."""
-        self.w.data = np.zeros_like(self.w.data)
-        if self.b is not None:
-            self.b.data = np.full_like(self.b.data, bias_value)
-        return self
+        return T.add(T.matmul(x, self.w), self.b)
 
 
 class Conv1d(Module):
     """Causal dilated conv over [C_in, T] -> [C_out, T], stride 1."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, dilation: int = 1, bias: bool = True):
+                 rng: np.random.Generator, dilation: int = 1):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -159,7 +148,7 @@ class Conv1d(Module):
         self.w = _uniform(rng, (out_channels, in_channels, kernel_size),
                           in_channels * kernel_size)
         self.b = Tensor(np.zeros(out_channels, dtype=T.default_dtype()),
-                        requires_grad=True) if bias else None
+                        requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.w, self.b, dilation=self.dilation)
@@ -270,30 +259,18 @@ def _sigmoid_np(z):
 
 
 class MLP(Module):
-    """Stack of Linear layers; tanh between layers by default.
+    """Stack of Linear layers with tanh between them; linear output."""
 
-    out_activation: None | 'sigmoid' | 'tanh'.
-    """
-
-    def __init__(self, sizes, rng: np.random.Generator, out_activation=None,
-                 hidden_activation: str = "tanh"):
+    def __init__(self, sizes, rng: np.random.Generator):
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
         self.layers = [Linear(sizes[i], sizes[i + 1], rng)
                        for i in range(len(sizes) - 1)]
-        self.out_activation = out_activation
-        self.hidden_activation = hidden_activation
 
     def forward(self, x: Tensor) -> Tensor:
-        act = {"tanh": T.tanh, "sigmoid": T.sigmoid, "sine": T.sin}[self.hidden_activation]
         for layer in self.layers[:-1]:
-            x = act(layer(x))
-        x = self.layers[-1](x)
-        if self.out_activation == "sigmoid":
-            x = T.sigmoid(x)
-        elif self.out_activation == "tanh":
-            x = T.tanh(x)
-        return x
+            x = T.tanh(layer(x))
+        return self.layers[-1](x)
 
 
 class SirenMLP(Module):

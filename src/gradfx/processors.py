@@ -70,10 +70,6 @@ class ParamRange:
         return f"ParamRange({self.lo}, {self.hi}, {self.scale!r})"
 
 
-def denormalize(u, r: ParamRange):
-    return r.denormalize(u)
-
-
 def freq_range(fs: float) -> ParamRange:
     return ParamRange(20.0, 0.95 * fs / 2.0, "logarithmic")
 
@@ -303,18 +299,28 @@ def _col(params: Tensor, i: int) -> Tensor:
     return params[i] if params.data.ndim == 1 else params[:, i]
 
 
+def _eq_size(layout) -> int:
+    """Parameter count of a (kind, has_gain) layout: 3 with gain, else 2."""
+    return sum(3 if has_gain else 2 for _, has_gain in layout)
+
+
+def _eq_ranges(layout, fs: float) -> list:
+    """(f0, gain, Q) or (f0, Q) ranges per section, in layout order."""
+    ranges = []
+    for _kind, has_gain in layout:
+        ranges += ([freq_range(fs), filter_gain_range(), q_range()] if has_gain
+                   else [freq_range(fs), q_range()])
+    return ranges
+
+
 def _eq_sections(params, layout, fs):
     """Build sections from (kind, has_gain) layout over grouped params."""
-    if isinstance(params, Tensor):
-        expected = sum(3 if has_gain else 2 for _, has_gain in layout)
-        if params.data.shape[-1] != expected:
-            raise ValueError(f"expected {expected} parameters, got {params.data.shape[-1]}")
-        cols = [_col(params, i) for i in range(params.data.shape[-1])]
-    else:
-        cols = list(params)
-        expected = sum(3 if has_gain else 2 for _, has_gain in layout)
-        if len(cols) != expected:
-            raise ValueError(f"expected {expected} parameters, got {len(cols)}")
+    expected = _eq_size(layout)
+    got = params.data.shape[-1] if isinstance(params, Tensor) else len(params)
+    if got != expected:
+        raise ValueError(f"expected {expected} parameters, got {got}")
+    cols = [_col(params, i) for i in range(got)] if isinstance(params, Tensor) \
+        else list(params)
     sections = []
     i = 0
     for kind, has_gain in layout:
@@ -329,34 +335,22 @@ def _eq_sections(params, layout, fs):
     return sections
 
 
+# low shelf + three peaks + high shelf; (f0, gain_dB, Q) per section
 PARAMETRIC_EQ_LAYOUT = (("lowshelf", True), ("peak", True), ("peak", True),
                         ("peak", True), ("highshelf", True))
+# hp(f0, Q), low shelf(f0, gain_dB, Q), high shelf(f0, gain_dB, Q), lp(f0, Q)
 SHELVING_EQ_LAYOUT = (("highpass", False), ("lowshelf", True),
                       ("highshelf", True), ("lowpass", False))
 
 
-def parametric_eq(x: Tensor, params, fs: float, fft_size: int | None = None,
-                  block_size: int | None = None) -> Tensor:
-    """Low shelf + three peaks + high shelf, one cascade application.
+def apply_eq(x: Tensor, params, layout, fs: float, fft_size: int | None = None,
+             block_size: int | None = None) -> Tensor:
+    """Biquad cascade described by `layout`, one cascade application.
 
-    params: 15 values ordered (f0, gain_dB, Q) per section, as a [15]
-    tensor, a [nb, 15] tensor (per-block), or a sequence of 15 tensors.
+    params: the layout's values in order, as a [P] tensor, a [nb, P]
+    tensor (per-block), or a sequence of P tensors.
     """
-    sections = _eq_sections(params, PARAMETRIC_EQ_LAYOUT, fs)
-    if any(s.num_blocks is not None for s in sections):
-        if block_size is None:
-            raise ValueError("per-block parameters require block_size")
-        return apply_filter_blocks(x, sections, block_size)
-    return apply_filter(x, sections, fft_size or fft_size_for(x.data.shape[-1]))
-
-
-def shelving_eq(x: Tensor, params, fs: float, fft_size: int | None = None,
-                block_size: int | None = None) -> Tensor:
-    """Highpass + low shelf + high shelf + lowpass; 10 parameters.
-
-    Order: hp(f0,Q), ls(f0,gain,Q), hs(f0,gain,Q), lp(f0,Q).
-    """
-    sections = _eq_sections(params, SHELVING_EQ_LAYOUT, fs)
+    sections = _eq_sections(params, layout, fs)
     if any(s.num_blocks is not None for s in sections):
         if block_size is None:
             raise ValueError("per-block parameters require block_size")
@@ -368,33 +362,15 @@ def shelving_eq(x: Tensor, params, fs: float, fft_size: int | None = None,
 # basic operators
 
 def _expand_param(param: Tensor, n: int, block_size: int | None) -> Tensor:
-    """Scalar stays scalar; per-sample passes through; per-block is held."""
+    """Scalar stays scalar; per-block [nb] is held over its block."""
     if param.data.ndim == 0 or param.data.size == 1:
         return param if param.data.ndim == 0 else param[0]
-    if param.data.shape[-1] == n:
-        return param
     if block_size is None:
         raise ValueError("per-block parameter requires block_size")
     nb = -(-n // block_size)
     if param.data.shape[-1] != nb:
         raise ValueError(f"parameter has {param.data.shape[-1]} blocks, signal needs {nb}")
     return T.upsample1d(param, block_size)[0:n]
-
-
-def apply_basic(x: Tensor, kind: str, param=None, block_size: int | None = None) -> Tensor:
-    """y = -x | x * 10^(gain_dB/20) | x + offset, with per-block broadcast."""
-    if kind == "phase_inv":
-        return T.neg(x)
-    if param is None:
-        raise ValueError(f"{kind} requires a parameter")
-    param = _as_tensor(param)
-    p = _expand_param(param, x.data.shape[-1], block_size)
-    if kind == "gain":
-        amp = T.exp(T.mul(p, _const(LN10 / 20.0, p.data.dtype)))
-        return T.mul(x, amp)
-    if kind == "dc_offset":
-        return T.add(x, p)
-    raise ValueError(f"unknown basic op {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +424,10 @@ class Processor(nn.Module):
 
     def _phys(self, g01: Tensor):
         """Denormalize each control column to physical units."""
-        if g01.data.shape[-1] != self.num_params:
+        got = None if g01 is None else g01.data.shape[-1]
+        if got != self.num_params:
             raise ValueError(f"{self.name} expects {self.num_params} controls, "
-                             f"got {g01.data.shape[-1]}")
+                             f"got {got}")
         return [self.ranges[i].denormalize(_col(g01, i)) for i in range(self.num_params)]
 
 
@@ -469,8 +446,10 @@ class Gain(Processor):
         self.ranges = ranges or [chain_gain_range()]
 
     def apply(self, x, g01=None, block_size=None):
+        """y = x * 10^(gain_dB / 20)."""
         (g_db,) = self._phys(g01)
-        return apply_basic(x, "gain", g_db, block_size=block_size)
+        g_db = _expand_param(g_db, x.data.shape[-1], block_size)
+        return T.mul(x, T.exp(T.mul(g_db, _const(LN10 / 20.0, g_db.data.dtype))))
 
 
 class DCOffset(Processor):
@@ -481,55 +460,37 @@ class DCOffset(Processor):
         self.ranges = ranges or [offset_range()]
 
     def apply(self, x, g01=None, block_size=None):
+        """y = x + offset."""
         (off,) = self._phys(g01)
-        return apply_basic(x, "dc_offset", off, block_size=block_size)
+        return T.add(x, _expand_param(off, x.data.shape[-1], block_size))
 
 
 class ParametricEQ(Processor):
-    """5-section EQ; 15 controlled params, (f0, gain, Q) per section."""
+    """Biquad-cascade EQ over `layout`: low shelf + three peaks + high
+    shelf, 15 controlled params, (f0, gain, Q) per section."""
 
     name = "parametric_eq"
-    num_params = 15
+    layout = PARAMETRIC_EQ_LAYOUT
+    num_params = _eq_size(layout)
 
     def __init__(self, fs: float, ranges=None):
         self.fs = float(fs)
-        if ranges is None:
-            ranges = []
-            for _kind, _ in PARAMETRIC_EQ_LAYOUT:
-                ranges += [freq_range(fs), filter_gain_range(), q_range()]
-        self.ranges = ranges
+        self.ranges = _eq_ranges(self.layout, fs) if ranges is None else ranges
 
     def apply(self, x, g01=None, block_size=None):
-        phys = self._phys(g01)
-        return parametric_eq(x, phys, self.fs, block_size=block_size)
+        return apply_eq(x, self._phys(g01), self.layout, self.fs,
+                        block_size=block_size)
 
     def sections(self, g01=None):
-        return _eq_sections(self._phys(g01), PARAMETRIC_EQ_LAYOUT, self.fs)
+        return _eq_sections(self._phys(g01), self.layout, self.fs)
 
 
-class ShelvingEQ(Processor):
+class ShelvingEQ(ParametricEQ):
     """hp + low shelf + high shelf + lp; 10 controlled params."""
 
     name = "shelving_eq"
-    num_params = 10
-
-    def __init__(self, fs: float, ranges=None):
-        self.fs = float(fs)
-        if ranges is None:
-            ranges = []
-            for _kind, has_gain in SHELVING_EQ_LAYOUT:
-                if has_gain:
-                    ranges += [freq_range(fs), filter_gain_range(), q_range()]
-                else:
-                    ranges += [freq_range(fs), q_range()]
-        self.ranges = ranges
-
-    def apply(self, x, g01=None, block_size=None):
-        phys = self._phys(g01)
-        return shelving_eq(x, phys, self.fs, block_size=block_size)
-
-    def sections(self, g01=None):
-        return _eq_sections(self._phys(g01), SHELVING_EQ_LAYOUT, self.fs)
+    layout = SHELVING_EQ_LAYOUT
+    num_params = _eq_size(layout)
 
 
 class FIRSiren(Processor):

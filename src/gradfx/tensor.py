@@ -19,8 +19,6 @@ import numpy as np
 _DEFAULT_DTYPE = np.float32
 _ACTIVE_TAPE = None
 
-LN10 = math.log(10.0)
-
 
 def set_default_dtype(dtype) -> None:
     """Set the dtype used for tensors built from lists/scalars (f32 or f64)."""

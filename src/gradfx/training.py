@@ -29,6 +29,14 @@ class TrainConfig:
                  stop_value: float | None = None):
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if validate_every < 1:
+            raise ValueError("validate_every must be >= 1")
+        if not lr > 0:
+            raise ValueError("lr must be > 0")
+        if tbptt and batch_size != 1:
+            raise ValueError("batch_size must be 1 when tbptt is enabled")
         if tbptt and chunk_len < 1:
             raise ValueError("chunk_len must be >= 1 when tbptt is enabled")
         if (stop_metric is None) != (stop_value is None):
@@ -112,35 +120,21 @@ def detach_state(s):
     return s
 
 
+def _controls(seg):
+    if getattr(seg, "controls", None) is not None and len(seg.controls):
+        return Tensor(np.asarray(seg.controls, dtype=T.default_dtype()))
+    return None
+
+
 def _seg_tensors(seg):
     x = Tensor(np.asarray(seg.x, dtype=T.default_dtype()))
-    y = np.asarray(seg.y, dtype=np.float64)
-    c = None
-    if getattr(seg, "controls", None) is not None and len(seg.controls):
-        c = Tensor(np.asarray(seg.controls, dtype=T.default_dtype()))
-    return x, y, c
+    return x, np.asarray(seg.y, dtype=np.float64), _controls(seg)
 
 
-class _Zero:
-    def item(self):
-        return 0.0
-
-
-def _loss_parts(y, y_hat, cfg: TrainConfig):
-    """(tot, l1, mrstft) with zero-weight terms skipped entirely."""
-    dt = y_hat.data.dtype
-    yt = Tensor(np.asarray(y, dtype=dt))
-    w = cfg.weights
-    part_l1 = L.l1(yt, y_hat) if w.w_l1 > 0 else _Zero()
-    part_mr = L.mrstft(yt, y_hat, cfg.mrstft_cfg) if w.w_mrstft > 0 \
-        else _Zero()
-    tot = None
-    for part, weight in ((part_l1, w.w_l1), (part_mr, w.w_mrstft)):
-        if weight <= 0:
-            continue
-        term = T.mul(part, Tensor(np.asarray(weight, dtype=dt)))
-        tot = term if tot is None else T.add(tot, term)
-    return tot, part_l1, part_mr
+def _loss(y, y_hat, cfg: TrainConfig):
+    """(taped total, l1 value, mrstft value) against a numpy target."""
+    yt = Tensor(np.asarray(y, dtype=y_hat.data.dtype))
+    return L.weighted_loss(yt, y_hat, cfg.weights, cfg.mrstft_cfg)
 
 
 def train_step(model, batch, optimizer: Adam, cfg: TrainConfig) -> dict:
@@ -155,9 +149,9 @@ def train_step(model, batch, optimizer: Adam, cfg: TrainConfig) -> dict:
         for seg in batch:
             x, y, c = _seg_tensors(seg)
             y_hat, _ = model.forward(x, c, None)
-            t, p1, p2 = _loss_parts(y, y_hat, cfg)
-            l1_val += p1.item()
-            mr_val += p2.item()
+            t, p1, p2 = _loss(y, y_hat, cfg)
+            l1_val += p1
+            mr_val += p2
             tot = t if tot is None else T.add(tot, t)
         if len(batch) > 1:
             tot = T.mul(tot, Tensor(np.asarray(1.0 / len(batch),
@@ -183,9 +177,7 @@ def tbptt_train_step(model, seg, optimizer: Adam, cfg: TrainConfig) -> dict:
         raise ValueError(f"chunk_len {cfg.chunk_len} exceeds sequence "
                          f"length {n}")
     model.train()
-    c = None
-    if getattr(seg, "controls", None) is not None and len(seg.controls):
-        c = Tensor(np.asarray(seg.controls, dtype=T.default_dtype()))
+    c = _controls(seg)
     state = None
     if cfg.warmup_len:
         warm = Tensor(np.asarray(x_all[:cfg.warmup_len],
@@ -203,7 +195,7 @@ def tbptt_train_step(model, seg, optimizer: Adam, cfg: TrainConfig) -> dict:
         yc = y_all[start:start + cfg.chunk_len]
         with Tape() as tape:
             y_hat, new_state = model.forward(xc, c, state)
-            tot, p1, p2 = _loss_parts(yc, y_hat, cfg)
+            tot, p1, p2 = _loss(yc, y_hat, cfg)
             loss_val = tot.item()
             if np.isfinite(loss_val):
                 grads = tape.backward(tot)
@@ -213,8 +205,8 @@ def tbptt_train_step(model, seg, optimizer: Adam, cfg: TrainConfig) -> dict:
                 optimizer.skipped += 1
         state = detach_state(new_state)
         tots.append(loss_val)
-        l1s.append(p1.item())
-        mrs.append(p2.item())
+        l1s.append(p1)
+        mrs.append(p2)
         start += cfg.chunk_len
     if not tots:
         raise ValueError("warmup consumed the whole sequence")
@@ -233,6 +225,7 @@ def evaluate(model, segments, weights: L.LossWeights | None = None,
     if not segments:
         raise ValueError("cannot evaluate on an empty segment list")
     w = weights or L.LossWeights()
+    was_training = model.training
     model.eval()
     sums = {k: 0.0 for k in EVAL_COLUMNS}
     for seg in segments:
@@ -244,14 +237,14 @@ def evaluate(model, segments, weights: L.LossWeights | None = None,
             "mrstft": L.mrstft(yt, y_hat, mrstft_cfg).item(),
             "esr": L.esr(yt, y_hat).item(),
             "dc": L.dc_loss(yt, y_hat).item(),
-            "mae": L.mae(yt, y_hat).item(),
             "mse": L.mse(yt, y_hat).item(),
             "mape": L.mape(yt, y_hat).item(),
         }
+        row["mae"] = row["l1"]  # the same metric; kept for the log format
         row["tot"] = w.w_l1 * row["l1"] + w.w_mrstft * row["mrstft"]
         for k in EVAL_COLUMNS:
             sums[k] += row[k]
-    model.train()
+    model.train(was_training)
     return {k: sums[k] / len(segments) for k in EVAL_COLUMNS}
 
 

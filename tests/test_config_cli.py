@@ -134,6 +134,26 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train, message", [
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+    ({"validate_every": 0}, "validate_every must be >= 1"),
+    ({"lr": 0.0}, "lr must be > 0"),
+    ({"lr": -0.01}, "lr must be > 0"),
+    ({"tbptt": True, "batch_size": 2}, "batch_size must be 1 when tbptt"),
+])
+def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json")
+    doc = json.loads(cfg_path.read_text())
+    doc["train"].update(train)
+    cfg_path.write_text(json.dumps(doc))
+    rc = cli.main(["train", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"/train: {message}" in err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
 def test_cli_test_identity_zero_metrics(tmp_path):
     _write_dataset(tmp_path, identity=True)
     cfg_path = _write_config(tmp_path / "exp.json")

@@ -18,7 +18,7 @@ def test_pointwise_metrics_closed_forms():
     y = np.array([1.0, 1.0])
     assert L.l1(y, np.zeros(2)).item() == pytest.approx(1.0)
     assert L.mse(y, np.zeros(2)).item() == pytest.approx(1.0)
-    assert L.mae(y, y).item() == 0.0
+    assert L.l1(y, y).item() == 0.0
     assert L.mape(np.array([2.0]), np.array([1.0])).item() == pytest.approx(0.5)
     with pytest.raises(ValueError):
         L.l1(np.zeros(3), np.zeros(4))
@@ -84,13 +84,16 @@ def test_combined_loss_weights():
     rng = np.random.default_rng(114)
     y = rng.standard_normal(4096)
     yh = y + 0.1 * rng.standard_normal(4096)
-    only_l1 = L.combined_loss(t64(y), t64(yh), L.LossWeights(1.0, 0.0))
+    only_l1, l1_val, mr_val = L.weighted_loss(t64(y), t64(yh),
+                                              L.LossWeights(1.0, 0.0))
     assert only_l1.item() == pytest.approx(L.l1(t64(y), t64(yh)).item())
-    assert L.combined_loss(t64(y), t64(y)).item() == pytest.approx(0.0, abs=1e-9)
+    assert l1_val == only_l1.item() and mr_val == 0.0  # zero weight: skipped
+    assert L.weighted_loss(t64(y), t64(y))[0].item() == pytest.approx(0.0, abs=1e-9)
 
-    tot = L.combined_loss(t64(y), t64(yh)).item()
+    tot, l1_val, mr_val = L.weighted_loss(t64(y), t64(yh))
     parts = L.l1(t64(y), t64(yh)).item() + L.mrstft(t64(y), t64(yh)).item()
-    assert abs(tot - parts) < 1e-9
+    assert abs(tot.item() - parts) < 1e-9
+    assert abs(l1_val + mr_val - parts) < 1e-9
 
     with pytest.raises(ValueError):
         L.LossWeights(0.0, 0.0)
@@ -113,7 +116,7 @@ def test_combined_loss_gradient():
     cfg = L.MRSTFTConfig([(256, 64, 256), (128, 32, 128)])
 
     def f(ts):
-        return L.combined_loss(Tensor(y), ts[0], cfg=cfg)
+        return L.weighted_loss(Tensor(y), ts[0], cfg=cfg)[0]
 
     # scaled target keeps every |log|Y|-log|Y_hat|| at log 2: central
     # differences are meaningless at the abs() kink, so stay off it

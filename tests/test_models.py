@@ -207,6 +207,10 @@ def test_graybox_controller_processor_mismatch():
     with pytest.raises(ValueError):
         M.GrayBoxChain(M.GrayBoxSpec([M.StageSpec("gain", "dummy")]),
                        np.random.default_rng(0))
+    for kind in ("static_cond", "dynamic_cond"):  # no controls to condition on
+        with pytest.raises(ValueError, match="num_controls"):
+            M.GrayBoxChain(M.GrayBoxSpec([M.StageSpec("gain", kind)]),
+                           np.random.default_rng(0))
 
 
 def test_graybox_reordered_gains_commute():

@@ -1,0 +1,34 @@
+"""Declared runtime dependencies match what the package imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _third_party_imports() -> set:
+    names = set()
+    for path in (ROOT / "src" / "gradfx").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {n for n in names
+            if n not in sys.stdlib_module_names and n != "gradfx"}
+
+
+def _declared_dependencies() -> set:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.\-]+", d).group(0).lower().replace("-", "_")
+            for d in project.get("dependencies", [])}
+
+
+def test_runtime_dependencies_match_imports():
+    assert _declared_dependencies() == _third_party_imports()

@@ -197,7 +197,8 @@ def test_parametric_eq_zero_gain_is_identity():
     for _ in range(5):
         d = draw_filter_params(rng, "peak", FS)
         params += [d["f0"], 0.0, d["q"]]
-    y = P.parametric_eq(x, Tensor(np.array(params, dtype=np.float32)), FS)
+    y = P.apply_eq(x, Tensor(np.array(params, dtype=np.float32)),
+                   P.PARAMETRIC_EQ_LAYOUT, FS)
     assert rel_l2(y.data, x.data) < 1e-4
 
     eq = P.ParametricEQ(FS)
@@ -220,9 +221,9 @@ def test_parametric_eq_flat_response_at_zero_gain():
 def test_eq_param_count_errors():
     x = Tensor(np.zeros(64, dtype=np.float32))
     with pytest.raises(ValueError):
-        P.parametric_eq(x, Tensor(np.full(14, 0.5)), FS)
+        P.apply_eq(x, Tensor(np.full(14, 0.5)), P.PARAMETRIC_EQ_LAYOUT, FS)
     with pytest.raises(ValueError):
-        P.shelving_eq(x, Tensor(np.full(9, 0.5)), FS)
+        P.apply_eq(x, Tensor(np.full(9, 0.5)), P.SHELVING_EQ_LAYOUT, FS)
 
 
 def test_shelving_eq_near_flat_passband():
@@ -231,7 +232,8 @@ def test_shelving_eq_near_flat_passband():
     impulse[0] = 1.0
     lo, hi = 20.0, 0.95 * FS / 2
     params = [lo, 0.707, 200.0, 0.0, 0.707, 2000.0, 0.0, 0.707, hi, 0.707]
-    y = P.shelving_eq(t64(impulse), t64(np.array(params)), FS).data
+    y = P.apply_eq(t64(impulse), t64(np.array(params)), P.SHELVING_EQ_LAYOUT,
+                   FS).data
     spec = np.fft.rfft(y, n)
     freqs = np.arange(len(spec)) * FS / n
     band = (freqs >= 100.0) & (freqs <= FS / 4)
@@ -247,7 +249,7 @@ def test_shelving_eq_gradients_all_params():
     w = rng.standard_normal(24)
 
     def f(ts):
-        y = P.shelving_eq(x, ts, FS, fft_size=256)
+        y = P.apply_eq(x, ts, P.SHELVING_EQ_LAYOUT, FS, fft_size=256)
         return T.sum_(T.mul(y, Tensor(w)))
 
     assert grad_check(f, params) < 1e-4
@@ -259,8 +261,9 @@ def test_time_varying_equals_static_at_full_block():
     x = t64(rng.standard_normal(n))
     vals = np.array([150.0, 6.0, 1.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
                      3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8])
-    y_static = P.parametric_eq(x, t64(vals), FS)
-    y_tv = P.parametric_eq(x, t64(vals[None, :]), FS, block_size=n)
+    y_static = P.apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
+    y_tv = P.apply_eq(x, t64(vals[None, :]), P.PARAMETRIC_EQ_LAYOUT, FS,
+                      block_size=n)
     assert np.array_equal(y_static.data, y_tv.data)
 
 
@@ -272,7 +275,7 @@ def test_time_varying_blocks_use_their_own_params():
     p_identity = [500.0, 0.0, 1.0]
     p_boost = [500.0, 24.0, 1.0]
     params = np.array([p_identity * 5, p_boost * 5])
-    y = P.parametric_eq(x, t64(params), FS, block_size=128)
+    y = P.apply_eq(x, t64(params), P.PARAMETRIC_EQ_LAYOUT, FS, block_size=128)
     first, second = y.data[:128], y.data[128:]
     assert rel_l2(first, np.ones(128)) < 1e-3
     assert np.abs(second).mean() > 1.5  # boosted well above unity
@@ -282,53 +285,57 @@ def test_time_varying_blocks_use_their_own_params():
 # basic ops
 
 def test_phase_inversion():
-    y = P.apply_basic(Tensor(np.array([0.3, -0.2], dtype=np.float32)), "phase_inv")
+    y = P.PhaseInvert().apply(Tensor(np.array([0.3, -0.2], dtype=np.float32)))
     assert np.allclose(y.data, [-0.3, 0.2])
+
+
+def _gain_db(x, db):
+    # control 0.5 is the midpoint of [db - 1, db + 1], exactly db
+    gain = P.Gain([P.ParamRange(db - 1.0, db + 1.0)])
+    return gain.apply(x, Tensor(np.array([0.5], dtype=np.float32)))
 
 
 def test_gain_values():
     x = Tensor(np.array([1.0], dtype=np.float32))
-    assert np.array_equal(P.apply_basic(x, "gain", 0.0).data, x.data)
-    assert P.apply_basic(x, "gain", -20.0).data[0] == pytest.approx(0.1, rel=1e-6)
+    assert np.array_equal(_gain_db(x, 0.0).data, x.data)
+    assert _gain_db(x, -20.0).data[0] == pytest.approx(0.1, rel=1e-6)
     x2 = Tensor(np.array([0.5, -0.5], dtype=np.float32))
-    assert np.allclose(P.apply_basic(x2, "gain", 6.0206).data,
-                       2.0 * x2.data, rtol=1e-4)
+    assert np.allclose(_gain_db(x2, 6.0206).data, 2.0 * x2.data, rtol=1e-4)
 
 
 def test_dc_offset_and_per_block_broadcast():
     x = Tensor(np.zeros(6, dtype=np.float32))
-    y = P.apply_basic(x, "dc_offset", Tensor(np.array([1.0, -1.0, 0.5], dtype=np.float32)),
-                      block_size=2)
+    off = P.DCOffset()  # offsets in [-1, 1]: controls 1, 0, 0.75 -> 1, -1, 0.5
+    y = off.apply(x, Tensor(np.array([[1.0], [0.0], [0.75]], dtype=np.float32)),
+                  block_size=2)
     assert np.allclose(y.data, [1, 1, -1, -1, 0.5, 0.5])
-    ys = P.apply_basic(x, "dc_offset", Tensor(np.arange(6, dtype=np.float32)))
-    assert np.allclose(ys.data, np.arange(6))
     with pytest.raises(ValueError):
-        P.apply_basic(x, "dc_offset", Tensor(np.array([1.0, 2.0])))  # no block size
+        off.apply(x, Tensor(np.array([[1.0], [0.5]])))  # no block size
     with pytest.raises(ValueError):
-        P.apply_basic(x, "gain", None)
+        P.Gain().apply(x, None)
 
 
 # ---------------------------------------------------------------------------
-# denormalize / ranges
+# ranges
 
 def test_denormalize_endpoints_and_log_midpoint():
     lin = P.ParamRange(-24.0, 24.0, "linear")
-    assert P.denormalize(0.0, lin).data == pytest.approx(-24.0)
-    assert P.denormalize(1.0, lin).data == pytest.approx(24.0)
-    assert P.denormalize(0.5, lin).data == pytest.approx(0.0, abs=1e-12)
+    assert lin.denormalize(0.0).data == pytest.approx(-24.0)
+    assert lin.denormalize(1.0).data == pytest.approx(24.0)
+    assert lin.denormalize(0.5).data == pytest.approx(0.0, abs=1e-12)
     log = P.ParamRange(20.0, 20000.0, "logarithmic")
-    assert P.denormalize(0.0, log).data == pytest.approx(20.0, rel=1e-6)
-    assert P.denormalize(1.0, log).data == pytest.approx(20000.0, rel=1e-6)
-    assert P.denormalize(0.5, log).data == pytest.approx(632.455532, rel=1e-5)
+    assert log.denormalize(0.0).data == pytest.approx(20.0, rel=1e-6)
+    assert log.denormalize(1.0).data == pytest.approx(20000.0, rel=1e-6)
+    assert log.denormalize(0.5).data == pytest.approx(632.455532, rel=1e-5)
 
 
 def test_denormalize_clamps_and_warns():
     r = P.ParamRange(0.0, 10.0)
     with pytest.warns(RuntimeWarning):
-        v = P.denormalize(1.5, r)
+        v = r.denormalize(1.5)
     assert v.data == pytest.approx(10.0)
     with pytest.warns(RuntimeWarning):
-        v = P.denormalize(-0.2, r)
+        v = r.denormalize(-0.2)
     assert v.data == pytest.approx(0.0)
 
 

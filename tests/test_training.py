@@ -162,7 +162,7 @@ def test_grads_reach_every_parameter():
     c = Tensor(np.array([0.3, 0.8], dtype=np.float32))
     with Tape() as tape:
         y_hat, _ = model.forward(x, c)
-        loss = L.combined_loss(Tensor(y), y_hat, L.LossWeights(1.0, 0.0))
+        loss, _, _ = L.weighted_loss(Tensor(y), y_hat, L.LossWeights(1.0, 0.0))
         grads = tape.backward(loss)
     for p in model.parameters():
         assert grads.get(p) is not None
@@ -234,6 +234,8 @@ def test_tbptt_update_count_and_errors():
 
 
 class _HalfModel:
+    training = True
+
     def train(self, mode=True):
         pass
 
@@ -242,6 +244,27 @@ class _HalfModel:
 
     def forward(self, x, c=None, state=None):
         return T.mul(x, Tensor(np.asarray(0.5, dtype=x.data.dtype))), None
+
+
+def test_evaluate_restores_the_callers_mode():
+    from gradfx.models import TCN, TCNConfig
+
+    cfg = TCNConfig(blocks=2, kernel=3, dilation_growth=2, channels=4,
+                    batchnorm=True)
+    model = TCN(cfg, rng=np.random.default_rng(0))
+    segs = _segments(2, n=2048, seed=7)
+    model.train()
+    model.forward(Tensor(segs[0].x))  # move running stats off their init
+    model.eval()
+    before = model.state_dict()
+    tr.evaluate(model, segs)
+    assert not any(m.training for m in model.modules())
+    after = model.state_dict()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    model.train()
+    tr.evaluate(model, segs)
+    assert all(m.training for m in model.modules())
 
 
 def test_evaluate_against_hand_metrics():
