@@ -380,9 +380,8 @@ class ModelSpec:
             self.config = v if isinstance(v, TCNConfig) else TCNConfig.from_dict(v)
         elif self.kind == "graybox":
             if isinstance(v, dict):
-                v.setdefault("sample_rate", sample_rate)
-                v.setdefault("num_controls", num_controls)
-                v = GrayBoxSpec.from_dict(v)
+                v = GrayBoxSpec.from_dict({"sample_rate": sample_rate,
+                                           "num_controls": num_controls, **v})
             self.config = v
         else:
             self.config = dict(v)

@@ -155,13 +155,12 @@ class Conv1d(Module):
 
 
 class LSTMCell(Module):
-    """Single-step LSTM, gates ordered (input, forget, cell, output).
+    """LSTM weights, gates ordered (input, forget, cell, output).
 
     Forget-gate bias starts at 1.0 so early training does not flush state.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
-        self.input_size = input_size
         self.hidden_size = hidden_size
         h = hidden_size
         self.w_x = _uniform(rng, (input_size, 4 * h), input_size)
@@ -170,92 +169,30 @@ class LSTMCell(Module):
         b[h:2 * h] = 1.0
         self.b = Tensor(b, requires_grad=True)
 
-    def zero_state(self, dtype=None):
-        dtype = dtype or T.default_dtype()
-        z = np.zeros(self.hidden_size, dtype=dtype)
-        return (Tensor(z), Tensor(z.copy()))
-
-    def forward(self, x: Tensor, state):
-        h, c = state
-        z = T.add(T.add(T.matmul(x, self.w_x), T.matmul(h, self.w_h)), self.b)
-        hs = self.hidden_size
-        i = T.sigmoid(z[0:hs])
-        f = T.sigmoid(z[hs:2 * hs])
-        g = T.tanh(z[2 * hs:3 * hs])
-        o = T.sigmoid(z[3 * hs:4 * hs])
-        c_new = T.add(T.mul(f, c), T.mul(i, g))
-        h_new = T.mul(o, T.tanh(c_new))
-        return h_new, (h_new, c_new)
-
 
 class LSTM(Module):
     """Runs an LSTMCell across [T, in] -> [T, hidden] with explicit state.
 
-    The input projection for all timesteps is batched into one matmul; the
-    recurrence itself is sequential. When nothing is being traced and no
-    state tensors carry grads, a pure-numpy loop is used instead (same
-    math, covered by an equivalence test).
+    The input projection for all timesteps is one matmul; the recurrence
+    is the `lstm` primitive, one tape node per call whether or not a tape
+    is recording, so training and inference run the same loop.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.cell = LSTMCell(input_size, hidden_size, rng)
 
-    @property
-    def hidden_size(self):
-        return self.cell.hidden_size
-
     def zero_state(self, dtype=None):
-        return self.cell.zero_state(dtype)
+        z = np.zeros(self.cell.hidden_size, dtype=dtype or T.default_dtype())
+        return (Tensor(z), Tensor(z.copy()))
 
     def forward(self, x: Tensor, state=None):
         if state is None:
             state = self.zero_state(dtype=x.data.dtype)
-        if T.active_tape() is None:
-            return self._forward_numpy(x, state)
         cell = self.cell
-        hs = cell.hidden_size
         xz = T.add(T.matmul(x, cell.w_x), cell.b)  # [T, 4H]
-        h, c = state
-        outs = []
-        for t in range(x.data.shape[0]):
-            z = T.add(xz[t], T.matmul(h, cell.w_h))
-            i = T.sigmoid(z[0:hs])
-            f = T.sigmoid(z[hs:2 * hs])
-            g = T.tanh(z[2 * hs:3 * hs])
-            o = T.sigmoid(z[3 * hs:4 * hs])
-            c = T.add(T.mul(f, c), T.mul(i, g))
-            h = T.mul(o, T.tanh(c))
-            outs.append(T.reshape(h, (1, hs)))
-        y = T.concat(outs, axis=0) if len(outs) > 1 else outs[0]
-        return y, (h, c)
-
-    def _forward_numpy(self, x: Tensor, state):
-        cell = self.cell
-        hs = cell.hidden_size
-        xd = x.data
-        w_x, w_h, b = cell.w_x.data, cell.w_h.data, cell.b.data
-        xz = xd @ w_x + b
-        h, c = state[0].data.copy(), state[1].data.copy()
-        out = np.empty((xd.shape[0], hs), dtype=xd.dtype)
-        for t in range(xd.shape[0]):
-            z = xz[t] + h @ w_h
-            i = _sigmoid_np(z[0:hs])
-            f = _sigmoid_np(z[hs:2 * hs])
-            g = np.tanh(z[2 * hs:3 * hs])
-            o = _sigmoid_np(z[3 * hs:4 * hs])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            out[t] = h
-        return Tensor(out), (Tensor(h), Tensor(c))
-
-
-def _sigmoid_np(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+        out = T.lstm(xz, cell.w_h, *state)  # [T + 2, H]
+        n = x.data.shape[0]
+        return out[0:n], (out[n], out[n + 1])
 
 
 class MLP(Module):

@@ -351,13 +351,15 @@ def tanh(x: Tensor) -> Tensor:
     return _emit("tanh", out, (x,), lambda: lambda g: (g * (1.0 - out * out),))
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function; exp only ever sees -|z|, so it cannot overflow."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    out = np.empty_like(xd)
-    pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(x.data)
     return _emit("sigmoid", out, (x,), lambda: lambda g: (g * out * (1.0 - out),))
 
 
@@ -646,6 +648,66 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) 
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _emit("conv1d", out, parents, build)
+
+
+def lstm(xz: Tensor, w_h: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
+    """LSTM recurrence, gates ordered (input, forget, cell, output).
+
+    xz: [T, 4H] input projection x @ w_x + b, w_h: [H, 4H], h0, c0: [H].
+    Returns [T + 2, H]: the hidden sequence, then the final h and c.
+    Records one node. Its vjp is backprop through time over the saved
+    gates and repeats, operation for operation and in the same order,
+    what the per-step composition of slice/matmul/add/sigmoid/tanh/mul
+    would compute on the tape, so the gradients equal it to the bit.
+    """
+    xzd, whd = xz.data, w_h.data
+    n, hs = xzd.shape[0], whd.shape[0]
+    out = np.empty((n + 2, hs), dtype=xzd.dtype)
+    gates = np.empty_like(xzd)  # sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+    cs, tcs = np.empty((2, n, hs), dtype=xzd.dtype)  # c_t and tanh(c_t)
+    h0d, c0d = h0.data, c0.data
+    h, c = h0d, c0d
+    for t in range(n):
+        z = xzd[t] + h @ whd
+        s = gates[t]
+        s[:] = _sigmoid(z)
+        s[2 * hs:3 * hs] = np.tanh(z[2 * hs:3 * hs])
+        c = s[hs:2 * hs] * c + s[0:hs] * s[2 * hs:3 * hs]
+        tcs[t] = np.tanh(c)
+        h = s[3 * hs:] * tcs[t]
+        out[t] = h
+        cs[t] = c
+    out[n] = h
+    out[n + 1] = c
+
+    def build():
+        i, f, g, o = (gates[:, k * hs:(k + 1) * hs] for k in range(4))
+        # the sigmoid and tanh adjoints' second factors, (1 - s) and (1 - y*y)
+        ui, uf, ug, uo = 1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o
+        utc = 1.0 - tcs * tcs
+
+        def vjp(gout):
+            dz = np.empty_like(gates)
+            dwh = np.zeros_like(whd)
+            dh, dc = gout[n], gout[n + 1]
+            for t in range(n - 1, -1, -1):
+                h_prev = out[t - 1] if t else h0d
+                c_prev = cs[t - 1] if t else c0d
+                dh = dh + gout[t]
+                dc = dc + (dh * o[t]) * utc[t]
+                dzt = dz[t]
+                dzt[0:hs] = ((dc * g[t]) * i[t]) * ui[t]
+                dzt[hs:2 * hs] = ((dc * c_prev) * f[t]) * uf[t]
+                dzt[2 * hs:3 * hs] = (dc * i[t]) * ug[t]
+                dzt[3 * hs:] = ((dh * tcs[t]) * o[t]) * uo[t]
+                # step by step in the tape's order: one GEMM would round differently
+                dwh += h_prev[:, None] * dzt
+                dc = dc * f[t]
+                dh = whd @ dzt
+            return (dz, dwh, dh, dc)
+        return vjp
+
+    return _emit("lstm", out, (xz, w_h, h0, c0), build)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,30 @@ def _primitive_items(rng):
     it("irfft", lambda ts: _wsum(T.irfft(ts[0], 16), w16), [sp])
     it("complex_mul", lambda ts: _wsum(T.complex_mul(ts[0], ts[1]), wf),
        [sp, sp2])
+
+    # own generator, so the items after these keep their inputs
+    lr = np.random.default_rng(111)
+    n, d, hs = 6, 2, 3
+    lstm_in = [Tensor(lr.uniform(-1.0, 1.0, (n, d))),        # x
+               Tensor(lr.uniform(-0.6, 0.6, (d, 4 * hs))),   # w_x
+               Tensor(lr.uniform(-0.6, 0.6, (hs, 4 * hs))),  # w_h
+               Tensor(lr.uniform(-0.3, 0.3, 4 * hs)),        # b
+               Tensor(lr.uniform(-0.5, 0.5, hs)),            # h0
+               Tensor(lr.uniform(-0.5, 0.5, hs))]            # c0
+    wy = lr.standard_normal((n, hs))
+    wh, wc = lr.standard_normal(hs), lr.standard_normal(hs)
+
+    def lstm_out(ts):
+        xz = T.add(T.matmul(ts[0], ts[1]), ts[3])
+        return T.lstm(xz, ts[2], ts[4], ts[5])  # [y; h_T; c_T]
+
+    def lstm_state(ts):
+        out = lstm_out(ts)
+        return T.add(_wsum(out[0:n], wy),
+                     T.add(_wsum(out[n], wh), _wsum(out[n + 1], wc)))
+
+    it("lstm", lambda ts: _wsum(lstm_out(ts)[0:n], wy), lstm_in)
+    it("lstm_state", lstm_state, lstm_in)
     return items
 
 

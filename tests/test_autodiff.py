@@ -248,31 +248,130 @@ def test_filter_via_fft_gradient():
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell / layer
+# sigmoid helper
+
+def _sigmoid_mask(z):
+    """The boolean-mask sigmoid the shared helper replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_helper_matches_mask_formula_bitwise(dtype):
+    edge = [0.0, -0.0, 1e-30, -1e-30, 20.0, -20.0, 100.0, -100.0,
+            np.inf, -np.inf, np.nan]
+    rand = np.random.default_rng(30).standard_normal(10 ** 5) * 10.0
+    z = np.concatenate([edge, rand]).astype(dtype)
+    with np.errstate(invalid="ignore"):
+        got = T._sigmoid(z)
+        want = _sigmoid_mask(z)
+    assert got.dtype == dtype
+    # only the sign bit of NaN may differ, which array_equal ignores
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# LSTM: fused primitive against the per-step composition of tape ops
+
+def _composed_lstm(lstm, x, state):
+    """The recurrence as ~17 tape nodes per step; reference for T.lstm."""
+    cell = lstm.cell
+    hs = cell.hidden_size
+    xz = T.add(T.matmul(x, cell.w_x), cell.b)
+    h, c = state
+    outs = []
+    for t in range(x.data.shape[0]):
+        z = T.add(xz[t], T.matmul(h, cell.w_h))
+        i = T.sigmoid(z[0:hs])
+        f = T.sigmoid(z[hs:2 * hs])
+        g = T.tanh(z[2 * hs:3 * hs])
+        o = T.sigmoid(z[3 * hs:4 * hs])
+        c = T.add(T.mul(f, c), T.mul(i, g))
+        h = T.mul(o, T.tanh(c))
+        outs.append(T.reshape(h, (1, hs)))
+    y = T.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+    return y, (h, c)
+
+
+def _lstm_case(dtype, n, hidden, inputs, seed, state_scale=0.0):
+    """An LSTM with its input, initial state and loss weights."""
+    rng = np.random.default_rng(seed)
+    old = T.default_dtype()
+    T.set_default_dtype(dtype)
+    try:
+        lstm = nn.LSTM(inputs, hidden, rng)
+    finally:
+        T.set_default_dtype(old)
+    x = Tensor(rng.standard_normal((n, inputs)).astype(dtype))
+    h0 = Tensor((state_scale * rng.standard_normal(hidden)).astype(dtype))
+    c0 = Tensor((state_scale * rng.standard_normal(hidden)).astype(dtype))
+    ws = [Tensor(rng.standard_normal(shape).astype(dtype))
+          for shape in ((n, hidden), (hidden,), (hidden,))]
+    return lstm, x, h0, c0, ws
+
+
+def _lstm_run(forward, lstm, x, h0, c0, ws, wrt):
+    """Output, final state and gradients wrt `wrt` of a loss on y, h and c."""
+    for t in wrt:
+        t.requires_grad = True
+    with Tape() as tape:
+        y, (h, c) = forward(lstm, x, (h0, c0))
+        loss = T.add(T.sum_(T.mul(y, ws[0])),
+                     T.add(T.sum_(T.mul(h, ws[1])), T.sum_(T.mul(c, ws[2]))))
+        grads = tape.backward(loss)
+    return [y.data, h.data, c.data] + [grads[t].data for t in wrt]
+
+
+def test_lstm_fused_is_bit_identical_to_composed_f32():
+    lstm, x, h0, c0, ws = _lstm_case(np.float32, 2048, 32, 1, seed=16)
+    params = [lstm.cell.w_x, lstm.cell.w_h, lstm.cell.b]
+    want = _lstm_run(_composed_lstm, lstm, x, h0, c0, ws, params)
+    got = _lstm_run(nn.LSTM.forward, lstm, x, h0, c0, ws, params)
+    for name, a, b in zip(["y", "h", "c", "w_x", "w_h", "b"], got, want):
+        assert a.dtype == np.float32, name
+        assert np.array_equal(a, b), name
+
+
+def test_lstm_fused_state_gradients_match_composed_f64():
+    lstm, x, h0, c0, ws = _lstm_case(np.float64, 300, 7, 3, seed=17,
+                                     state_scale=0.5)
+    wrt = [x, h0, c0] + lstm.parameters()
+    want = _lstm_run(_composed_lstm, lstm, x, h0, c0, ws, wrt)
+    got = _lstm_run(nn.LSTM.forward, lstm, x, h0, c0, ws, wrt)
+    for a, b in zip(got, want):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_lstm_tape_node_count_does_not_grow_with_length():
+    counts = []
+    for n in (64, 2048):
+        lstm, x, h0, c0, _ = _lstm_case(np.float32, n, 32, 1, seed=18)
+        with Tape() as tape:
+            lstm.forward(x, (h0, c0))
+        counts.append(len(tape.nodes))
+    assert counts[0] == counts[1], counts
+
 
 def test_lstm_cell_gradients():
-    rng = np.random.default_rng(13)
-    T.set_default_dtype(np.float64)
-    try:
-        cell = nn.LSTMCell(3, 4, rng)
-    finally:
-        T.set_default_dtype(np.float32)
-    x = randt(rng, 3)
-    w = rng.standard_normal(4)
+    # one step through the fused primitive, wrt input, state and weights
+    lstm, x, h0, c0, ws = _lstm_case(np.float64, 1, 4, 3, seed=13,
+                                     state_scale=1.0)
 
     def f(ts):
-        h, _ = cell.forward(ts[0], (ts[1], ts[2]))
-        return project(h, w)
+        y, (_, c) = lstm.forward(ts[0], (ts[1], ts[2]))
+        return T.add(project(y, ws[0].data), project(c, ws[2].data))
 
-    h0 = randt(rng, 4)
-    c0 = randt(rng, 4)
     assert grad_check(f, [x, h0, c0]) < TOL
 
     def fp(ts):
-        h, _ = cell.forward(x, (h0.detach(), c0.detach()))
-        return project(h, w)
+        y, (_, c) = lstm.forward(x, (h0.detach(), c0.detach()))
+        return T.add(project(y, ws[0].data), project(c, ws[2].data))
 
-    assert grad_check(fp, [cell.w_x, cell.w_h, cell.b]) < TOL
+    assert grad_check(fp, lstm.parameters()) < TOL
 
 
 def test_lstm_layer_fast_path_matches_taped():
@@ -286,12 +385,17 @@ def test_lstm_layer_fast_path_matches_taped():
     y_fast, (h_f, c_f) = lstm.forward(x)
     with Tape():
         y_taped, (h_t, c_t) = lstm.forward(x)
-    assert np.allclose(y_fast.data, y_taped.data, atol=1e-12)
-    assert np.allclose(h_f.data, h_t.data, atol=1e-12)
-    assert np.allclose(c_f.data, c_t.data, atol=1e-12)
+    assert np.array_equal(y_fast.data, y_taped.data)
+    assert np.array_equal(h_f.data, h_t.data)
+    assert np.array_equal(c_f.data, c_t.data)
+    # and both equal the composed reference
+    with Tape():
+        y_ref, (h_r, c_r) = _composed_lstm(lstm, x, lstm.zero_state(np.float64))
+    assert np.array_equal(y_fast.data, y_ref.data)
+    assert np.array_equal(c_f.data, c_r.data)
 
     # forget bias starts at one
-    hs = lstm.hidden_size
+    hs = lstm.cell.hidden_size
     assert np.all(lstm.cell.b.data[hs:2 * hs] == 1.0)
 
 

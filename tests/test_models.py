@@ -361,3 +361,12 @@ def test_graybox_checkpoint_roundtrip(tmp_path):
     y1, _ = model.forward(x)
     y2, _ = loaded.forward(x)
     assert np.array_equal(y1.data, y2.data)
+
+
+def test_graybox_spec_leaves_the_callers_dict_alone():
+    d = {"stages": [{"processor": "gain"}]}
+    a = M.ModelSpec(sample_rate=44100.0, graybox=d)
+    b = M.ModelSpec(sample_rate=48000.0, num_controls=2, graybox=d)
+    assert d == {"stages": [{"processor": "gain"}]}
+    assert (a.config.sample_rate, a.config.num_controls) == (44100.0, 0)
+    assert (b.config.sample_rate, b.config.num_controls) == (48000.0, 2)
