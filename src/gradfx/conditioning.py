@@ -14,8 +14,10 @@ affine (gamma * h + beta). They differ in where (gamma, beta) come from:
   TVCond   the same shared controller, but its latent is upsampled and
            concatenated to a recurrent model's input instead
 
-Every gamma-producing head starts as the identity (zero weights, gamma
-bias 1, beta bias 0).
+The four FiLM variants share one call shape: latents(x, c, state) ->
+(z, state) once per forward, then modulate(k, h, z) -> h once per
+network block. State None is the zero state. Every gamma-producing
+head starts as the identity (zero weights, gamma bias 1, beta bias 0).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .controllers import append_controls, block_means, num_blocks
+from .controllers import BlockLSTM, _check_controls, append_controls, num_blocks
 from .tensor import Tensor
 
 
@@ -59,6 +61,11 @@ def _identity_head(layer: nn.Linear, channels: int) -> nn.Linear:
     return layer
 
 
+def _need_controls(m: nn.Module, num_controls: int) -> None:
+    if num_controls < 1:
+        raise ValueError(f"{type(m).__name__} needs num_controls >= 1")
+
+
 def _split_gamma_beta(gb: Tensor, channels: int):
     if gb.data.ndim == 1:
         return gb[0:channels], gb[channels:2 * channels]
@@ -70,10 +77,16 @@ class FiLM(nn.Module):
 
     def __init__(self, num_controls: int, channels: int, net_blocks: int,
                  rng: np.random.Generator, hidden: int = 16, latent: int = 32):
+        _need_controls(self, num_controls)
         self.channels = channels
+        self.num_controls = num_controls
         self.generator = nn.MLP([num_controls, hidden, latent], rng)
         self.heads = [_identity_head(nn.Linear(latent, 2 * channels, rng), channels)
                       for _ in range(net_blocks)]
+
+    def latents(self, x: Tensor, c, state):
+        _check_controls(c, self.num_controls)
+        return self.latent(c), None
 
     def latent(self, c: Tensor) -> Tensor:
         return self.generator(c)
@@ -84,37 +97,54 @@ class FiLM(nn.Module):
 
 
 class TFiLM(nn.Module):
-    """Per-block temporal FiLM: pooled activations (+c) -> LSTM -> heads."""
+    """Per-block temporal FiLM: pooled activations (+c) -> LSTM -> heads.
+
+    The context is (c, per-block LSTM states); each block's new state is
+    written into it, so the states returned by `latents` fill up as the
+    blocks run and the caller's list is never touched.
+    """
 
     def __init__(self, num_controls: int, channels: int, net_blocks: int,
                  rng: np.random.Generator, block_size: int = 128):
+        _need_controls(self, num_controls)
         self.channels = channels
+        self.num_controls = num_controls
         self.block_size = block_size
         self.lstms = [nn.LSTM(channels + num_controls, 2 * channels, rng)
                       for _ in range(net_blocks)]
         self.heads = [_identity_head(nn.Linear(2 * channels, 2 * channels, rng), channels)
                       for _ in range(net_blocks)]
 
-    def zero_state(self):
-        return [None] * len(self.lstms)
+    def latents(self, x: Tensor, c, state):
+        states = [None] * len(self.lstms) if state is None else list(state)
+        return (c, states), states
 
-    def modulate(self, k: int, h: Tensor, c, state_k):
+    def _squeeze(self, k: int, pooled: Tensor) -> Tensor:
+        return pooled
+
+    def _widen(self, k: int, hs: Tensor) -> Tensor:
+        return self.heads[k](hs)
+
+    def modulate(self, k: int, h: Tensor, z) -> Tensor:
+        c, states = z
         pooled = T.transpose(T.maxpool1d(h, self.block_size))  # [Tb, C]
-        feats = append_controls(pooled, c)
-        hs, state_k = self.lstms[k](feats, state_k)
-        gamma, beta = _split_gamma_beta(self.heads[k](hs), self.channels)
-        return blockwise_affine(h, gamma, beta, self.block_size), state_k
+        feats = append_controls(self._squeeze(k, pooled), c, self.num_controls)
+        hs, states[k] = self.lstms[k](feats, states[k])
+        gamma, beta = _split_gamma_beta(self._widen(k, hs), self.channels)
+        return blockwise_affine(h, gamma, beta, self.block_size)
 
 
-class TTFiLM(nn.Module):
+class TTFiLM(TFiLM):
     """TFiLM with a reduced-width LSTM: C -> r before, MLP r -> 2C after."""
 
     def __init__(self, num_controls: int, channels: int, net_blocks: int,
                  rng: np.random.Generator, block_size: int = 128,
                  reduced: int = 8, expand_hidden: int = 24):
+        _need_controls(self, num_controls)
         if reduced >= channels:
             raise ValueError("reduced width must be smaller than channels")
         self.channels = channels
+        self.num_controls = num_controls
         self.block_size = block_size
         self.reduce = [nn.Linear(channels, reduced, rng) for _ in range(net_blocks)]
         self.lstms = [nn.LSTM(reduced + num_controls, reduced, rng)
@@ -125,32 +155,11 @@ class TTFiLM(nn.Module):
             _identity_head(mlp.layers[-1], channels)
             self.expand.append(mlp)
 
-    def zero_state(self):
-        return [None] * len(self.lstms)
+    def _squeeze(self, k: int, pooled: Tensor) -> Tensor:
+        return self.reduce[k](pooled)
 
-    def modulate(self, k: int, h: Tensor, c, state_k):
-        pooled = T.transpose(T.maxpool1d(h, self.block_size))  # [Tb, C]
-        feats = append_controls(self.reduce[k](pooled), c)
-        hs, state_k = self.lstms[k](feats, state_k)
-        gamma, beta = _split_gamma_beta(self.expand[k](hs), self.channels)
-        return blockwise_affine(h, gamma, beta, self.block_size), state_k
-
-
-class TVFiLMController(nn.Module):
-    """Shared controller: LSTM over (x downsampled by B, c) -> latent sequence."""
-
-    def __init__(self, num_controls: int, rng: np.random.Generator,
-                 block_size: int = 128, latent: int = 32):
-        self.block_size = block_size
-        self.latent_dim = latent
-        self.lstm = nn.LSTM(1 + num_controls, latent, rng)
-
-    def zero_state(self):
-        return None
-
-    def latents(self, x: Tensor, c, state):
-        feats = append_controls(block_means(x, self.block_size), c)
-        return self.lstm(feats, state)
+    def _widen(self, k: int, hs: Tensor) -> Tensor:
+        return self.expand[k](hs)
 
 
 class TVFiLM(nn.Module):
@@ -160,15 +169,12 @@ class TVFiLM(nn.Module):
                  rng: np.random.Generator, block_size: int = 128, latent: int = 32):
         self.channels = channels
         self.block_size = block_size
-        self.controller = TVFiLMController(num_controls, rng, block_size, latent)
+        self.controller = BlockLSTM(latent, rng, block_size, num_controls)
         self.heads = [_identity_head(nn.Linear(latent, 2 * channels, rng), channels)
                       for _ in range(net_blocks)]
 
-    def zero_state(self):
-        return self.controller.zero_state()
-
     def latents(self, x: Tensor, c, state):
-        return self.controller.latents(x, c, state)
+        return self.controller(x, c, state)
 
     def modulate(self, k: int, h: Tensor, z_seq: Tensor) -> Tensor:
         tb = z_seq.data.shape[0]
@@ -184,16 +190,13 @@ class TVCond(nn.Module):
 
     def __init__(self, num_controls: int, rng: np.random.Generator,
                  block_size: int = 128, latent: int = 16):
-        self.controller = TVFiLMController(num_controls, rng, block_size, latent)
+        self.controller = BlockLSTM(latent, rng, block_size, num_controls)
         self.block_size = block_size
         self.latent_dim = latent
-
-    def zero_state(self):
-        return None
 
     def generate(self, x: Tensor, c, state):
         """Returns [len(x), latent] ready to concatenate on the feature dim."""
         n = x.data.shape[-1]
-        z, state = self.controller.latents(x, c, state)
+        z, state = self.controller(x, c, state)
         zs = T.transpose(T.upsample1d(T.transpose(z), self.block_size)[:, 0:n])
         return zs, state

@@ -76,6 +76,29 @@ def _check_data(d, base: Path, problems) -> dict | None:
     return out
 
 
+def _check_lengths(data: dict | None, tc: TrainConfig, problems) -> None:
+    """Lengths the losses need: every segment is evaluated with MR-STFT,
+    and truncated BPTT needs a warm-up plus one whole chunk per segment."""
+    fft = tc.mrstft_cfg.max_fft
+    seg = data["segment_len"] if data is not None else None
+    if not isinstance(seg, int) or seg < 1:
+        seg = None  # absent, or already reported
+    if seg is not None and seg < fft:
+        problems.append(f"/data/segment_len: {seg} is shorter than the "
+                        f"largest MR-STFT fft size {fft}")
+    if not tc.tbptt:
+        return
+    if tc.weights.w_mrstft > 0 and tc.chunk_len < fft:
+        problems.append(f"/train/chunk_len: {tc.chunk_len} is shorter than "
+                        f"the largest MR-STFT fft size {fft}")
+    if not isinstance(tc.warmup_len, int) or tc.warmup_len < 0:
+        problems.append("/train/warmup_len: expected a nonnegative integer")
+    elif seg is not None and tc.warmup_len + tc.chunk_len > seg:
+        problems.append(f"/train/warmup_len: warmup_len + chunk_len = "
+                        f"{tc.warmup_len + tc.chunk_len} exceeds "
+                        f"/data/segment_len {seg}")
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError with every
     offending field's pointer, never a partial object."""
@@ -126,6 +149,8 @@ def load_config(path) -> ExperimentConfig:
                 train_cfg = TrainConfig(**kwargs)
             except (ValueError, TypeError) as e:
                 problems.append(f"/train: {e}")
+            else:
+                _check_lengths(data, train_cfg, problems)
 
     sweep_cfg = None
     adoc = doc.get("analysis", {})

@@ -6,7 +6,8 @@ the signal, default 128 samples, zero-padded final block) through an
 LSTM whose hidden size equals the number of controlled parameters.
 
 Every controller shares one call shape so chains can thread them
-uniformly:  controller(x, c, state) -> (ControlOutput, new_state).
+uniformly:  controller(x, c, state) -> (ControlOutput, new_state), where
+state None is the zero state.
 """
 
 from __future__ import annotations
@@ -40,25 +41,24 @@ def block_means(x: Tensor, block_size: int) -> Tensor:
     return T.reshape(T.blockmean1d(x, block_size), (nb, 1))
 
 
-def append_controls(feats: Tensor, c) -> Tensor:
-    """Concatenate the control vector, repeated over time, to [T, F] features."""
-    if c is None or not c.data.size:
-        return feats
-    return T.concat([feats, T.repeat_new_axis(c, feats.data.shape[0], axis=0)],
-                    axis=1)
-
-
 def _check_controls(c, num_controls: int) -> None:
     if c is None or c.data.shape[-1] != num_controls:
         got = None if c is None else c.data.shape[-1]
         raise ValueError(f"expected {num_controls} controls, got {got}")
 
 
+def append_controls(feats: Tensor, c, num_controls: int) -> Tensor:
+    """Concatenate the checked controls, repeated over time, to [T, F]
+    features; with num_controls 0 the features pass and c is ignored."""
+    if num_controls == 0:
+        return feats
+    _check_controls(c, num_controls)
+    return T.concat([feats, T.repeat_new_axis(c, feats.data.shape[0], axis=0)],
+                    axis=1)
+
+
 class Controller(nn.Module):
     num_params: int = 0
-
-    def __call__(self, x=None, c=None, state=None):
-        return self.forward(x=x, c=c, state=state)
 
 
 class DummyController(Controller):
@@ -97,37 +97,35 @@ class StaticCondController(Controller):
         return ControlOutput(T.sigmoid(self.net(c))), None
 
 
-class DynamicController(Controller):
-    """Signal-driven: block means (+ controls) -> LSTM (hidden = num
-    params) -> sigmoid. Controls are required when num_controls > 0."""
+class BlockLSTM(nn.Module):
+    """Block-rate LSTM: block means of the signal (+ controls) -> LSTM,
+    one [hidden] row per control block. Controls are required when
+    num_controls > 0."""
 
-    def __init__(self, num_params: int, rng: np.random.Generator,
+    def __init__(self, hidden: int, rng: np.random.Generator,
                  block_size: int = 128, num_controls: int = 0):
-        self.num_params = num_params
         self.num_controls = num_controls
         self.block_size = block_size
-        self.lstm = nn.LSTM(1 + num_controls, num_params, rng)
-
-    def zero_state(self, dtype=None):
-        return self.lstm.zero_state(dtype)
+        self.lstm = nn.LSTM(1 + num_controls, hidden, rng)
 
     def forward(self, x=None, c=None, state=None):
         if x is None:
-            raise ValueError("dynamic controller needs the signal")
-        feats = block_means(x, self.block_size)
-        if self.num_controls > 0:
-            _check_controls(c, self.num_controls)
-            feats = append_controls(feats, c)
-        hs, state = self.lstm(feats, state)
+            raise ValueError("a block-rate controller needs the signal")
+        feats = append_controls(block_means(x, self.block_size), c,
+                                self.num_controls)
+        return self.lstm(feats, state)
+
+
+class DynamicController(BlockLSTM, Controller):
+    """Signal-driven: a BlockLSTM with hidden = num params, then sigmoid."""
+
+    @property
+    def num_params(self) -> int:
+        return self.lstm.cell.hidden_size
+
+    def forward(self, x=None, c=None, state=None):
+        hs, state = super().forward(x, c, state)
         return ControlOutput(T.sigmoid(hs), self.block_size), state
-
-
-class DynamicCondController(DynamicController):
-    """DynamicController with controls appended to each block feature."""
-
-    def __init__(self, num_params: int, num_controls: int, rng: np.random.Generator,
-                 block_size: int = 128):
-        super().__init__(num_params, rng, block_size, num_controls)
 
 
 CONTROLLER_KINDS = {
@@ -135,5 +133,5 @@ CONTROLLER_KINDS = {
     "static": StaticController,
     "static_cond": StaticCondController,
     "dynamic": DynamicController,
-    "dynamic_cond": DynamicCondController,
+    "dynamic_cond": DynamicController,
 }

@@ -64,17 +64,12 @@ class LSTMModel(nn.Module):
         self.lstm = nn.LSTM(input_dim, hidden, rng)
         self.out = nn.Linear(hidden, 1, rng)
 
-    def zero_state(self):
-        return (None, None)
-
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
         lstm_state, gen_state = state if state is not None else (None, None)
         n = x.data.shape[-1]
         feats = T.reshape(x, (n, 1))
         if self.cond_mode == "concat":
-            if c is None:
-                raise ValueError("cond_mode 'concat' requires controls")
-            feats = ctrl.append_controls(feats, c)
+            feats = ctrl.append_controls(feats, c, self.num_controls)
         elif self.cond_mode == "tvcond":
             z, gen_state = self.generator.generate(x, c, gen_state)
             feats = T.concat([feats, z], axis=1)
@@ -128,15 +123,12 @@ class _ConvStack(nn.Module):
 
     Each block runs shortcut (first block only), conv, norm, activation
     (gated tanh * sigmoid before the modulation for GCN, tanh after it
-    for TCN), modulation and the residual add.
+    for TCN), modulation and the residual add. The conditioner, if any,
+    computes its context z once per call and modulates every block.
     """
 
     def __init__(self, cfg: TCNConfig, num_controls: int, rng, gate: bool):
-        if cfg.cond != "none" and num_controls < 1 and cfg.cond != "tvfilm":
-            # tvfilm can run on the signal alone; the others need controls
-            raise ValueError(f"cond={cfg.cond!r} needs num_controls >= 1")
         self.cfg = cfg
-        self.num_controls = num_controls
         self.gate = gate
         ch = cfg.channels
         out_mult = 2 if gate else 1
@@ -151,38 +143,17 @@ class _ConvStack(nn.Module):
         self.shortcut = nn.Conv1d(1, ch, 1, rng)
         self.norms = ([nn.BatchNorm1d(ch * out_mult) for _ in range(cfg.blocks)]
                       if cfg.batchnorm else None)
-        self.conditioner = (None if cfg.cond == "none" else
-                            _CONDITIONERS[cfg.cond](num_controls, ch,
-                                                    cfg.blocks, rng))
-
-    def zero_state(self):
-        if self.cfg.cond in ("tfilm", "ttfilm", "tvfilm"):
-            return self.conditioner.zero_state()
-        return None
-
-    def _prepare_cond(self, x, c, state):
-        """Per-call conditioning context: static latent or latent sequence."""
-        if self.cfg.cond == "film":
-            return self.conditioner.latent(c), state
-        if self.cfg.cond == "tvfilm":
-            return self.conditioner.latents(x, c, state)
-        if self.cfg.cond in ("tfilm", "ttfilm") and state is None:
-            return None, self.conditioner.zero_state()
-        return None, state
-
-    def _modulate(self, k, h, c, z, state):
-        if self.cfg.cond == "none":
-            return h, state
-        if self.cfg.cond in ("film", "tvfilm"):
-            return self.conditioner.modulate(k, h, z), state
-        h, state[k] = self.conditioner.modulate(k, h, c, state[k])
-        return h, state
+        make = _CONDITIONERS.get(cfg.cond)
+        self.conditioner = (make(num_controls, ch, cfg.blocks, rng)
+                            if make is not None else None)
 
     def forward(self, x: Tensor, c: Tensor | None, state):
         """Returns (last block's output, every block's activation, state)."""
         ch = self.cfg.channels
         h = T.reshape(x, (1, x.data.shape[-1]))
-        z, state = self._prepare_cond(x, c, state)
+        conditioner = self.conditioner
+        if conditioner is not None:
+            z, state = conditioner.latents(x, c, state)
         acts = []
         for k, conv in enumerate(self.convs):
             residual = self.shortcut(h) if k == 0 else h
@@ -191,7 +162,8 @@ class _ConvStack(nn.Module):
                 h = self.norms[k](h)
             if self.gate:
                 h = T.mul(T.tanh(h[0:ch]), T.sigmoid(h[ch:2 * ch]))
-            h, state = self._modulate(k, h, c, z, state)
+            if conditioner is not None:
+                h = conditioner.modulate(k, h, z)
             if not self.gate:
                 h = T.tanh(h)
             acts.append(h)
@@ -208,9 +180,6 @@ class TCN(nn.Module):
         self.stack = _ConvStack(cfg, num_controls, rng, gate=False)
         self.mixer = nn.Conv1d(cfg.channels, 1, 1, rng)
 
-    def zero_state(self):
-        return self.stack.zero_state()
-
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
         h, _, state = self.stack(x, c, state)
         return T.reshape(self.mixer(h), (x.data.shape[-1],)), state
@@ -224,9 +193,6 @@ class GCN(nn.Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.stack = _ConvStack(cfg, num_controls, rng, gate=True)
         self.mixer = nn.Conv1d(cfg.channels * cfg.blocks, 1, 1, rng)
-
-    def zero_state(self):
-        return self.stack.zero_state()
 
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
         _, skips, state = self.stack(x, c, state)
@@ -317,11 +283,10 @@ def _build_controller(st: StageSpec, p: proc.Processor, spec: GrayBoxSpec,
     if kind == "static_cond":
         return ctrl.StaticCondController(spec.num_controls, p.num_params,
                                          rng, **opts)
-    if kind == "dynamic":
-        return ctrl.DynamicController(p.num_params, rng,
-                                      block_size=spec.block_size, **opts)
-    return ctrl.DynamicCondController(p.num_params, spec.num_controls, rng,
-                                      block_size=spec.block_size, **opts)
+    if kind == "dynamic_cond":
+        opts["num_controls"] = spec.num_controls
+    return ctrl.DynamicController(p.num_params, rng,
+                                  block_size=spec.block_size, **opts)
 
 
 class GrayBoxChain(nn.Module):
@@ -345,11 +310,9 @@ class GrayBoxChain(nn.Module):
     def num_controlled_params(self) -> int:
         return sum(p.num_params for p in self.processors)
 
-    def zero_state(self):
-        return [None] * len(self.processors)
-
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
-        states = list(state) if state is not None else self.zero_state()
+        states = ([None] * len(self.processors) if state is None
+                  else list(state))
         h = x
         for i, (p, k) in enumerate(zip(self.processors, self.controllers)):
             out, states[i] = k(x=h, c=c, state=states[i])

@@ -26,23 +26,25 @@ class Module:
 
     training: bool = True
 
-    def named_parameters(self, prefix: str = ""):
-        out = []
+    def _walk(self, prefix: str = ""):
+        """(dotted name, value) for every attribute and every item of a
+        list or tuple attribute, depth-first in definition order, entering
+        each Module found."""
         for name, value in vars(self).items():
-            if name.startswith("_"):
-                continue
-            full = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad:
-                out.append((full, value))
-            elif isinstance(value, Module):
-                out.extend(value.named_parameters(prefix=full + "."))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        out.extend(item.named_parameters(prefix=f"{full}.{i}."))
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        out.append((f"{full}.{i}", item))
-        return out
+            full = prefix + name
+            entries = [(full, value)]
+            if isinstance(value, (list, tuple)):
+                entries += [(f"{full}.{i}", item) for i, item in enumerate(value)]
+            for key, item in entries:
+                yield key, item
+                if isinstance(item, Module):
+                    yield from item._walk(key + ".")
+
+    def named_parameters(self):
+        """Trainable tensors; a name starting with "_" hides its subtree."""
+        return [(k, v) for k, v in self._walk()
+                if isinstance(v, Tensor) and v.requires_grad
+                and not any(part.startswith("_") for part in k.split("."))]
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -52,13 +54,9 @@ class Module:
 
     def modules(self):
         yield self
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
+        for _, v in self._walk():
+            if isinstance(v, Module):
+                yield v
 
     def train(self, mode: bool = True):
         for m in self.modules():
@@ -68,19 +66,10 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def named_buffers(self, prefix: str = ""):
-        out = []
-        for name, value in vars(self).items():
-            full = f"{prefix}{name}"
-            if name.startswith("_buf_"):
-                out.append((full, value))
-            elif isinstance(value, Module):
-                out.extend(value.named_buffers(prefix=full + "."))
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        out.extend(item.named_buffers(prefix=f"{full}.{i}."))
-        return out
+    def named_buffers(self):
+        """Attributes named _buf_*, at any depth."""
+        return [(k, v) for k, v in self._walk()
+                if k.rpartition(".")[2].startswith("_buf_")]
 
     def state_dict(self) -> dict:
         state = {name: p.data.copy() for name, p in self.named_parameters()}

@@ -231,7 +231,7 @@ def _controller_items(rng):
     dy = C.DynamicController(3, rng, block_size=64)
     it("dynamic", lambda ts: _wsum(dy(x=xd)[0].values, w43),
        dy.parameters() + [xd], eps=3e-4)
-    dyc = C.DynamicCondController(3, 2, rng, block_size=64)
+    dyc = C.DynamicController(3, rng, block_size=64, num_controls=2)
     it("dynamic_cond", lambda ts: _wsum(dyc(x=xd, c=c2)[0].values, w43),
        dyc.parameters() + [xd, c2], eps=3e-4)
     return items
@@ -258,14 +258,16 @@ def _conditioning_items(rng):
     tf = K.TFiLM(2, 4, 1, rng, block_size=8)
     for hd in tf.heads:
         hd.w.data = rng.normal(0.0, 0.2, hd.w.data.shape)
-    it("tfilm", lambda ts: _wsum(tf.modulate(0, h, c2, None)[0], wh),
+    it("tfilm",
+       lambda ts: _wsum(tf.modulate(0, h, tf.latents(None, c2, None)[0]), wh),
        tf.parameters() + [h, c2], eps=3e-4)
 
     tt = K.TTFiLM(2, 4, 1, rng, block_size=8, reduced=2)
     for mlp in tt.expand:
         mlp.layers[-1].w.data = rng.normal(0.0, 0.2,
                                            mlp.layers[-1].w.data.shape)
-    it("ttfilm", lambda ts: _wsum(tt.modulate(0, h, c2, None)[0], wh),
+    it("ttfilm",
+       lambda ts: _wsum(tt.modulate(0, h, tt.latents(None, c2, None)[0]), wh),
        tt.parameters() + [h, c2], eps=3e-4)
 
     tv = K.TVFiLM(2, 4, 1, rng, block_size=8)
@@ -365,9 +367,11 @@ def test_03_identity_settings_pass_audio_through():
         fl = K.FiLM(2, 8, 1, rng)
         rels["film"] = _rel_l2(fl.modulate(0, h, fl.latent(c)).data, h.data)
         tf = K.TFiLM(2, 8, 1, rng)
-        rels["tfilm"] = _rel_l2(tf.modulate(0, h, c, None)[0].data, h.data)
+        rels["tfilm"] = _rel_l2(
+            tf.modulate(0, h, tf.latents(None, c, None)[0]).data, h.data)
         tt = K.TTFiLM(2, 8, 1, rng, reduced=4)
-        rels["ttfilm"] = _rel_l2(tt.modulate(0, h, c, None)[0].data, h.data)
+        rels["ttfilm"] = _rel_l2(
+            tt.modulate(0, h, tt.latents(None, c, None)[0]).data, h.data)
         tv = K.TVFiLM(2, 8, 1, rng)
         z, _ = tv.latents(Tensor(rng.standard_normal(256) * 0.5), c, None)
         rels["tvfilm"] = _rel_l2(tv.modulate(0, h, z).data, h.data)

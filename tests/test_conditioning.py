@@ -5,6 +5,7 @@ import pytest
 
 import gradfx.tensor as T
 from gradfx import conditioning as F
+from gradfx.controllers import BlockLSTM
 from gradfx.tensor import Tensor, Tape, grad_check
 
 
@@ -89,8 +90,8 @@ def test_tfilm_identity_at_init():
     tf = F.TFiLM(2, channels=6, net_blocks=2, rng=rng, block_size=8)
     h = Tensor(rng.standard_normal((6, 24)).astype(np.float32))
     c = Tensor(np.array([0.5, 0.5], dtype=np.float32))
-    state = tf.zero_state()
-    out, state[0] = tf.modulate(0, h, c, state[0])
+    z, state = tf.latents(None, c, None)
+    out = tf.modulate(0, h, z)
     assert np.array_equal(out.data, h.data)
     assert state[0] is not None
 
@@ -100,8 +101,9 @@ def test_tfilm_full_length_block_is_single_step():
     tf = F.TFiLM(1, channels=4, net_blocks=1, rng=rng, block_size=16)
     h = Tensor(rng.standard_normal((4, 16)).astype(np.float32))
     c = Tensor(np.array([0.2], dtype=np.float32))
-    _, st = tf.modulate(0, h, c, None)
-    hn, cn = st
+    z, st = tf.latents(None, c, None)
+    tf.modulate(0, h, z)
+    hn, cn = st[0]
     assert hn.data.shape == (8,)  # hidden 2*channels after the single block
 
 
@@ -113,9 +115,10 @@ def test_tfilm_chunked_equals_one_shot():
                           * 0.2).astype(np.float32)
     h = rng.standard_normal((4, 64)).astype(np.float32)
     c = Tensor(np.array([0.8], dtype=np.float32))
-    full, _ = tf.modulate(0, Tensor(h), c, None)
-    a, st = tf.modulate(0, Tensor(h[:, :32]), c, None)
-    b, _ = tf.modulate(0, Tensor(h[:, 32:]), c, st)
+    full = tf.modulate(0, Tensor(h), tf.latents(None, c, None)[0])
+    z, st = tf.latents(None, c, None)
+    a = tf.modulate(0, Tensor(h[:, :32]), z)
+    b = tf.modulate(0, Tensor(h[:, 32:]), tf.latents(None, c, st)[0])
     stitched = np.concatenate([a.data, b.data], axis=1)
     assert np.max(np.abs(stitched - full.data)) < 1e-6
 
@@ -126,7 +129,7 @@ def test_ttfilm_identity_and_reduction_guard():
                    reduced=4)
     h = Tensor(rng.standard_normal((12, 32)).astype(np.float32))
     c = Tensor(np.array([0.1, 0.6], dtype=np.float32))
-    out, _ = ttf.modulate(0, h, c, None)
+    out = ttf.modulate(0, h, ttf.latents(None, c, None)[0])
     assert np.array_equal(out.data, h.data)
 
     with pytest.raises(ValueError):
@@ -148,8 +151,8 @@ def test_tvfilm_identity_at_init():
     tv = F.TVFiLM(2, channels=8, net_blocks=3, rng=rng, block_size=8)
     x = Tensor(rng.standard_normal(40).astype(np.float32))
     c = Tensor(np.array([0.4, 0.2], dtype=np.float32))
-    z, _ = tv.controller.latents(x, c, None)
-    assert z.data.shape == (5, tv.controller.latent_dim)
+    z, _ = tv.latents(x, c, None)
+    assert z.data.shape == (5, tv.controller.lstm.cell.hidden_size)
     h = Tensor(rng.standard_normal((8, 40)).astype(np.float32))
     for k in range(3):
         out = tv.modulate(k, h, z)
@@ -160,17 +163,17 @@ def test_tvfilm_rejects_misaligned_latents():
     rng = np.random.default_rng(68)
     tv = F.TVFiLM(1, channels=4, net_blocks=1, rng=rng, block_size=8)
     h = Tensor(np.ones((4, 40), dtype=np.float32))
-    z = Tensor(np.ones((3, tv.controller.latent_dim), dtype=np.float32))
+    z = Tensor(np.ones((3, tv.controller.lstm.cell.hidden_size), dtype=np.float32))
     with pytest.raises(ValueError):
         tv.modulate(0, h, z)
 
 
 def test_tvfilm_latents_settle_on_constant_input():
     rng = np.random.default_rng(69)
-    tv = F.TVFiLMController(1, rng, block_size=8, latent=8)
+    tv = BlockLSTM(8, rng, block_size=8, num_controls=1)
     x = Tensor(np.zeros(8 * 200, dtype=np.float32))
     c = Tensor(np.array([0.5], dtype=np.float32))
-    z, _ = tv.latents(x, c, None)
+    z, _ = tv(x, c, None)
     tail = z.data[-30:]
     assert np.max(tail.max(axis=0) - tail.min(axis=0)) < 1e-3
 
@@ -184,11 +187,11 @@ def test_tvfilm_chunked_equals_one_shot():
     h = rng.standard_normal((4, 64)).astype(np.float32)
     c = Tensor(np.array([0.3], dtype=np.float32))
 
-    z, _ = tv.controller.latents(Tensor(x), c, None)
+    z, _ = tv.latents(Tensor(x), c, None)
     full = tv.modulate(0, Tensor(h), z)
 
-    z1, st = tv.controller.latents(Tensor(x[:32]), c, None)
-    z2, _ = tv.controller.latents(Tensor(x[32:]), c, st)
+    z1, st = tv.latents(Tensor(x[:32]), c, None)
+    z2, _ = tv.latents(Tensor(x[32:]), c, st)
     a = tv.modulate(0, Tensor(h[:, :32]), z1)
     b = tv.modulate(0, Tensor(h[:, 32:]), z2)
     stitched = np.concatenate([a.data, b.data], axis=1)
@@ -231,7 +234,7 @@ def test_tfilm_gradient_through_modulation():
     w = rng.standard_normal((3, 8))
 
     def f(ts):
-        out, _ = tf.modulate(0, ts[0], c, None)
+        out = tf.modulate(0, ts[0], tf.latents(None, c, None)[0])
         return T.sum_(T.mul(out, Tensor(w)))
 
     assert grad_check(f, [t64(rng.standard_normal((3, 8)))]) < 1e-4

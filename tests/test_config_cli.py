@@ -140,6 +140,18 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
     ({"lr": 0.0}, "lr must be > 0"),
     ({"lr": -0.01}, "lr must be > 0"),
     ({"tbptt": True, "batch_size": 2}, "batch_size must be 1 when tbptt"),
+    # the data section's segments are 2048 samples long
+    ({"mrstft_resolutions": [[4096, 1024, 4096]], "w_mrstft": 0.0},
+     "/data/segment_len: 2048 is shorter than the largest MR-STFT fft "
+     "size 4096"),
+    ({"tbptt": True, "chunk_len": 1024, "warmup_len": 0},
+     "/train/chunk_len: 1024 is shorter than the largest MR-STFT fft "
+     "size 2048"),
+    ({"tbptt": True, "chunk_len": 2048, "warmup_len": 1},
+     "/train/warmup_len: warmup_len + chunk_len = 2049 exceeds "
+     "/data/segment_len 2048"),
+    ({"tbptt": True, "warmup_len": "long"},
+     "/train/warmup_len: expected a nonnegative integer"),
 ])
 def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
     _write_dataset(tmp_path)
@@ -150,7 +162,8 @@ def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
     rc = cli.main(["train", "--config", str(cfg_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"/train: {message}" in err
+    pointed = message if message.startswith("/") else f"/train: {message}"
+    assert pointed in err
     assert not (tmp_path / "out" / "run_log.csv").exists()
 
 

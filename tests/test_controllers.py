@@ -121,7 +121,7 @@ def test_dynamic_controller_steady_state_on_constant_input():
 
 def test_dynamic_cond_controller_shapes_and_sensitivity():
     rng = np.random.default_rng(55)
-    ctrl = C.DynamicCondController(3, 2, rng, block_size=128)
+    ctrl = C.DynamicController(3, rng, block_size=128, num_controls=2)
     assert ctrl.lstm.cell.w_x.data.shape[0] == 3  # block mean + 2 controls
     x = Tensor(rng.standard_normal(1280).astype(np.float32))
     out1, _ = ctrl(x=x, c=Tensor(np.array([0.1, 0.9], dtype=np.float32)))
@@ -134,7 +134,7 @@ def test_dynamic_cond_controller_shapes_and_sensitivity():
 
 def test_dynamic_chunked_equals_one_shot():
     rng = np.random.default_rng(56)
-    ctrl = C.DynamicCondController(2, 1, rng, block_size=128)
+    ctrl = C.DynamicController(2, rng, block_size=128, num_controls=1)
     x = rng.standard_normal(1280).astype(np.float32)
     c = Tensor(np.array([0.7], dtype=np.float32))
     full, _ = ctrl(x=Tensor(x), c=c)

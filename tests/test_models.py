@@ -171,6 +171,42 @@ def test_gcn_same_rf_formula_and_conditioning():
     assert y.data.shape == (256,)
 
 
+@pytest.mark.parametrize("cls", [M.TCN, M.GCN])
+@pytest.mark.parametrize("cond", ["tfilm", "ttfilm"])
+def test_conv_forward_leaves_the_callers_state_alone(cls, cond):
+    rng = np.random.default_rng(90)
+    model = cls(small_cfg(cond=cond, channels=12), num_controls=1, rng=rng)
+    for p in model.stack.conditioner.parameters():  # leave the identity
+        p.data = p.data + rng.normal(0.0, 0.3, p.data.shape).astype(p.data.dtype)
+    x = Tensor(rng.standard_normal(64).astype(np.float32))
+    c = Tensor(np.array([0.6], dtype=np.float32))
+    _, s = model.forward(x, c)
+    before = [[a.data.copy() for a in st] for st in s]
+    y1, s1 = model.forward(x, c, s)
+    y2, _ = model.forward(x, c, s)
+    assert np.array_equal(y1.data, y2.data)
+    assert s1 is not s
+    for st, arrays in zip(s, before):
+        for a, b in zip(st, arrays):
+            assert np.array_equal(a.data, b)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda rng, cond=cond: M.TCN(small_cfg(cond=cond, channels=12), 2, rng)
+      for cond in ("film", "tfilm", "ttfilm", "tvfilm")],
+    lambda rng: M.LSTMModel(num_controls=2, hidden=4, cond_mode="tvcond",
+                            rng=rng),
+], ids=["film", "tfilm", "ttfilm", "tvfilm", "tvcond"])
+@pytest.mark.parametrize("c", [None, np.array([0.5, 0.5, 0.5], np.float32)],
+                         ids=["missing", "three"])
+def test_conditioners_reject_missing_or_wrong_length_controls(make, c):
+    model = make(np.random.default_rng(91))
+    x = Tensor(np.zeros(64, dtype=np.float32))
+    got = None if c is None else 3
+    with pytest.raises(ValueError, match=f"expected 2 controls, got {got}"):
+        model.forward(x, None if c is None else Tensor(c))
+
+
 # -- gray box ----------------------------------------------------------------
 
 def test_graybox_identity_gain_chain():
@@ -370,3 +406,29 @@ def test_graybox_spec_leaves_the_callers_dict_alone():
     assert d == {"stages": [{"processor": "gain"}]}
     assert (a.config.sample_rate, a.config.num_controls) == (44100.0, 0)
     assert (b.config.sample_rate, b.config.num_controls) == (48000.0, 2)
+
+
+def test_module_walk_name_rules():
+    from gradfx import nn
+
+    class Leaf(nn.Module):
+        def __init__(self):
+            self.w = Tensor(np.zeros(1), requires_grad=True)
+            self._buf_n = np.zeros(1)
+
+    class Root(nn.Module):
+        def __init__(self):
+            self.a = Leaf()
+            self._hidden = Leaf()  # no parameters, but its buffers count
+            self.items = [Leaf(), Tensor(np.ones(1), requires_grad=True),
+                          Tensor(np.ones(1))]
+            self.frozen = Tensor(np.ones(1))
+
+    r = Root()
+    assert [k for k, _ in r.named_parameters()] == ["a.w", "items.0.w",
+                                                    "items.1"]
+    assert [k for k, _ in r.named_buffers()] == [
+        "a._buf_n", "_hidden._buf_n", "items.0._buf_n"]
+    assert [type(m).__name__ for m in r.modules()] == ["Root", "Leaf", "Leaf",
+                                                        "Leaf"]
+    assert list(r.modules())[2] is r._hidden
