@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .analysis import SweepConfig
 from .models import ModelSpec
-from .training import TrainConfig
+from .training import EVAL_COLUMNS, TrainConfig
 
 OUTPUT_ROOT_ENV = "GRADFX_OUTPUT_ROOT"
 
@@ -20,6 +20,23 @@ _TRAIN_KEYS = {"max_steps", "batch_size", "lr", "beta1", "beta2", "eps",
                "w_l1", "w_mrstft", "mrstft_resolutions", "tbptt",
                "chunk_len", "warmup_len", "validate_every", "seed",
                "stop_metric", "stop_value"}
+
+# /train values TrainConfig would take and then fail on mid-run:
+# field -> (check on the JSON value, what the field must hold)
+_NUMBER = (int, float)
+_TRAIN_RULES = {
+    "max_steps": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "lr": (lambda v: type(v) in _NUMBER, "a number"),
+    "beta1": (lambda v: type(v) in _NUMBER and 0 <= v < 1, "a number in [0, 1)"),
+    "beta2": (lambda v: type(v) in _NUMBER and 0 <= v < 1, "a number in [0, 1)"),
+    "eps": (lambda v: type(v) in _NUMBER and v > 0, "a number > 0"),
+    "chunk_len": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "warmup_len": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+    "stop_metric": (lambda v: v is None or v in EVAL_COLUMNS,
+                    "one of " + ", ".join(EVAL_COLUMNS)),
+}
+
 _SWEEP_KEYS = {"fs", "f1", "f2", "steps", "T", "amplitude", "warmup"}
 _DATA_KEYS = {"manifest", "segment_len", "hop", "fractions", "seed"}
 
@@ -91,9 +108,7 @@ def _check_lengths(data: dict | None, tc: TrainConfig, problems) -> None:
     if tc.weights.w_mrstft > 0 and tc.chunk_len < fft:
         problems.append(f"/train/chunk_len: {tc.chunk_len} is shorter than "
                         f"the largest MR-STFT fft size {fft}")
-    if not isinstance(tc.warmup_len, int) or tc.warmup_len < 0:
-        problems.append("/train/warmup_len: expected a nonnegative integer")
-    elif seg is not None and tc.warmup_len + tc.chunk_len > seg:
+    if seg is not None and tc.warmup_len + tc.chunk_len > seg:
         problems.append(f"/train/warmup_len: warmup_len + chunk_len = "
                         f"{tc.warmup_len + tc.chunk_len} exceeds "
                         f"/data/segment_len {seg}")
@@ -136,9 +151,13 @@ def load_config(path) -> ExperimentConfig:
         problems.append("/train: expected an object")
     else:
         bad = False
-        for key in tdoc:
+        for key, value in tdoc.items():
             if key not in _TRAIN_KEYS:
                 problems.append(f"/train/{key}: unknown field")
+                bad = True
+            elif key in _TRAIN_RULES and not _TRAIN_RULES[key][0](value):
+                problems.append(f"/train/{key}: expected "
+                                f"{_TRAIN_RULES[key][1]}, got {value!r}")
                 bad = True
         if not bad:
             try:

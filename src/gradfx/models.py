@@ -341,6 +341,8 @@ class ModelSpec:
         v = given[self.kind]
         if self.kind in ("tcn", "gcn"):
             self.config = v if isinstance(v, TCNConfig) else TCNConfig.from_dict(v)
+            if self.config.cond in ("film", "tfilm", "ttfilm") and num_controls < 1:
+                raise ValueError(f"cond {self.config.cond!r} needs num_controls >= 1")
         elif self.kind == "graybox":
             if isinstance(v, dict):
                 v = GrayBoxSpec.from_dict({"sample_rate": sample_rate,

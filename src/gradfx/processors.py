@@ -1,11 +1,11 @@
 """Differentiable audio processors: basic ops, biquad EQs, nonlinearities.
 
 Filters are second-order sections from the Bristow-Johnson cookbook,
-applied with the frequency-sampling method: multiply the zero-padded
-input spectrum by the cascade response and inverse-transform. That makes
-the whole filter differentiable in (f0, gain, Q) through the coefficient
-formulas, at the cost of approximating the IIR tail; the FFT-size rule
-below keeps that approximation inside the advertised tolerance.
+applied by exact recursive filtering: each section is one direct-form-I
+`tensor.biquad` node, so the IIR tail is kept whole and per-block
+(time-varying) coefficients act on the filter state carried across
+blocks. The filter is differentiable in (f0, gain, Q) through the
+coefficient formulas, which stay on the tape.
 
 Controlled processors expose `num_params` physical parameters, each with
 a ParamRange mapping a controller's [0,1] output to physical units.
@@ -117,11 +117,6 @@ class BiquadSection:
         self.b0, self.b1, self.b2 = b0, b1, b2
         self.a0, self.a1, self.a2 = a0, a1, a2
 
-    @property
-    def num_blocks(self):
-        n = self.b0.data.ndim
-        return None if n == 0 else self.b0.data.shape[0]
-
     def coeff_arrays(self):
         return (self.b0.data, self.b1.data, self.b2.data,
                 self.a0.data, self.a1.data, self.a2.data)
@@ -148,16 +143,11 @@ def biquad_coefficients(p: FilterParams) -> BiquadSection:
     one = _const(1.0, dt)
     two = _const(2.0, dt)
 
-    if p.kind == "lowpass":
-        omc = T.sub(one, cosw)                      # 1 - cos
-        b0 = T.div(omc, two)
-        return BiquadSection(b0, omc, b0,
-                             T.add(one, alpha), T.mul(_const(-2.0, dt), cosw),
-                             T.sub(one, alpha))
-    if p.kind == "highpass":
-        opc = T.add(one, cosw)                      # 1 + cos
-        b0 = T.div(opc, two)
-        return BiquadSection(b0, T.neg(opc), b0,
+    if p.kind in ("lowpass", "highpass"):
+        low = p.kind == "lowpass"
+        c = T.sub(one, cosw) if low else T.add(one, cosw)   # 1 -/+ cos
+        b0 = T.div(c, two)
+        return BiquadSection(b0, c if low else T.neg(c), b0,
                              T.add(one, alpha), T.mul(_const(-2.0, dt), cosw),
                              T.sub(one, alpha))
 
@@ -206,93 +196,25 @@ def frequency_response(sections, freqs, fs: float) -> np.ndarray:
     z2 = z1 * z1
     h = np.ones_like(z1)
     for s in sections:
-        if s.num_blocks is not None:
+        if s.b0.data.ndim:
             raise ValueError("frequency_response expects static sections")
         b0, b1, b2, a0, a1, a2 = (float(c) for c in s.coeff_arrays())
         h = h * (b0 + b1 * z1 + b2 * z2) / (a0 + a1 * z1 + a2 * z2)
     return h
 
 
-def fft_size_for(n: int) -> int:
-    """Smallest power of two >= 8*n (bounds the truncated-tail error)."""
-    return 1 << max(int(math.ceil(math.log2(8 * n))), 0)
+def apply_filter(x: Tensor, sections, block_size: int | None = None) -> Tensor:
+    """Biquad cascade over a 1-D signal, by exact direct-form-I recursion.
 
-
-def _stack2(re: Tensor, im: Tensor) -> Tensor:
-    return T.concat([T.reshape(re, (1,) + re.shape), T.reshape(im, (1,) + im.shape)], axis=0)
-
-
-def cascade_response_bins(sections, nfft: int) -> Tensor:
-    """Differentiable cascade response at the rfft bin frequencies.
-
-    Returns [2, F] for static sections, [2, nb, F] when any section is
-    per-block.
+    Each section is one `T.biquad` over its a0-normalized coefficients.
+    Per-block sections ([nb] coefficients) hold one coefficient set per
+    `block_size` samples, applied to the history carried across blocks.
     """
-    nf = nfft // 2 + 1
-    omega = 2.0 * np.pi * np.arange(nf) / nfft
-    dt = sections[0].b0.data.dtype
-    c1 = Tensor(np.cos(omega).astype(dt))
-    s1 = Tensor(np.sin(omega).astype(dt))
-    c2 = Tensor(np.cos(2 * omega).astype(dt))
-    s2 = Tensor(np.sin(2 * omega).astype(dt))
-
-    hr, hi = None, None
     for s in sections:
-        coeffs = [s.b0, s.b1, s.b2, s.a0, s.a1, s.a2]
-        if s.num_blocks is not None:
-            coeffs = [T.reshape(c, (c.shape[0], 1)) for c in coeffs]
-        b0, b1, b2, a0, a1, a2 = coeffs
-        # H_k(e^{jw}) with z^-1 = e^{-jw}
-        nr = T.add(b0, T.add(T.mul(b1, c1), T.mul(b2, c2)))
-        ni = T.neg(T.add(T.mul(b1, s1), T.mul(b2, s2)))
-        dr = T.add(a0, T.add(T.mul(a1, c1), T.mul(a2, c2)))
-        di = T.neg(T.add(T.mul(a1, s1), T.mul(a2, s2)))
-        mag2 = T.add(T.mul(dr, dr), T.mul(di, di))
-        sr = T.div(T.add(T.mul(nr, dr), T.mul(ni, di)), mag2)
-        si = T.div(T.sub(T.mul(ni, dr), T.mul(nr, di)), mag2)
-        if hr is None:
-            hr, hi = sr, si
-        else:
-            hr, hi = (T.sub(T.mul(hr, sr), T.mul(hi, si)),
-                      T.add(T.mul(hr, si), T.mul(hi, sr)))
-    return _stack2(hr, hi)
-
-
-def apply_filter(x: Tensor, sections, fft_size: int) -> Tensor:
-    """Frequency-sampling filter: irfft(rfft(x) * H), cropped to len(x)."""
-    n = x.data.shape[-1]
-    if x.data.ndim != 1:
-        raise ValueError("apply_filter expects a 1-D signal")
-    if fft_size < n:
-        raise ValueError(f"fft_size {fft_size} shorter than signal {n}")
-    if fft_size & (fft_size - 1):
-        raise ValueError(f"fft_size must be a power of two, got {fft_size}")
-    X = T.rfft(x, n=fft_size)
-    H = cascade_response_bins(sections, fft_size)
-    y = T.irfft(T.complex_mul(X, H), fft_size)
-    return y[0:n]
-
-
-def apply_filter_blocks(x: Tensor, sections, block_size: int) -> Tensor:
-    """Per-block frequency sampling for time-varying coefficients.
-
-    Block b of the signal is filtered with block b's coefficients; blocks
-    are processed independently (no tail carry), consistent with
-    coefficients held constant within a block. With block_size == len(x)
-    this reduces to the static path exactly.
-    """
-    n = x.data.shape[-1]
-    nb = -(-n // block_size)
-    for s in sections:
-        if s.num_blocks is not None and s.num_blocks != nb:
-            raise ValueError(f"section has {s.num_blocks} blocks, signal needs {nb}")
-    nfft = fft_size_for(block_size)
-    xb = T.reshape(T.pad_end(x, nb * block_size), (nb, block_size))
-    X = T.rfft(xb, n=nfft)
-    H = cascade_response_bins(sections, nfft)
-    yb = T.irfft(T.complex_mul(X, H), nfft)
-    y = T.reshape(yb[:, 0:block_size], (nb * block_size,))
-    return y[0:n]
+        b0, b1, b2, a1, a2 = (T.div(c, s.a0)
+                              for c in (s.b0, s.b1, s.b2, s.a1, s.a2))
+        x = T.biquad(x, b0, b1, b2, a1, a2, block_size)
+    return x
 
 
 def _col(params: Tensor, i: int) -> Tensor:
@@ -324,14 +246,9 @@ def _eq_sections(params, layout, fs):
     sections = []
     i = 0
     for kind, has_gain in layout:
-        if has_gain:
-            f0, g, q = cols[i], cols[i + 1], cols[i + 2]
-            i += 3
-            sections.append(biquad_coefficients(FilterParams(kind, f0, q, gain_db=g, fs=fs)))
-        else:
-            f0, q = cols[i], cols[i + 1]
-            i += 2
-            sections.append(biquad_coefficients(FilterParams(kind, f0, q, fs=fs)))
+        f0, g, q = cols[i:i + 3] if has_gain else (cols[i], None, cols[i + 1])
+        i += 3 if has_gain else 2
+        sections.append(biquad_coefficients(FilterParams(kind, f0, q, gain_db=g, fs=fs)))
     return sections
 
 
@@ -343,19 +260,14 @@ SHELVING_EQ_LAYOUT = (("highpass", False), ("lowshelf", True),
                       ("highshelf", True), ("lowpass", False))
 
 
-def apply_eq(x: Tensor, params, layout, fs: float, fft_size: int | None = None,
+def apply_eq(x: Tensor, params, layout, fs: float,
              block_size: int | None = None) -> Tensor:
     """Biquad cascade described by `layout`, one cascade application.
 
     params: the layout's values in order, as a [P] tensor, a [nb, P]
     tensor (per-block), or a sequence of P tensors.
     """
-    sections = _eq_sections(params, layout, fs)
-    if any(s.num_blocks is not None for s in sections):
-        if block_size is None:
-            raise ValueError("per-block parameters require block_size")
-        return apply_filter_blocks(x, sections, block_size)
-    return apply_filter(x, sections, fft_size or fft_size_for(x.data.shape[-1]))
+    return apply_filter(x, _eq_sections(params, layout, fs), block_size)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,24 @@ def lfilter_cascade(x, coeff_list):
     return y
 
 
+def df1_blocks(x, sections, block):
+    """Per-sample direct-form-I cascade with per-block coefficients.
+
+    sections: (b0, b1, b2, a1, a2) a0-normalized arrays of one value per
+    block of `block` samples. x and y history carry across blocks.
+    """
+    y = [float(v) for v in x]
+    for b0, b1, b2, a1, a2 in sections:
+        x1 = x2 = y1 = y2 = 0.0
+        for t in range(len(y)):
+            k = t // block
+            xt = y[t]
+            yt = b0[k] * xt + b1[k] * x1 + b2[k] * x2 - a1[k] * y1 - a2[k] * y2
+            x2, x1, y2, y1 = x1, xt, y1, yt
+            y[t] = yt
+    return np.array(y)
+
+
 def freqz_cascade(coeff_list, freqs, fs):
     h = np.ones(len(freqs), dtype=np.complex128)
     for b, a in coeff_list:

@@ -131,12 +131,32 @@ def _primitive_items(rng):
     x16 = Tensor(rng.uniform(-1.0, 1.0, 16))
     wf = rng.standard_normal((2, 9))
     it("rfft", lambda ts: _wsum(T.rfft(ts[0]), wf), [x16])
-    sp = Tensor(rng.standard_normal((2, 9)))
-    sp2 = Tensor(rng.standard_normal((2, 9)))
-    w16 = rng.standard_normal(16)
-    it("irfft", lambda ts: _wsum(T.irfft(ts[0], 16), w16), [sp])
-    it("complex_mul", lambda ts: _wsum(T.complex_mul(ts[0], ts[1]), wf),
-       [sp, sp2])
+    # inputs of the irfft and complex_mul items, ops the biquad replaced;
+    # still drawn so that every later item keeps its inputs
+    rng.standard_normal((2, 9))
+    rng.standard_normal((2, 9))
+    rng.standard_normal(16)
+
+    # own generator, stable poles. The static item spans three solver
+    # blocks; the per-block item has three coefficient blocks, each held
+    # over two solver blocks
+    br = np.random.default_rng(112)
+
+    def biquad_in(n, nb):
+        r = br.uniform(0.5, 0.95, nb)
+        th = br.uniform(0.05, 3.0, nb)
+        shape = () if nb == 1 else (nb,)
+        return ([Tensor(br.uniform(-1.0, 1.0, n))]
+                + [Tensor(br.uniform(-1.0, 1.0, nb).reshape(shape))
+                   for _ in range(3)]
+                + [Tensor((-2.0 * r * np.cos(th)).reshape(shape)),
+                   Tensor((r * r).reshape(shape))])
+
+    bq_static, bq_block = biquad_in(300, 1), biquad_in(700, 3)
+    wb1, wb2 = br.standard_normal(300), br.standard_normal(700)
+    it("biquad", lambda ts: _wsum(T.biquad(*ts), wb1), bq_static)
+    it("biquad_block",
+       lambda ts: _wsum(T.biquad(*ts, block=256), wb2), bq_block)
 
     # own generator, so the items after these keep their inputs
     lr = np.random.default_rng(111)
@@ -312,7 +332,6 @@ def test_02_frequency_sampling_matches_time_domain():
         rng = np.random.default_rng(202)
         x = rng.standard_normal(FS) * 0.25
         xt = Tensor(x)
-        nfft = P.fft_size_for(FS)
         worst, worst_kind = 0.0, ""
         for kind in ("lowpass", "highpass", "peak", "lowshelf", "highshelf"):
             for _ in range(20):
@@ -322,7 +341,7 @@ def test_02_frequency_sampling_matches_time_domain():
                      if kind in ("peak", "lowshelf", "highshelf") else None)
                 sec = P.biquad_coefficients(
                     P.FilterParams(kind, f0, q, gain_db=g, fs=float(FS)))
-                y = P.apply_filter(xt, [sec], nfft).data
+                y = P.apply_filter(xt, [sec]).data
                 b0, b1, b2, a0, a1, a2 = (float(v) for v in
                                           sec.coeff_arrays())
                 ref = lfilter([b0 / a0, b1 / a0, b2 / a0],
@@ -354,13 +373,12 @@ def test_03_identity_settings_pass_audio_through():
         rels["parametric_eq"] = _rel_l2(
             P.ParametricEQ(float(FS)).apply(x, Tensor(g15)).data, x.data)
 
-        nfft = P.fft_size_for(4096)
         for kind in ("peak", "lowshelf", "highshelf"):
             f0 = float(np.exp(rng.uniform(np.log(40.0), np.log(10000.0))))
             q = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
             sec = P.biquad_coefficients(
                 P.FilterParams(kind, f0, q, gain_db=0.0, fs=float(FS)))
-            rels[kind] = _rel_l2(P.apply_filter(x, [sec], nfft).data, x.data)
+            rels[kind] = _rel_l2(P.apply_filter(x, [sec]).data, x.data)
 
         c = Tensor(rng.uniform(0.0, 1.0, 2))
         h = Tensor(rng.standard_normal((8, 256)))
@@ -616,7 +634,7 @@ def test_08_one_chunk_truncation_matches_plain_step():
 
 
 class _GainIntoLowpass:
-    """-6.02 dB pad into a 1 kHz lowpass, rendered through the fft path."""
+    """-6.02 dB pad into a 1 kHz lowpass, rendered through the filter path."""
 
     def __init__(self):
         self.scale = 10.0 ** (-6.02 / 20.0)
@@ -625,8 +643,7 @@ class _GainIntoLowpass:
                            fs=float(FS)))
 
     def forward(self, x, c=None, state=None):
-        y = P.apply_filter(Tensor(x.data * self.scale), [self.section],
-                           P.fft_size_for(len(x.data)))
+        y = P.apply_filter(Tensor(x.data * self.scale), [self.section])
         return y, None
 
 

@@ -21,7 +21,7 @@ class _ScaleModel:
 
 
 class _LTIModel:
-    """Fixed gain -> biquad cascade rendered by the FFT filter path."""
+    """Fixed gain -> biquad cascade rendered by the filter path."""
 
     def __init__(self, sections, gain_lin=1.0):
         self.sections = sections
@@ -29,8 +29,7 @@ class _LTIModel:
 
     def forward(self, x, c=None, state=None):
         y = T.mul(x, Tensor(np.asarray(self.g, dtype=x.data.dtype)))
-        n = x.data.shape[-1]
-        y = P.apply_filter(y, self.sections, P.fft_size_for(n))
+        y = P.apply_filter(y, self.sections)
         return y, state
 
 

@@ -152,6 +152,20 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
      "/data/segment_len 2048"),
     ({"tbptt": True, "warmup_len": "long"},
      "/train/warmup_len: expected a nonnegative integer"),
+    ({"max_steps": 2.5},
+     "/train/max_steps: expected an integer >= 1, got 2.5"),
+    ({"stop_metric": "foo", "stop_value": 0.1},
+     "/train/stop_metric: expected one of tot, l1, mrstft, esr"),
+    ({"beta1": 2.0}, "/train/beta1: expected a number in [0, 1), got 2.0"),
+    ({"beta2": -0.1}, "/train/beta2: expected a number in [0, 1), got -0.1"),
+    ({"beta1": 1}, "/train/beta1: expected a number in [0, 1), got 1"),
+    ({"eps": -1}, "/train/eps: expected a number > 0, got -1"),
+    ({"eps": 0.0}, "/train/eps: expected a number > 0, got 0.0"),
+    ({"seed": "x"}, "/train/seed: expected an integer, got 'x'"),
+    ({"seed": 1.5}, "/train/seed: expected an integer, got 1.5"),
+    ({"lr": "fast"}, "/train/lr: expected a number, got 'fast'"),
+    ({"tbptt": True, "chunk_len": 2048.5},
+     "/train/chunk_len: expected an integer >= 1, got 2048.5"),
 ])
 def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
     _write_dataset(tmp_path)
@@ -164,6 +178,22 @@ def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
     err = capsys.readouterr().err
     pointed = message if message.startswith("/") else f"/train: {message}"
     assert pointed in err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["tcn", "gcn"])
+@pytest.mark.parametrize("cond", ["film", "tfilm", "ttfilm"])
+def test_cli_rejects_control_conditioning_without_controls_exit2(
+        tmp_path, capsys, kind, cond):
+    _write_dataset(tmp_path)
+    model = {"kind": kind, "sample_rate": 48000.0, "num_controls": 0,
+             kind: {"blocks": 2, "kernel": 3, "dilation_growth": 2,
+                    "channels": 4, "cond": cond}}
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
+    rc = cli.main(["train", "--config", str(cfg_path)])
+    assert rc == 2
+    assert (f"/model: cond '{cond}' needs num_controls >= 1"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out" / "run_log.csv").exists()
 
 

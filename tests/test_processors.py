@@ -8,7 +8,7 @@ from gradfx import processors as P
 from gradfx.tensor import Tensor, grad_check
 
 from oracles import (rbj_coeffs, lfilter_cascade, freqz_cascade,
-                     draw_filter_params, rel_l2)
+                     draw_filter_params, rel_l2, df1_blocks)
 
 FS = 48000.0
 
@@ -115,35 +115,14 @@ def test_frequency_response_matches_scipy():
     assert np.max(np.abs(got - ref)) < 1e-9
 
 
-def test_bin_response_matches_oracle_and_is_differentiable():
-    rng = np.random.default_rng(23)
-    nfft = 512
-    d = draw_filter_params(rng, "peak", FS)
-    f0, q, g = t64(d["f0"]), t64(d["q"]), t64(d["gain_db"])
-    s = P.biquad_coefficients(P.FilterParams("peak", f0, q, gain_db=g, fs=FS))
-    H = P.cascade_response_bins([s], nfft).data
-    b, a = rbj_coeffs("peak", d["f0"], d["q"], d["gain_db"], FS)
-    bins = np.arange(nfft // 2 + 1) * FS / nfft
-    ref = freqz_cascade([(b, a)], bins, FS)
-    assert np.max(np.abs((H[0] + 1j * H[1]) - ref)) < 1e-9
-
-    w = rng.standard_normal((2, nfft // 2 + 1))
-
-    def f(ts):
-        sec = P.biquad_coefficients(P.FilterParams("peak", ts[0], ts[1], gain_db=ts[2], fs=FS))
-        return T.sum_(T.mul(P.cascade_response_bins([sec], nfft), Tensor(w)))
-
-    assert grad_check(f, [f0, q, g]) < 1e-4
-
-
 # ---------------------------------------------------------------------------
-# frequency-sampling filtering vs time-domain recursion
+# recursive filtering vs independent references
 
 def test_apply_filter_identity_section():
     rng = np.random.default_rng(24)
     x = Tensor(rng.standard_normal(1000).astype(np.float32))
     s = P.biquad_coefficients(P.FilterParams("peak", 440.0, 3.0, gain_db=0.0, fs=FS))
-    y = P.apply_filter(x, [s], P.fft_size_for(1000))
+    y = P.apply_filter(x, [s])
     assert rel_l2(y.data, x.data) < 1e-6
 
 
@@ -157,7 +136,7 @@ def test_apply_filter_matches_recursion(kind):
         fp = P.FilterParams(kind, t64(d["f0"]), t64(d["q"]),
                             gain_db=t64(d["gain_db"]) if "gain_db" in d else None, fs=FS)
         s = P.biquad_coefficients(fp)
-        y = P.apply_filter(t64(x), [s], P.fft_size_for(n)).data
+        y = P.apply_filter(t64(x), [s]).data
         b0, b1, b2, a0, a1, a2 = s.coeff_arrays()
         ref = lfilter_cascade(x, [((b0, b1, b2), (a0, a1, a2))])
         assert rel_l2(y, ref) < 1e-3, (kind, d)
@@ -167,9 +146,13 @@ def test_apply_filter_argument_errors():
     x = Tensor(np.zeros(100, dtype=np.float32))
     s = P.biquad_coefficients(P.FilterParams("lowpass", 1000.0, 1.0, fs=FS))
     with pytest.raises(ValueError):
-        P.apply_filter(x, [s], 64)     # shorter than the signal
+        P.apply_filter(Tensor(np.zeros((2, 50))), [s])  # not 1-D
+    per_block = P.biquad_coefficients(P.FilterParams(
+        "lowpass", Tensor(np.full(4, 1000.0)), Tensor(np.ones(4)), fs=FS))
     with pytest.raises(ValueError):
-        P.apply_filter(x, [s], 1000)   # not a power of two
+        P.apply_filter(x, [per_block])                  # no block size
+    with pytest.raises(ValueError):
+        P.apply_filter(x, [per_block], block_size=50)   # 2 blocks, not 4
 
 
 def test_apply_filter_gradients():
@@ -181,7 +164,7 @@ def test_apply_filter_gradients():
     def f(ts):
         sec = P.biquad_coefficients(
             P.FilterParams("lowshelf", ts[1], ts[2], gain_db=ts[3], fs=FS))
-        y = P.apply_filter(ts[0], [sec], 256)
+        y = P.apply_filter(ts[0], [sec])
         return T.sum_(T.mul(y, Tensor(w)))
 
     assert grad_check(f, [x, f0, q, g]) < 1e-4
@@ -249,7 +232,7 @@ def test_shelving_eq_gradients_all_params():
     w = rng.standard_normal(24)
 
     def f(ts):
-        y = P.apply_eq(x, ts, P.SHELVING_EQ_LAYOUT, FS, fft_size=256)
+        y = P.apply_eq(x, ts, P.SHELVING_EQ_LAYOUT, FS)
         return T.sum_(T.mul(y, Tensor(w)))
 
     assert grad_check(f, params) < 1e-4
@@ -279,6 +262,82 @@ def test_time_varying_blocks_use_their_own_params():
     first, second = y.data[:128], y.data[128:]
     assert rel_l2(first, np.ones(128)) < 1e-3
     assert np.abs(second).mean() > 1.5  # boosted well above unity
+
+
+def _normalized(sections):
+    """Each section's a0-normalized (b0, b1, b2, a1, a2) as float64 arrays."""
+    return [[np.atleast_1d(T.div(c, s.a0).data).astype(np.float64)
+             for c in (s.b0, s.b1, s.b2, s.a1, s.a2)] for s in sections]
+
+
+@pytest.mark.parametrize("block", [128, 256, 100, 1])
+def test_per_block_filter_matches_carried_state_recursion(block):
+    # new coefficients every block; the exact filter carries x and y
+    # history across each change
+    rng = np.random.default_rng(36)
+    n = 4096
+    nb = -(-n // block)
+    x = rng.standard_normal(n)
+    params = np.empty((nb, 15))
+    for k in range(nb):
+        for i, kind in enumerate(("lowshelf", "peak", "peak", "peak", "highshelf")):
+            d = draw_filter_params(rng, kind, FS)
+            params[k, 3 * i:3 * i + 3] = d["f0"], d["gain_db"], d["q"]
+    y = P.apply_eq(t64(x), t64(params), P.PARAMETRIC_EQ_LAYOUT, FS,
+                   block_size=block).data
+    sections = P._eq_sections(t64(params), P.PARAMETRIC_EQ_LAYOUT, FS)
+    ref = df1_blocks(x, _normalized(sections), block)
+    assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
+
+
+@pytest.mark.parametrize("block", [128, 256])
+def test_per_block_constant_coefficients_equal_static_path(block):
+    rng = np.random.default_rng(37)
+    n = 4000
+    x = t64(rng.standard_normal(n))
+    vals = np.array([82.0, 19.0, 7.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
+                     3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8])
+    y_static = P.apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
+    nb = -(-n // block)
+    y_tv = P.apply_eq(x, t64(np.tile(vals, (nb, 1))), P.PARAMETRIC_EQ_LAYOUT,
+                      FS, block_size=block)
+    assert np.array_equal(y_static.data, y_tv.data)
+
+
+def test_f32_resonant_cascade_matches_sosfilt():
+    # float32 coefficients and signal; the recursion itself must run in
+    # float64, or the resonant low peak drifts by about a percent
+    from scipy.signal import sosfilt
+    rng = np.random.default_rng(38)
+    vals = np.array([82.0, 19.0, 7.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
+                     3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8], dtype=np.float32)
+    x = Tensor((rng.standard_normal(48000) * 0.25).astype(np.float32))
+    y = P.apply_eq(x, Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS).data
+    assert y.dtype == np.float32
+    sections = P._eq_sections(Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
+    sos = np.array([[b0[0], b1[0], b2[0], 1.0, a1[0], a2[0]]
+                    for b0, b1, b2, a1, a2 in _normalized(sections)])
+    ref = sosfilt(sos, x.data.astype(np.float64))
+    assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-5
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_per_block_biquad_gradients_short_blocks(block):
+    # blocks shorter than the two-sample history reach across block edges
+    rng = np.random.default_rng(39)
+    n = 23
+    nb = -(-n // block)
+    r = rng.uniform(0.3, 0.9, nb)
+    th = rng.uniform(0.1, 3.0, nb)
+    coeffs = [t64(rng.standard_normal(nb)) for _ in range(3)]
+    coeffs += [t64(-2.0 * r * np.cos(th)), t64(r * r)]
+    x = t64(rng.standard_normal(n))
+    w = rng.standard_normal(n)
+
+    def f(ts):
+        return T.sum_(T.mul(T.biquad(ts[0], *ts[1:], block=block), Tensor(w)))
+
+    assert grad_check(f, [x] + coeffs) < 1e-4
 
 
 # ---------------------------------------------------------------------------
