@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import tensor as T
+from .data import atomic_open
 from .tensor import Tensor
 
 
@@ -165,7 +166,7 @@ def time_trace(processor, controller, x, c: Tensor | None = None,
 
 def _emit_csv(obj, path) -> None:
     rows = obj.rows()
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write(",".join(obj.columns) + "\n")
         for row in rows:
             f.write(",".join(f"{v:.12g}" for v in row) + "\n")
@@ -217,7 +218,7 @@ def _emit_svg(obj, path) -> None:
     parts.append(f'<text x="{w // 2}" y="{h - 15}" fill="#333" '
                  f'font-size="14" text-anchor="middle">{xlabel}</text>')
     parts.append("</svg>")
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write("\n".join(parts))
 
 

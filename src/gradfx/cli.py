@@ -99,7 +99,7 @@ def _model_from_checkpoint(cfg, checkpoint_path):
 
 
 def _write_metrics(path, kind: str, metrics: dict) -> None:
-    with open(path, "w") as f:
+    with D.atomic_open(path) as f:
         f.write(",".join(METRIC_COLUMNS) + "\n")
         f.write(f"{kind}," + ",".join(f"{metrics[k]:.10g}"
                                       for k in METRIC_COLUMNS[1:]) + "\n")
@@ -109,10 +109,10 @@ def cmd_train(cfg, args) -> int:
     splits = _load_splits(cfg)
     out = cfg.output_dir
     ckpt = out / "checkpoint.json"
-    start_step = 0
+    start_step, best = 0, np.inf
     if args.checkpoint:
         try:
-            model, spec, optimizer, start_step = tr.restore_training(
+            model, spec, optimizer, start_step, best = tr.restore_training(
                 args.checkpoint, cfg.train_cfg)
         except ValueError as e:
             raise ConfigError([f"--checkpoint: {e}"])
@@ -132,7 +132,7 @@ def cmd_train(cfg, args) -> int:
     log = tr.fit(model, cfg.model_spec, splits["train"], cfg.train_cfg,
                  val_segments=splits["val"] or None,
                  log_path=out / "run_log.csv", checkpoint_path=ckpt,
-                 optimizer=optimizer, start_step=start_step)
+                 optimizer=optimizer, start_step=start_step, best=best)
     if not ckpt.exists():
         tr.save_training_checkpoint(ckpt, model, cfg.model_spec, optimizer,
                                     log.rows[-1]["step"])
@@ -185,7 +185,7 @@ def _stage_report(out_dir: Path, i: int, proc, ctrl, c, sweep) -> Path:
                                 np.unwrap(np.angle(h)))
         A.emit_plot_data(curve, path)
         return path
-    with open(path, "w") as f:
+    with D.atomic_open(path) as f:
         f.write("param,value\n")
         for j in range(proc.num_params):
             u = Tensor(np.asarray(vals.data[j], dtype=np.float64))

@@ -26,6 +26,8 @@ _TRAIN_KEYS = {"max_steps", "batch_size", "lr", "beta1", "beta2", "eps",
 _NUMBER = (int, float)
 _TRAIN_RULES = {
     "max_steps": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "batch_size": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "validate_every": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "seed": (lambda v: type(v) is int, "an integer"),
     "lr": (lambda v: type(v) in _NUMBER, "a number"),
     "beta1": (lambda v: type(v) in _NUMBER and 0 <= v < 1, "a number in [0, 1)"),
@@ -69,8 +71,8 @@ def _check_data(d, base: Path, problems) -> dict | None:
         if key not in _DATA_KEYS:
             problems.append(f"/data/{key}: unknown field")
     out = {"segment_len": d.get("segment_len", 48000),
-           "hop": d.get("hop"), "fractions": tuple(d.get("fractions",
-                                                         (0.8, 0.1, 0.1))),
+           "hop": d.get("hop"), "fractions": d.get("fractions",
+                                                   (0.8, 0.1, 0.1)),
            "seed": d.get("seed", 0)}
     man = d.get("manifest")
     if not isinstance(man, str):
@@ -88,8 +90,12 @@ def _check_data(d, base: Path, problems) -> dict | None:
     if out["hop"] is not None and (not isinstance(out["hop"], int)
                                    or out["hop"] < 1):
         problems.append("/data/hop: expected positive integer")
-    if len(out["fractions"]) != 3:
-        problems.append("/data/fractions: expected [train, val, test]")
+    fr = out["fractions"]
+    if not (isinstance(fr, (list, tuple)) and len(fr) == 3
+            and all(type(v) in _NUMBER and 0 <= v <= 1 for v in fr)
+            and abs(sum(fr) - 1.0) <= 1e-9):
+        problems.append("/data/fractions: expected [train, val, test], three "
+                        f"numbers in [0, 1] summing to 1, got {fr!r}")
     return out
 
 

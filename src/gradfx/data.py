@@ -11,8 +11,24 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temp file next to path; a clean exit moves it over path in
+    one os.replace, so a crash mid-write leaves the previous file whole."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # -- WAV ---------------------------------------------------------------------

@@ -95,16 +95,9 @@ def stft_mag(x: Tensor, fft_size: int, hop: int,
     n = x.data.shape[-1]
     if n < win_len:
         raise ValueError(f"signal length {n} shorter than window {win_len}")
-    num = (n - win_len) // hop + 1
-    idx = np.arange(win_len)[None, :] + hop * np.arange(num)[:, None]
-    frames = T.mul(T.take(x, idx), Tensor(_hann(win_len, x.data.dtype)))
-    if win_len < fft_size:
-        frames = T.pad_end(frames, fft_size)
-    spec = T.rfft(frames)
-    power = T.add(T.mul(spec[0], spec[0]), T.mul(spec[1], spec[1]))
-    # + floor^2 keeps sqrt differentiable and the magnitude >= the floor
-    return T.sqrt(T.add(power, Tensor(np.asarray(MAG_FLOOR ** 2,
-                                                 dtype=x.data.dtype))))
+    # the floor keeps sqrt differentiable and the magnitude >= the floor
+    return T.stft_mag(x, _hann(win_len, x.data.dtype), fft_size, hop,
+                      MAG_FLOOR)
 
 
 def mrstft(y, y_hat, cfg: MRSTFTConfig | None = None) -> Tensor:

@@ -22,6 +22,7 @@ from . import controllers as ctrl
 from . import nn
 from . import processors as proc
 from . import tensor as T
+from .data import atomic_open
 from .tensor import Tensor
 
 COND_MODES = ("none", "film", "tfilm", "ttfilm", "tvfilm")
@@ -410,7 +411,7 @@ def save_checkpoint(path, model: nn.Module, spec: ModelSpec,
     }
     if extra:
         payload["extra"] = extra
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         json.dump(payload, f)
 
 

@@ -466,15 +466,29 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     return _emit("transpose", out, (x,), build)
 
 
+def _is_basic(key) -> bool:
+    """An int, a slice or a tuple of them: each source element at most once."""
+    keys = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(k, slice) or (isinstance(k, (int, np.integer))
+                                        and not isinstance(k, bool))
+               for k in keys)
+
+
 def take(x: Tensor, key) -> Tensor:
-    """Slice/index; gradient scatter-adds back into the source shape."""
+    """Slice/index; the gradient lands back in the source shape, assigned
+    for basic keys and scatter-added for array keys (which may repeat)."""
     xd = x.data
     out = xd[key]
 
     def build():
+        basic = _is_basic(key)
+
         def vjp(g):
             z = np.zeros_like(xd)
-            np.add.at(z, key, g)
+            if basic:
+                z[key] = g
+            else:
+                np.add.at(z, key, g)
             return (z,)
         return vjp
 
@@ -605,12 +619,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", np.asarray(out), (a, b), build)
 
 
+# Output samples per im2col GEMM. Training segments fit in one chunk; a
+# render-length signal never materializes more than one chunk's columns.
+_CONV_CHUNK = 4096
+
+
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
     """Causal 1-D convolution, stride 1.
 
     x: [C_in, T], w: [C_out, C_in, K], bias: [C_out] or None.
     Left-pads (K-1)*dilation zeros so output sample n depends only on
-    inputs <= n and the length is preserved.
+    inputs <= n and the length is preserved. Each span of _CONV_CHUNK
+    outputs is one GEMM over its [C_in*K, span] columns, which are built
+    from the padded input when needed and never kept: the tape saves
+    only the padded input.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 3:
@@ -622,23 +644,37 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     pad = (k - 1) * dilation
     xp = np.pad(xd, ((0, 0), (pad, 0)))
     sc, st = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp, shape=(c_in, k, t), strides=(sc, st * dilation, st))
-    out = np.tensordot(wd, cols, axes=([1, 2], [0, 1]))
+    w2 = wd.reshape(c_out, c_in * k)
+    spans = [(a, min(a + _CONV_CHUNK, t)) for a in range(0, t, _CONV_CHUNK)]
+
+    def cols(a, b):
+        view = np.lib.stride_tricks.as_strided(
+            xp[:, a:], shape=(c_in, k, b - a), strides=(sc, st * dilation, st))
+        return view.reshape(c_in * k, b - a)
+
+    # np.dot, not @, and contiguous columns for dw, as np.tensordot over
+    # the whole column view does, so one chunk equals it to the bit: @
+    # rounds differently on views BLAS cannot take (reversed FIR taps, a
+    # one-channel input's overlapping columns)
+    out = np.empty((c_out, t), dtype=np.result_type(xd, wd))
+    for a, b in spans:
+        out[:, a:b] = np.dot(w2, cols(a, b))
     bd = bias.data if bias is not None else None
     if bd is not None:
-        out = out + bd[:, None]
+        out += bd[:, None]
 
     def build():
-        cols_c = np.ascontiguousarray(cols)
-
         def vjp(g):
-            dw = np.tensordot(g, cols_c, axes=([1], [2]))
-            dcols = np.tensordot(wd, g, axes=([0], [0]))  # [C_in, K, T]
+            dw = np.zeros(w2.shape, dtype=np.result_type(g, xp))
             dxp = np.zeros_like(xp)
-            for i in range(k):
-                dxp[:, i * dilation:i * dilation + t] += dcols[:, i, :]
+            for a, b in spans:
+                ga = g[:, a:b]
+                dw += np.dot(ga, np.ascontiguousarray(cols(a, b)).T)
+                dcols = np.dot(w2.T, ga).reshape(c_in, k, b - a)
+                for i in range(k):
+                    dxp[:, a + i * dilation:b + i * dilation] += dcols[:, i]
             dx = dxp[:, pad:] if pad else dxp
+            dw = dw.reshape(wd.shape)
             if bd is not None:
                 return (dx, dw, g.sum(axis=1))
             return (dx, dw)
@@ -837,23 +873,54 @@ def biquad(x: Tensor, b0: Tensor, b1: Tensor, b2: Tensor, a1: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# real FFT
+# spectral magnitude
 
-def rfft(x: Tensor) -> Tensor:
-    """Real FFT along the last axis; real/imag stacked on a new leading axis."""
+def stft_mag(x: Tensor, window: np.ndarray, fft_size: int, hop: int,
+             floor: float) -> Tensor:
+    """Magnitude spectrogram [frames, fft_size // 2 + 1] of a 1-D signal.
+
+    Frames of len(window) samples start every hop samples from sample 0,
+    are windowed, zero-padded to fft_size and transformed; the magnitude
+    is sqrt(re^2 + im^2 + floor^2). The vjp repeats, operation for
+    operation, the reverse pass of the same steps composed from
+    take/mul/pad_end/rfft/slice/sqrt nodes, so the gradient equals it to
+    the bit: the sqrt and product rules, the complex ifft of the bin
+    gradient, the window, and an overlap-add in frame order.
+    """
     xd = x.data
-    n = xd.shape[-1]
-    spec = np.fft.rfft(xd, axis=-1)
-    out = np.stack([spec.real, spec.imag], axis=0).astype(xd.dtype, copy=False)
+    if xd.ndim != 1:
+        raise ValueError("stft_mag expects a 1-D signal")
+    win = window.shape[0]
+    num = (xd.shape[0] - win) // hop + 1
+    frames = np.lib.stride_tricks.sliding_window_view(xd, win)[::hop]
+    spec = np.fft.rfft(frames * window, n=fft_size, axis=-1)
+    re = spec.real.astype(xd.dtype)
+    im = spec.imag.astype(xd.dtype)
+    out = np.sqrt((re * re + im * im) + np.asarray(floor ** 2, dtype=xd.dtype))
 
     def build():
+        r = -(-win // hop)  # hop-sized blocks a frame spans
+
         def vjp(g):
-            c = np.zeros(g.shape[1:-1] + (n,), dtype=np.complex128)
-            c[..., :g.shape[-1]] = g[0] + 1j * g[1]
-            return ((n * np.fft.ifft(c, axis=-1).real).astype(xd.dtype, copy=False),)
+            gs = g * (0.5 / out)
+            c = np.zeros((num, fft_size), dtype=np.complex128)
+            c[:, :re.shape[1]] = (gs * re + gs * re) + 1j * (gs * im + gs * im)
+            gf = np.zeros((num, r * hop), dtype=xd.dtype)
+            gf[:, :win] = (fft_size * np.fft.ifft(c, axis=-1).real).astype(
+                xd.dtype)[:, :win] * window
+            # block m of frame f holds samples (f + m) * hop onwards; adding
+            # the blocks last to first adds each sample's frames first to last
+            gf = gf.reshape(num, r, hop)
+            acc = np.zeros((num + r - 1, hop), dtype=xd.dtype)
+            for m in range(r - 1, -1, -1):
+                acc[m:m + num] += gf[:, m]
+            dx = np.zeros_like(xd)
+            span = min(acc.size, dx.size)
+            dx[:span] = acc.reshape(-1)[:span]
+            return (dx,)
         return vjp
 
-    return _emit("rfft", out, (x,), build)
+    return _emit("stft_mag", out, (x,), build)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from . import losses as L
 from . import models as M
 from . import tensor as T
+from .data import atomic_open
 from .tensor import Tape, Tensor
 
 
@@ -283,7 +284,7 @@ class RunLog:
         self.rows.append(row)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             f.write(",".join(self.COLUMNS) + "\n")
             for row in self.rows:
                 cells = []
@@ -336,24 +337,28 @@ def batch_indices(seed: int, step: int, n: int, batch_size: int) -> list:
 
 
 def save_training_checkpoint(path, model, spec, optimizer: Adam,
-                             step: int) -> None:
+                             step: int, best: float | None = None) -> None:
+    """best: the validation tot loss this checkpoint was kept for."""
     extra = {"step": step,
              "optimizer": {
                  "t": optimizer.t, "skipped": optimizer.skipped,
                  "m": [M._encode_array(a) for a in optimizer.m],
                  "v": [M._encode_array(a) for a in optimizer.v]}}
+    if best is not None:
+        extra["best"] = best
     M.save_checkpoint(path, model, spec, extra=extra)
 
 
 def restore_training(path, cfg: TrainConfig,
                      rng: np.random.Generator | None = None):
-    """Returns (model, spec, optimizer, step) rebuilt from a checkpoint."""
+    """Returns (model, spec, optimizer, step, best) rebuilt from a
+    checkpoint; best is the validation tot loss it was kept for, or inf."""
     try:
         model, spec, extra = M.load_checkpoint(path, rng)
     except (json.JSONDecodeError, KeyError, OSError) as e:
         raise ValueError(f"corrupt or unreadable checkpoint {path}: {e}") from e
     optimizer = Adam(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    step = 0
+    step, best = 0, np.inf
     if extra and "optimizer" in extra:
         ost = extra["optimizer"]
         optimizer.load_state_dict({
@@ -361,23 +366,25 @@ def restore_training(path, cfg: TrainConfig,
             "m": [M._decode_array(a) for a in ost["m"]],
             "v": [M._decode_array(a) for a in ost["v"]]})
         step = int(extra.get("step", 0))
-    return model, spec, optimizer, step
+        best = float(extra.get("best", np.inf))
+    return model, spec, optimizer, step, best
 
 
 def fit(model, spec, train_segments, cfg: TrainConfig,
         val_segments=None, log_path=None, checkpoint_path=None,
-        optimizer: Adam | None = None, start_step: int = 0) -> RunLog:
+        optimizer: Adam | None = None, start_step: int = 0,
+        best: float = np.inf) -> RunLog:
     """Train for cfg.max_steps, validating and checkpointing periodically.
 
     The best checkpoint (by validation tot loss) is kept when both
-    val_segments and checkpoint_path are given.
+    val_segments and checkpoint_path are given; a resumed run passes the
+    best loss so far from restore_training, so only a better one replaces it.
     """
     if not train_segments:
         raise ValueError("no training segments")
     optimizer = optimizer or Adam(model.parameters(), cfg.lr, cfg.beta1,
                                   cfg.beta2, cfg.eps)
     log = RunLog()
-    best = np.inf
     t0 = time.monotonic()
     n = len(train_segments)
     for step in range(start_step + 1, cfg.max_steps + 1):
@@ -396,7 +403,7 @@ def fit(model, spec, train_segments, cfg: TrainConfig,
             if checkpoint_path and val["tot"] < best:
                 best = val["tot"]
                 save_training_checkpoint(checkpoint_path, model, spec,
-                                         optimizer, step)
+                                         optimizer, step, best)
             if (cfg.stop_metric is not None
                     and val[cfg.stop_metric] <= cfg.stop_value):
                 stop = True

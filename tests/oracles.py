@@ -105,3 +105,64 @@ def stft_mag(x, fft_size, hop):
         frames.append(np.abs(np.fft.rfft(x[start:start + fft_size] * win)))
         start += hop
     return np.stack(frames, axis=0)
+
+
+def conv1d_direct(x, w, dilation):
+    """Causal dilated convolution as a plain sum over taps, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    (c_in, t), k = x.shape, w.shape[2]
+    xp = np.concatenate([np.zeros((c_in, (k - 1) * dilation)), x], axis=1)
+    y = np.zeros((w.shape[0], t))
+    for o in range(w.shape[0]):
+        for i in range(k):
+            for c in range(c_in):
+                y[o] += w[o, c, i] * xp[c, i * dilation:i * dilation + t]
+    return y
+
+
+def conv1d_im2col(x, w, dilation, g):
+    """One-GEMM im2col convolution over the whole signal: the output for
+    x [C_in, T], w [C_out, C_in, K], and (dx, dw) for output gradient g."""
+    c_in, t = x.shape
+    k = w.shape[2]
+    pad = (k - 1) * dilation
+    xp = np.pad(x, ((0, 0), (pad, 0)))
+    sc, st = xp.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xp, shape=(c_in, k, t), strides=(sc, st * dilation, st))
+    y = np.tensordot(w, cols, axes=([1, 2], [0, 1]))
+    dw = np.tensordot(g, np.ascontiguousarray(cols), axes=([1], [2]))
+    dcols = np.tensordot(w, g, axes=([0], [0]))
+    dxp = np.zeros_like(xp)
+    for i in range(k):
+        dxp[:, i * dilation:i * dilation + t] += dcols[:, i, :]
+    return y, dxp[:, pad:], dw
+
+
+def stft_mag_composed(x, window, fft_size, hop, floor, g):
+    """Magnitude STFT and its gradient for output gradient g, step by step
+    in the order a tape of take/mul/pad_end/rfft/slice/sqrt nodes computes
+    them, in the dtype of x: (magnitude, dL/dx)."""
+    dt = x.dtype
+    win = window.shape[0]
+    num = (x.shape[0] - win) // hop + 1
+    idx = np.arange(win)[None, :] + hop * np.arange(num)[:, None]
+    frames = np.pad(x[idx] * window, ((0, 0), (0, fft_size - win)))
+    spec = np.fft.rfft(frames, axis=-1)
+    ri = np.stack([spec.real, spec.imag], axis=0).astype(dt, copy=False)
+    re, im = ri[0], ri[1]
+    mag = np.sqrt((re * re + im * im) + np.asarray(floor ** 2, dtype=dt))
+    gs = g * (0.5 / mag)
+    # the four slice nodes scatter into zeros, latest node first
+    gri = None
+    for part, value in ((1, im), (1, im), (0, re), (0, re)):
+        z = np.zeros_like(ri)
+        z[part] += gs * value
+        gri = z if gri is None else gri + z
+    c = np.zeros((num, fft_size), dtype=np.complex128)
+    c[:, :gri.shape[-1]] = gri[0] + 1j * gri[1]
+    gp = (fft_size * np.fft.ifft(c, axis=-1).real).astype(dt, copy=False)
+    gx = np.zeros_like(x)
+    np.add.at(gx, idx, gp[:, :win] * window)
+    return mag, gx

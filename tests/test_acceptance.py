@@ -128,11 +128,17 @@ def _primitive_items(rng):
        lambda ts: _wsum(T.conv1d(ts[0], ts[1], ts[2], dilation=2), wconv),
        [xc, wc, bc])
 
+    # signal of the rfft item, which stft_mag replaced; its weights and the
+    # inputs of the irfft and complex_mul items (ops the biquad replaced)
+    # are still drawn so that every later item keeps its inputs
     x16 = Tensor(rng.uniform(-1.0, 1.0, 16))
-    wf = rng.standard_normal((2, 9))
-    it("rfft", lambda ts: _wsum(T.rfft(ts[0]), wf), [x16])
-    # inputs of the irfft and complex_mul items, ops the biquad replaced;
-    # still drawn so that every later item keeps its inputs
+    rng.standard_normal((2, 9))
+    # four overlapping 7-sample frames zero-padded to 8 points; the window
+    # is not a multiple of the hop
+    ws = np.random.default_rng(113).standard_normal((4, 5))
+    hann7 = np.hanning(8)[:-1]
+    it("stft_mag", lambda ts: _wsum(T.stft_mag(ts[0], hann7, 8, 3, 1e-8), ws),
+       [x16])
     rng.standard_normal((2, 9))
     rng.standard_normal((2, 9))
     rng.standard_normal(16)
@@ -720,7 +726,7 @@ def test_11_training_reproduces_and_resumes(tmp_path):
     path = tmp_path / "resume.json"
     tr.save_training_checkpoint(path, model_b, spec, opt_b, 12)
 
-    model_c, spec_c, opt_c, step_c = tr.restore_training(path, cfg(24))
+    model_c, spec_c, opt_c, step_c, _ = tr.restore_training(path, cfg(24))
     log_c = tr.fit(model_c, spec_c, segs, cfg(24), val_segments=segs[:1],
                    optimizer=opt_c, start_step=12)
     worst = 0.0

@@ -11,6 +11,8 @@ import gradfx.tensor as T
 from gradfx.tensor import Tensor, Tape, grad_check
 from gradfx import nn
 
+import oracles
+
 TOL = 1e-4  # max relative error, 64-bit
 
 
@@ -193,19 +195,98 @@ def test_conv1d_matches_direct_sum():
     assert np.allclose(y, ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("t, dilation", [(23, 1), (23, 7), (20, 2), (9, 12)])
+def test_conv1d_chunks_match_direct_sum(monkeypatch, t, dilation):
+    # five-sample chunks: T not a multiple of the chunk, taps reaching
+    # back past whole chunks, dilation longer than the signal
+    monkeypatch.setattr(T, "_CONV_CHUNK", 5)
+    rng = np.random.default_rng(11)
+    x, w, b = randt(rng, 2, t), randt(rng, 3, 2, 3), randt(rng, 3)
+    y = T.conv1d(x, w, b, dilation=dilation).data
+    ref = oracles.conv1d_direct(x.data, w.data, dilation) + b.data[:, None]
+    assert np.max(np.abs(y - ref)) < 1e-12
+    proj = rng.standard_normal((3, t))
+    err = grad_check(
+        lambda ts: project(T.conv1d(ts[0], ts[1], ts[2], dilation=dilation), proj),
+        [x, w, b])
+    assert err < TOL
+
+
+@pytest.mark.parametrize("c_in, c_out, k, dilation, t, flip", [
+    (16, 16, 7, 64, 4096, False), (1, 16, 7, 1, 4096, False),
+    (16, 1, 1, 1, 1000, False), (2, 3, 3, 2, 17, False),
+    (1, 1, 16, 1, 256, True)])  # FIR: reversed taps, a strided view
+def test_conv1d_one_chunk_equals_im2col_tensordot(c_in, c_out, k, dilation, t,
+                                                  flip):
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((c_in, t)).astype(np.float32))
+    wd = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+    w = Tensor(wd[:, :, ::-1] if flip else wd)
+    g = rng.standard_normal((c_out, t)).astype(np.float32)
+    x.requires_grad = w.requires_grad = True
+    with Tape() as tape:
+        y = T.conv1d(x, w, dilation=dilation)
+        s = T.sum_(T.mul(y, Tensor(g)))
+    grads = tape.backward(s)
+    ref_y, ref_dx, ref_dw = oracles.conv1d_im2col(x.data, w.data, dilation, g)
+    assert np.array_equal(y.data, ref_y)
+    assert np.array_equal(grads[x].data, ref_dx)
+    assert np.array_equal(grads[w].data, ref_dw)
+
+
+def test_take_basic_keys_assign_and_array_keys_accumulate():
+    rng = np.random.default_rng(13)
+    x = randt(rng, 4, 6)
+    for key in (2, np.int64(-1), slice(1, None, 2), (1, slice(None, None, -1)),
+                (slice(0, 3), 4)):
+        assert T._is_basic(key)
+        g = rng.standard_normal(x.data[key].shape)
+        err = grad_check(lambda ts: project(ts[0][key], g), [x])
+        assert err < TOL, key
+    for key in (np.array([0, 0, 3]), [1, 1], True, (slice(None), [2, 2])):
+        assert not T._is_basic(key)
+    # a repeated row collects both gradients
+    with Tape() as tape:
+        xt = t64(np.arange(4.0))
+        xt.requires_grad = True
+        s = T.sum_(T.take(xt, np.array([1, 1, 2])))
+    assert np.array_equal(tape.backward(s)[xt].data, [0.0, 2.0, 1.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
-# real FFT
+# magnitude STFT
 
-def test_rfft_irfft_roundtrip_and_grads():
+def test_stft_mag_gradients_window_shorter_than_fft():
     rng = np.random.default_rng(10)
-    x = randt(rng, 8)
-    X = T.rfft(x)
-    assert X.data.shape == (2, 5)
-    back = np.fft.irfft(X.data[0] + 1j * X.data[1], 8)
-    assert np.allclose(back, x.data, atol=1e-12)
+    x = randt(rng, 40)
+    win = np.hanning(11)[:-1]
+    m = T.stft_mag(x, win, 16, 4, 1e-8)
+    assert m.data.shape == (8, 9)
+    ref = np.abs(np.fft.rfft(x.data[8:18] * win, 16))
+    assert np.max(np.abs(m.data[2] - ref)) < 1e-12
+    w = rng.standard_normal((8, 9))
+    assert grad_check(lambda ts: project(T.stft_mag(ts[0], win, 16, 4, 1e-8), w),
+                      [x]) < TOL
 
-    wf = rng.standard_normal((2, 5))
-    assert grad_check(lambda ts: project(T.rfft(ts[0]), wf), [x]) < TOL
+
+@pytest.mark.parametrize("n, fft_size, hop, win_len", [
+    (4096, 1024, 256, 1024), (4096, 512, 128, 512), (600, 256, 64, 200),
+    (1000, 128, 48, 100)])
+def test_stft_mag_vjp_equals_composed_order_f32(n, fft_size, hop, win_len):
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal(n).astype(np.float32), requires_grad=True)
+    window = (np.hanning(win_len + 1)[:-1]).astype(np.float32)
+    num = (n - win_len) // hop + 1
+    g = rng.standard_normal((num, fft_size // 2 + 1)).astype(np.float32)
+    with Tape() as tape:
+        m = T.stft_mag(x, window, fft_size, hop, 1e-8)
+        s = T.sum_(T.mul(m, Tensor(g)))
+    gx = tape.backward(s)[x].data
+    ref_m, ref_gx = oracles.stft_mag_composed(x.data, window, fft_size, hop,
+                                              1e-8, g)
+    assert m.data.dtype == gx.dtype == np.float32
+    assert np.array_equal(m.data, ref_m)
+    assert np.array_equal(gx, ref_gx)
 
 
 # ---------------------------------------------------------------------------

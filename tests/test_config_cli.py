@@ -135,8 +135,9 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("train, message", [
-    ({"batch_size": 0}, "batch_size must be >= 1"),
-    ({"validate_every": 0}, "validate_every must be >= 1"),
+    ({"batch_size": 0}, "/train/batch_size: expected an integer >= 1, got 0"),
+    ({"validate_every": 0},
+     "/train/validate_every: expected an integer >= 1, got 0"),
     ({"lr": 0.0}, "lr must be > 0"),
     ({"lr": -0.01}, "lr must be > 0"),
     ({"tbptt": True, "batch_size": 2}, "batch_size must be 1 when tbptt"),
@@ -166,6 +167,11 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
     ({"lr": "fast"}, "/train/lr: expected a number, got 'fast'"),
     ({"tbptt": True, "chunk_len": 2048.5},
      "/train/chunk_len: expected an integer >= 1, got 2048.5"),
+    ({"batch_size": 2.5}, "/train/batch_size: expected an integer >= 1, got 2.5"),
+    ({"validate_every": 2.5},
+     "/train/validate_every: expected an integer >= 1, got 2.5"),
+    ({"batch_size": True},
+     "/train/batch_size: expected an integer >= 1, got True"),
 ])
 def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
     _write_dataset(tmp_path)
@@ -178,6 +184,23 @@ def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
     err = capsys.readouterr().err
     pointed = message if message.startswith("/") else f"/train: {message}"
     assert pointed in err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+@pytest.mark.parametrize("fractions", [
+    [1.5, -0.5, 0], [0.5, 0.5, 0.5], [0.6, 0.4], [0.6, 0.2, "0.2"],
+    [0.6, 0.2, None], 0.8, "0.8,0.1,0.1", [True, 0, 0]])
+def test_cli_rejects_bad_data_fractions_exit2(tmp_path, capsys, fractions):
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json")
+    doc = json.loads(cfg_path.read_text())
+    doc["data"]["fractions"] = fractions
+    cfg_path.write_text(json.dumps(doc))
+    rc = cli.main(["train", "--config", str(cfg_path)])
+    assert rc == 2
+    assert (f"/data/fractions: expected [train, val, test], three numbers in "
+            f"[0, 1] summing to 1, got {fractions!r}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out" / "run_log.csv").exists()
 
 

@@ -7,7 +7,7 @@ import gradfx.tensor as T
 from gradfx import losses as L
 from gradfx.tensor import Tensor, grad_check
 
-from oracles import stft_mag as oracle_stft
+from oracles import stft_mag as oracle_stft, stft_mag_composed
 
 
 def t64(a):
@@ -66,6 +66,25 @@ def test_stft_matches_oracle():
         ref = oracle_stft(x, fft_size, hop)
         assert mine.shape == ref.shape
         assert np.max(np.abs(mine - ref)) < 1e-7
+
+
+def test_mrstft_matches_composed_stft_f64():
+    rng = np.random.default_rng(118)
+    y = rng.standard_normal(4096)
+    yh = y + 0.1 * rng.standard_normal(4096)
+    cfg = L.MRSTFTConfig(L.MRSTFTConfig.DEFAULT + ((512, 96, 400),))
+    ref = 0.0
+    for fft_size, hop, win_len in cfg.resolutions:
+        win = np.hanning(win_len + 1)[:-1]
+        g = np.zeros(((4096 - win_len) // hop + 1, fft_size // 2 + 1))
+        my, _ = stft_mag_composed(y, win, fft_size, hop, L.MAG_FLOOR, g)
+        mh, _ = stft_mag_composed(yh, win, fft_size, hop, L.MAG_FLOOR, g)
+        mine = L.stft_mag(t64(yh), fft_size, hop, win_len).data
+        assert np.max(np.abs(mine - mh) / mh) < 1e-12
+        ref += (np.linalg.norm(my - mh) / np.linalg.norm(my)
+                + np.mean(np.abs(np.log(my) - np.log(mh))))
+    ref /= len(cfg.resolutions)
+    assert abs(L.mrstft(t64(y), t64(yh), cfg).item() - ref) < 1e-12 * ref
 
 
 def test_mrstft_properties():

@@ -362,7 +362,9 @@ def test_checkpoint_resume_reproduces_trajectory(tmp_path):
     path = tmp_path / "ckpt.json"
     tr.save_training_checkpoint(path, model_b, spec, opt_b, 12)
 
-    model_c, spec_c, opt_c, step_c = tr.restore_training(path, cfg(24))
+    model_c, spec_c, opt_c, step_c, best_c = tr.restore_training(path,
+                                                                 cfg(24))
+    assert best_c == np.inf  # saved without a validation loss
     assert step_c == 12
     for a, b in zip(opt_b.m, opt_c.m):
         assert np.array_equal(a, b)
@@ -377,6 +379,54 @@ def test_checkpoint_resume_reproduces_trajectory(tmp_path):
         assert ra["step"] == rc["step"]
         assert abs(ra["loss_tot"] - rc["loss_tot"]) < 1e-6
         assert abs(ra["loss_l1"] - rc["loss_l1"]) < 1e-6
+
+
+def test_resume_keeps_better_checkpoint(tmp_path):
+    spec = _gain_spec()
+    segs = _segments(3, seed=8)
+    path = tmp_path / "ckpt.json"
+    model = spec.build(np.random.default_rng(3))
+    log = tr.fit(model, spec, segs, tr.TrainConfig(max_steps=10, lr=1e-2,
+                                                   validate_every=5, seed=21),
+                 val_segments=segs[:1], checkpoint_path=path)
+    kept = path.read_bytes()
+    best = min(r["val_tot"] for r in log.rows if "val_tot" in r)
+
+    # a step size that overshoots: the first validation after resume is worse
+    cfg = tr.TrainConfig(max_steps=15, lr=3.0, validate_every=5, seed=21)
+    model_c, spec_c, opt_c, step_c, best_c = tr.restore_training(path, cfg)
+    assert best_c == best
+    log_c = tr.fit(model_c, spec_c, segs, cfg, val_segments=segs[:1],
+                   checkpoint_path=path, optimizer=opt_c, start_step=step_c,
+                   best=best_c)
+    assert log_c.rows[-1]["val_tot"] > best
+    assert path.read_bytes() == kept
+
+
+def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    spec = _gain_spec()
+    model = spec.build(np.random.default_rng(3))
+    opt = tr.Adam(model.parameters())
+    path = tmp_path / "ckpt.json"
+    tr.save_training_checkpoint(path, model, spec, opt, 5, 0.25)
+    kept = path.read_bytes()
+
+    def dump_half(obj, f):
+        f.write(json.dumps(obj)[:100])
+        raise OSError("disk full")
+
+    model.controllers[0].b.data = np.array([0.75], dtype=np.float32)
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        tr.save_training_checkpoint(path, model, spec, opt, 6, 0.2)
+    monkeypatch.undo()
+    assert path.read_bytes() == kept
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    model_r, _, _, step, best = tr.restore_training(path, tr.TrainConfig())
+    assert (step, best) == (5, 0.25)
+    for a, b in zip(spec.build(np.random.default_rng(3)).parameters(),
+                    model_r.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_checkpoint_corrupt_file(tmp_path):
