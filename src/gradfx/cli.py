@@ -105,11 +105,24 @@ def _write_metrics(path, kind: str, metrics: dict) -> None:
                                       for k in METRIC_COLUMNS[1:]) + "\n")
 
 
+def _resumed_log(path, step: int):
+    """The run log already in the output directory, without its rows past
+    the checkpoint's step; None when there is none."""
+    if not path.exists():
+        return None
+    try:
+        log = tr.RunLog.from_csv(path)
+    except (ValueError, OSError) as e:
+        raise ConfigError([f"--checkpoint: cannot continue {path}: {e}"])
+    log.rows = [r for r in log.rows if r["step"] <= step]
+    return log
+
+
 def cmd_train(cfg, args) -> int:
     splits = _load_splits(cfg)
     out = cfg.output_dir
     ckpt = out / "checkpoint.json"
-    start_step, best = 0, np.inf
+    start_step, best, log = 0, np.inf, None
     if args.checkpoint:
         try:
             model, spec, optimizer, start_step, best = tr.restore_training(
@@ -123,6 +136,7 @@ def cmd_train(cfg, args) -> int:
             raise ConfigError([f"--checkpoint: saved step {start_step} is "
                                f"not before train.max_steps "
                                f"{cfg.train_cfg.max_steps}"])
+        log = _resumed_log(out / "run_log.csv", start_step)
     else:
         model = cfg.model_spec.build(
             np.random.default_rng(cfg.train_cfg.seed))
@@ -132,7 +146,8 @@ def cmd_train(cfg, args) -> int:
     log = tr.fit(model, cfg.model_spec, splits["train"], cfg.train_cfg,
                  val_segments=splits["val"] or None,
                  log_path=out / "run_log.csv", checkpoint_path=ckpt,
-                 optimizer=optimizer, start_step=start_step, best=best)
+                 optimizer=optimizer, start_step=start_step, best=best,
+                 log=log)
     if not ckpt.exists():
         tr.save_training_checkpoint(ckpt, model, cfg.model_spec, optimizer,
                                     log.rows[-1]["step"])

@@ -29,7 +29,7 @@ _TRAIN_RULES = {
     "batch_size": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "validate_every": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "seed": (lambda v: type(v) is int, "an integer"),
-    "lr": (lambda v: type(v) in _NUMBER, "a number"),
+    "lr": (lambda v: type(v) in _NUMBER and v > 0, "a number > 0"),
     "beta1": (lambda v: type(v) in _NUMBER and 0 <= v < 1, "a number in [0, 1)"),
     "beta2": (lambda v: type(v) in _NUMBER and 0 <= v < 1, "a number in [0, 1)"),
     "eps": (lambda v: type(v) in _NUMBER and v > 0, "a number > 0"),
@@ -74,17 +74,6 @@ def _check_data(d, base: Path, problems) -> dict | None:
            "hop": d.get("hop"), "fractions": d.get("fractions",
                                                    (0.8, 0.1, 0.1)),
            "seed": d.get("seed", 0)}
-    man = d.get("manifest")
-    if not isinstance(man, str):
-        problems.append("/data/manifest: required string path")
-        return None
-    path = Path(man)
-    if not path.is_absolute():
-        path = base / path
-    if not path.exists():
-        problems.append(f"/data/manifest: file not found: {path}")
-        return None
-    out["manifest"] = path
     if not isinstance(out["segment_len"], int) or out["segment_len"] < 1:
         problems.append("/data/segment_len: expected positive integer")
     if out["hop"] is not None and (not isinstance(out["hop"], int)
@@ -96,6 +85,16 @@ def _check_data(d, base: Path, problems) -> dict | None:
             and abs(sum(fr) - 1.0) <= 1e-9):
         problems.append("/data/fractions: expected [train, val, test], three "
                         f"numbers in [0, 1] summing to 1, got {fr!r}")
+    man = d.get("manifest")
+    if not isinstance(man, str):
+        problems.append("/data/manifest: required string path")
+        return out
+    path = Path(man)
+    if not path.is_absolute():
+        path = base / path
+    if not path.exists():
+        problems.append(f"/data/manifest: file not found: {path}")
+    out["manifest"] = path
     return out
 
 

@@ -351,11 +351,24 @@ def tanh(x: Tensor) -> Tensor:
     return _emit("tanh", out, (x,), lambda: lambda g: (g * (1.0 - out * out),))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function; exp only ever sees -|z|, so it cannot overflow."""
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+def _sigmoid(z: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Logistic function exp(min(z, 0)) / (1 + exp(-|z|)), into `out`.
+
+    Neither exp can overflow, and for z < 0 both see -|z| == z exactly, so
+    this is the two-branch form (1 / (1 + e) where z >= 0, else e / (1 + e))
+    bit for bit. `tmp` is scratch of z's shape. The constants are typed 0-d
+    arrays: a Python scalar costs a conversion in every call.
+    """
+    if out is None:
+        out, tmp = np.empty_like(z), np.empty_like(z)
+    zero, one = np.zeros((), dtype=z.dtype), np.ones((), dtype=z.dtype)
+    np.abs(z, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.add(one, tmp, out=tmp)
+    np.minimum(z, zero, out=out)
+    np.exp(out, out=out)
+    return np.divide(out, tmp, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -684,6 +697,11 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     return _emit("conv1d", out, parents, build)
 
 
+# Steps per backward block: the adjoint factors and the stacked dW_h terms
+# exist for one block at a time, never for the whole sequence.
+_LSTM_BLOCK = 16
+
+
 def lstm(xz: Tensor, w_h: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
     """LSTM recurrence, gates ordered (input, forget, cell, output).
 
@@ -696,48 +714,73 @@ def lstm(xz: Tensor, w_h: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
     """
     xzd, whd = xz.data, w_h.data
     n, hs = xzd.shape[0], whd.shape[0]
-    out = np.empty((n + 2, hs), dtype=xzd.dtype)
-    gates = np.empty_like(xzd)  # sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
-    cs, tcs = np.empty((2, n, hs), dtype=xzd.dtype)  # c_t and tanh(c_t)
-    h0d, c0d = h0.data, c0.data
-    h, c = h0d, c0d
-    for t in range(n):
-        z = xzd[t] + h @ whd
-        s = gates[t]
-        s[:] = _sigmoid(z)
-        s[2 * hs:3 * hs] = np.tanh(z[2 * hs:3 * hs])
-        c = s[hs:2 * hs] * c + s[0:hs] * s[2 * hs:3 * hs]
-        tcs[t] = np.tanh(c)
-        h = s[3 * hs:] * tcs[t]
-        out[t] = h
-        cs[t] = c
+    dt = xzd.dtype
+    out = np.empty((n + 2, hs), dtype=dt)
+    gates = np.empty_like(xzd)  # sigmoid(z): i, f, (cell slot unused), o
+    # Row t holds step t's factors [tanh(g_t), c_{t-1}, i_t, tanh(c_t)], so
+    # [i, f] * row[:2H] is [i*g, f*c] in one multiply; row n holds c_T.
+    fac = np.empty((n + 1, 4 * hs), dtype=dt)
+    fac[0, hs:2 * hs] = c0.data
+    z, tmp = np.empty((2, 4 * hs), dtype=dt)
+    ig_fc = np.empty(2 * hs, dtype=dt)
+    zg, ig, fc = z[2 * hs:3 * hs], ig_fc[:hs], ig_fc[hs:]
+    h0d = h = h0.data
+    # row views of column slices: cheaper per step than slicing each row
+    rows = zip(xzd, gates, gates[:, :2 * hs], gates[:, 3 * hs:], fac[:, :2 * hs],
+               fac[:, :hs], fac[:, 3 * hs:], fac[1:, hs:2 * hs], out)
+    for xt, s, s_if, s_o, f_gc, f_g, f_tc, c, ht in rows:
+        np.dot(h, whd, out=z)
+        np.add(xt, z, out=z)
+        _sigmoid(z, s, tmp)
+        np.tanh(zg, out=f_g)
+        np.multiply(s_if, f_gc, out=ig_fc)  # [i*g, f*c]
+        np.add(fc, ig, out=c)
+        np.tanh(c, out=f_tc)
+        h = np.multiply(s_o, f_tc, out=ht)
     out[n] = h
-    out[n + 1] = c
+    out[n + 1] = fac[n, hs:2 * hs]
 
     def build():
-        i, f, g, o = (gates[:, k * hs:(k + 1) * hs] for k in range(4))
-        # the sigmoid and tanh adjoints' second factors, (1 - s) and (1 - y*y)
-        ui, uf, ug, uo = 1.0 - i, 1.0 - f, 1.0 - g * g, 1.0 - o
-        utc = 1.0 - tcs * tcs
+        # dz_t = (([dc, dc, dc, dh] * fac[t]) * gates[t]) * u_t is then each
+        # gate's adjoint in the tape's product order: x * 1 is exact
+        fac[:n, 2 * hs:3 * hs] = gates[:, :hs]
+        gates[:, 2 * hs:3 * hs] = 1.0
 
         def vjp(gout):
             dz = np.empty_like(gates)
             dwh = np.zeros_like(whd)
-            dh, dc = gout[n], gout[n + 1]
-            for t in range(n - 1, -1, -1):
-                h_prev = out[t - 1] if t else h0d
-                c_prev = cs[t - 1] if t else c0d
-                dh = dh + gout[t]
-                dc = dc + (dh * o[t]) * utc[t]
-                dzt = dz[t]
-                dzt[0:hs] = ((dc * g[t]) * i[t]) * ui[t]
-                dzt[hs:2 * hs] = ((dc * c_prev) * f[t]) * uf[t]
-                dzt[2 * hs:3 * hs] = (dc * i[t]) * ug[t]
-                dzt[3 * hs:] = ((dh * tcs[t]) * o[t]) * uo[t]
-                # step by step in the tape's order: one GEMM would round differently
-                dwh += h_prev[:, None] * dzt
-                dc = dc * f[t]
-                dh = whd @ dzt
+            v = np.empty(4 * hs, dtype=dt)  # [dc, dc, dc, dh]
+            v4, dc, dh = v.reshape(4, hs), v[:hs], v[3 * hs:]
+            dc[:], dh[:] = gout[n + 1], gout[n]
+            tmp = np.empty(hs, dtype=dt)
+            stack = np.empty((_LSTM_BLOCK + 1, hs, 4 * hs), dtype=dt)
+            for a in reversed(range(0, n, _LSTM_BLOCK)):
+                e = min(a + _LSTM_BLOCK, n)
+                gb, fb = gates[a:e], fac[a:e]
+                # the sigmoid and tanh adjoints' second factors, (1 - s) and (1 - y*y)
+                u = 1.0 - gb
+                u[:, 2 * hs:3 * hs] = 1.0 - fb[:, :hs] * fb[:, :hs]
+                utc = 1.0 - fb[:, 3 * hs:] * fb[:, 3 * hs:]
+                rows = (gout[a:e], gb, gb[:, hs:2 * hs], gb[:, 3 * hs:], fb, u, utc,
+                        dz[a:e])
+                for gt_out, gt, f, o, ft, ut, uct, dzt in zip(*(r[::-1] for r in rows)):
+                    np.add(dh, gt_out, out=dh)
+                    np.multiply(dh, o, out=tmp)
+                    np.multiply(tmp, uct, out=tmp)
+                    np.add(dc, tmp, out=dc)
+                    v4[1:3] = dc
+                    np.multiply(v, ft, out=dzt)
+                    np.multiply(dzt, gt, out=dzt)
+                    np.multiply(dzt, ut, out=dzt)
+                    np.multiply(dc, f, out=dc)
+                    np.dot(whd, dzt, out=dh)
+                # dW_h += outer(h_{t-1}, dz_t) for t descending: a reduction
+                # over the leading axis adds in that order, one GEMM would not
+                st = stack[:e - a + 1]
+                st[0] = dwh
+                hp = out[a - 1:e - 1] if a else np.vstack((h0d, out[:e - 1]))
+                np.multiply(hp[::-1, :, None], dz[a:e][::-1, None, :], out=st[1:])
+                np.add.reduce(st, axis=0, out=dwh)
             return (dz, dwh, dh, dc)
         return vjp
 

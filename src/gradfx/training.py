@@ -373,19 +373,23 @@ def restore_training(path, cfg: TrainConfig,
 def fit(model, spec, train_segments, cfg: TrainConfig,
         val_segments=None, log_path=None, checkpoint_path=None,
         optimizer: Adam | None = None, start_step: int = 0,
-        best: float = np.inf) -> RunLog:
+        best: float = np.inf, log: RunLog | None = None) -> RunLog:
     """Train for cfg.max_steps, validating and checkpointing periodically.
 
     The best checkpoint (by validation tot loss) is kept when both
     val_segments and checkpoint_path are given; a resumed run passes the
     best loss so far from restore_training, so only a better one replaces it.
+    A resumed run may also pass the rows logged up to start_step as `log`;
+    new rows are appended to it, and its wall clock continues. log_path is
+    rewritten whole at every validation and at the last step, so a crash
+    loses only the rows since the last validation.
     """
     if not train_segments:
         raise ValueError("no training segments")
     optimizer = optimizer or Adam(model.parameters(), cfg.lr, cfg.beta1,
                                   cfg.beta2, cfg.eps)
-    log = RunLog()
-    t0 = time.monotonic()
+    log = RunLog() if log is None else log
+    t0 = time.monotonic() - (log.rows[-1]["wall_clock"] if log.rows else 0.0)
     n = len(train_segments)
     for step in range(start_step + 1, cfg.max_steps + 1):
         idx = batch_indices(cfg.seed, step, n, cfg.batch_size)
@@ -408,8 +412,8 @@ def fit(model, spec, train_segments, cfg: TrainConfig,
                     and val[cfg.stop_metric] <= cfg.stop_value):
                 stop = True
         log.add(step, losses, optimizer.skipped, time.monotonic() - t0, val)
+        if log_path and (val is not None or step == cfg.max_steps):
+            log.to_csv(log_path)
         if stop:
             break
-    if log_path:
-        log.to_csv(log_path)
     return log

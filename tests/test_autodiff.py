@@ -388,6 +388,57 @@ def test_lstm_fused_state_gradients_match_composed_f64():
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 300])
+def test_lstm_fused_matches_composed_f32_around_backward_blocks(n):
+    # lengths on either side of T._LSTM_BLOCK, with a nonzero initial state
+    lstm, x, h0, c0, ws = _lstm_case(np.float32, n, 7, 3, seed=20 + n,
+                                     state_scale=0.5)
+    wrt = [x, h0, c0] + lstm.parameters()
+    want = _lstm_run(_composed_lstm, lstm, x, h0, c0, ws, wrt)
+    got = _lstm_run(nn.LSTM.forward, lstm, x, h0, c0, ws, wrt)
+    names = ["y", "h", "c", "x", "h0", "c0", "w_x", "w_h", "b"]
+    for name, a, b in zip(names, got, want, strict=True):
+        assert a.dtype == np.float32, name
+        assert np.array_equal(a, b), name
+
+
+def test_lstm_gradients_across_backward_blocks(monkeypatch):
+    # blocks of 4 over 11 steps: two block edges and a short last block
+    monkeypatch.setattr(T, "_LSTM_BLOCK", 4)
+    lstm, x, h0, c0, ws = _lstm_case(np.float64, 11, 5, 2, seed=19,
+                                     state_scale=0.5)
+
+    def loss(y, h, c):
+        return T.add(project(y, ws[0].data),
+                     T.add(project(h, ws[1].data), project(c, ws[2].data)))
+
+    def f(ts):
+        y, (h, c) = lstm.forward(ts[0], (ts[1], ts[2]))
+        return loss(y, h, c)
+
+    assert grad_check(f, [x, h0, c0]) < TOL
+
+    def fp(ts):
+        y, (h, c) = lstm.forward(x, (h0.detach(), c0.detach()))
+        return loss(y, h, c)
+
+    assert grad_check(fp, lstm.parameters()) < TOL
+
+
+def test_lstm_empty_sequence_returns_initial_state():
+    rng = np.random.default_rng(21)
+    w_h, h0, c0 = randt(rng, 3, 12), randt(rng, 3), randt(rng, 3)
+    out = T.lstm(t64(np.zeros((0, 12))), w_h, h0, c0)
+    assert np.array_equal(out.data, np.stack([h0.data, c0.data]))
+    w = rng.standard_normal((2, 3))
+    h0.requires_grad = c0.requires_grad = True
+    with Tape() as tape:
+        grads = tape.backward(project(T.lstm(t64(np.zeros((0, 12))), w_h,
+                                             h0, c0), w))
+    assert np.array_equal(grads[h0].data, w[0])
+    assert np.array_equal(grads[c0].data, w[1])
+
+
 def test_lstm_tape_node_count_does_not_grow_with_length():
     counts = []
     for n in (64, 2048):

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -138,8 +139,8 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
     ({"batch_size": 0}, "/train/batch_size: expected an integer >= 1, got 0"),
     ({"validate_every": 0},
      "/train/validate_every: expected an integer >= 1, got 0"),
-    ({"lr": 0.0}, "lr must be > 0"),
-    ({"lr": -0.01}, "lr must be > 0"),
+    ({"lr": 0.0}, "/train/lr: expected a number > 0, got 0.0"),
+    ({"lr": -0.01}, "/train/lr: expected a number > 0, got -0.01"),
     ({"tbptt": True, "batch_size": 2}, "batch_size must be 1 when tbptt"),
     # the data section's segments are 2048 samples long
     ({"mrstft_resolutions": [[4096, 1024, 4096]], "w_mrstft": 0.0},
@@ -164,7 +165,7 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
     ({"eps": 0.0}, "/train/eps: expected a number > 0, got 0.0"),
     ({"seed": "x"}, "/train/seed: expected an integer, got 'x'"),
     ({"seed": 1.5}, "/train/seed: expected an integer, got 1.5"),
-    ({"lr": "fast"}, "/train/lr: expected a number, got 'fast'"),
+    ({"lr": "fast"}, "/train/lr: expected a number > 0, got 'fast'"),
     ({"tbptt": True, "chunk_len": 2048.5},
      "/train/chunk_len: expected an integer >= 1, got 2048.5"),
     ({"batch_size": 2.5}, "/train/batch_size: expected an integer >= 1, got 2.5"),
@@ -185,6 +186,20 @@ def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
     pointed = message if message.startswith("/") else f"/train: {message}"
     assert pointed in err
     assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+def test_cli_reports_every_data_problem_without_a_manifest(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path / "exp.json")
+    doc = json.loads(cfg_path.read_text())
+    doc["data"] = {"segment_len": -3, "fractions": [1.5, -0.5, 0]}
+    cfg_path.write_text(json.dumps(doc))
+    rc = cli.main(["train", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    for pointer in ("/data/manifest: required string path",
+                    "/data/segment_len: expected positive integer",
+                    "/data/fractions: expected [train, val, test]"):
+        assert pointer in err
 
 
 @pytest.mark.parametrize("fractions", [
@@ -401,3 +416,34 @@ def test_cli_train_resume_exhausted_checkpoint_exit2(tmp_path, capsys):
                    str(tmp_path / "first_out" / "checkpoint.json")])
     assert rc == 2
     assert "max_steps" in capsys.readouterr().err
+
+
+def test_cli_train_resume_keeps_the_run_log(tmp_path, capsys):
+    _write_dataset(tmp_path)
+    full = _write_config(tmp_path / "full.json",
+                         extra=dict(_resume_doc(12), output_dir="full_out"))
+    assert cli.main(["train", "--config", str(full)]) == 0
+    first = _write_config(tmp_path / "first.json",
+                          extra=dict(_resume_doc(6), output_dir="out"))
+    assert cli.main(["train", "--config", str(first)]) == 0
+    ckpt6 = tmp_path / "ckpt6.json"
+    shutil.copy(tmp_path / "out" / "checkpoint.json", ckpt6)
+    ref = tr.RunLog.from_csv(tmp_path / "full_out" / "run_log.csv")
+
+    # 6 + 6 steps into the same directory keep rows 1-6; and into a
+    # directory whose log already runs to step 12, rows past 6 are dropped
+    for out in ("out", "full_out"):
+        resumed = _write_config(tmp_path / "resumed.json",
+                                extra=dict(_resume_doc(12), output_dir=out))
+        assert cli.main(["train", "--config", str(resumed),
+                         "--checkpoint", str(ckpt6)]) == 0
+        log = tr.RunLog.from_csv(tmp_path / out / "run_log.csv")
+        assert [r["step"] for r in log.rows] == list(range(1, 13))
+        for ra, rb in zip(ref.rows, log.rows):
+            assert abs(ra["loss_tot"] - rb["loss_tot"]) <= 1e-6
+
+    (tmp_path / "full_out" / "run_log.csv").write_text("not,a,run,log\n")
+    rc = cli.main(["train", "--config", str(resumed),
+                   "--checkpoint", str(ckpt6)])
+    assert rc == 2
+    assert "--checkpoint: cannot continue" in capsys.readouterr().err

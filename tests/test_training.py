@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -427,6 +428,38 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     for a, b in zip(spec.build(np.random.default_rng(3)).parameters(),
                     model_r.parameters()):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_fit_rewrites_run_log_at_each_validation(tmp_path, monkeypatch):
+    spec = _gain_spec()
+    segs = _segments(3, seed=8)
+    cfg = tr.TrainConfig(max_steps=6, lr=1e-2, validate_every=2, seed=21)
+    path = tmp_path / "run_log.csv"
+    real_open, opened = tr.atomic_open, []
+
+    class DiesMidWrite:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, text):
+            self.f.write(text[:10])
+            raise OSError("disk full")
+
+    @contextlib.contextmanager
+    def second_dump_dies(p, mode="w"):
+        opened.append(p)
+        with real_open(p, mode) as f:
+            yield f if len(opened) == 1 else DiesMidWrite(f)
+
+    monkeypatch.setattr(tr, "atomic_open", second_dump_dies)
+    with pytest.raises(OSError, match="disk full"):
+        tr.fit(spec.build(np.random.default_rng(3)), spec, segs, cfg,
+               val_segments=segs[:1], log_path=path)
+    assert len(opened) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["run_log.csv"]
+    log = tr.RunLog.from_csv(path)
+    assert [r["step"] for r in log.rows] == [1, 2]
+    assert "val_tot" in log.rows[-1]
 
 
 def test_checkpoint_corrupt_file(tmp_path):
