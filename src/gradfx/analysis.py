@@ -14,6 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import atomic_open
+from .models import LSTMModel
 from .tensor import Tensor
 
 
@@ -36,6 +37,9 @@ class SweepConfig:
             raise ValueError("need at least 2 frequency steps")
         if self.T * self.fs < 2 * self.tail_length:
             raise ValueError("render shorter than twice the analysis tail")
+        if math.floor(self.tail_length * self.f1 / self.fs) < 1:
+            raise ValueError(f"analysis tail of {self.tail_length} samples "
+                             f"holds no full period of f1 = {self.f1:g} Hz")
 
     @property
     def tail_length(self) -> int:
@@ -105,33 +109,69 @@ def _project(signal: np.ndarray, freq: float, fs: float) -> complex:
     return 2.0 * np.dot(seg, basis) / span
 
 
+def _tones(cfg: SweepConfig, freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The sweep's sinusoids, one row per frequency, at times t."""
+    return cfg.amplitude * np.sin(2 * np.pi * freqs[:, None] * t)
+
+
+def _render(model, cfg: SweepConfig, freqs, edges, c, tail: int,
+            batched: bool):
+    """Tones at `freqs` through the model over the pieces between
+    consecutive `edges`, state carried; their last `tail` samples, input
+    and output, one row per frequency. Batched, the model takes all rows
+    in one call per piece; otherwise `freqs` holds one frequency."""
+    dt = T.default_dtype()
+    start = edges[-1] - tail
+    x_tail = np.empty((len(freqs), tail))
+    y_tail = np.empty((len(freqs), tail), dtype=dt)
+    state = None
+    for a, e in zip(edges, edges[1:]):
+        x = _tones(cfg, freqs, np.arange(a, e, dtype=np.float64) / cfg.fs)
+        y, state = model.forward(Tensor((x if batched else x[0]).astype(dt)),
+                                 c, state)
+        j = max(a, start)
+        if j < e:
+            x_tail[:, j - start:e - start] = x[:, j - a:]
+            y_tail[:, j - start:e - start] = y.data[..., j - a:]
+    return x_tail, y_tail
+
+
 def stepped_sine_response(model, cfg: SweepConfig,
                           c: Tensor | None = None) -> ResponseCurve:
-    """Measure magnitude/phase at exponentially spaced frequencies."""
+    """Measure magnitude/phase at exponentially spaced frequencies.
+
+    Each tone runs through a warm-up that settles the state,
+    phase-continuous, and then the measured render. An `LSTMModel`, whose
+    cost is per call and step, renders all frequencies at once as a batch:
+    warm-up and measurement form one signal, fed in time chunks that hold
+    no more samples in all than one frequency's render. Any other model,
+    whose cost is per sample, renders one frequency after another.
+    """
     tail = cfg.tail_length
     n_meas = int(round(cfg.T * cfg.fs))
     if tail > n_meas:
         raise ValueError(f"analysis tail {tail} exceeds rendered "
                          f"length {n_meas}")
     n_warm = int(round(cfg.warmup * cfg.fs))
-    dt = T.default_dtype()
-    mags = np.empty(cfg.steps)
-    phases = np.empty(cfg.steps)
-    for i, f in enumerate(cfg.frequencies):
-        t_all = np.arange(n_warm + n_meas, dtype=np.float64) / cfg.fs
-        x_all = cfg.amplitude * np.sin(2 * np.pi * f * t_all)
-        state = None
-        if n_warm:
-            # settle recurrent state on the same tone, phase-continuous
-            _, state = model.forward(Tensor(x_all[:n_warm].astype(dt)), c,
-                                     state)
-        y, _ = model.forward(Tensor(x_all[n_warm:].astype(dt)), c, state)
-        zx = _project(x_all[n_warm:][-tail:], f, cfg.fs)
-        zy = _project(np.asarray(y.data, dtype=np.float64)[-tail:], f, cfg.fs)
-        h = zy / zx
-        mags[i] = 20.0 * np.log10(abs(h))
-        phases[i] = np.angle(h)
-    return ResponseCurve(cfg.frequencies, mags, np.unwrap(phases))
+    freqs, n = cfg.frequencies, n_warm + n_meas
+    if isinstance(model, LSTMModel):
+        # f32 GEMV rows round alike when chunk edges sit on multiples of
+        # 16; a time-varying conditioner also needs whole control blocks
+        unit = 64
+        if model.cond_mode == "tvcond":
+            unit = math.lcm(unit, model.generator.block_size)
+        chunk = max(unit, n // len(freqs) // unit * unit)
+        x_tail, y_tail = _render(model, cfg, freqs, [*range(0, n, chunk), n],
+                                 c, tail, batched=True)
+    else:
+        edges = [0, n_warm, n] if n_warm else [0, n]
+        tails = [_render(model, cfg, freqs[i:i + 1], edges, c, tail,
+                         batched=False) for i in range(len(freqs))]
+        x_tail, y_tail = (np.concatenate(p) for p in zip(*tails))
+    h = np.array([_project(y, f, cfg.fs) / _project(x, f, cfg.fs)
+                  for x, y, f in zip(x_tail, y_tail, freqs)])
+    return ResponseCurve(freqs, 20.0 * np.log10(np.abs(h)),
+                         np.unwrap(np.angle(h)))
 
 
 def amplitude_response(processor, points: int = 200,

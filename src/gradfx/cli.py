@@ -148,7 +148,8 @@ def cmd_train(cfg, args) -> int:
                  log_path=out / "run_log.csv", checkpoint_path=ckpt,
                  optimizer=optimizer, start_step=start_step, best=best,
                  log=log)
-    if not ckpt.exists():
+    if not splits["val"] or not ckpt.exists():
+        # without validation nothing else saves the final state
         tr.save_training_checkpoint(ckpt, model, cfg.model_spec, optimizer,
                                     log.rows[-1]["step"])
     final = splits["test"] or splits["train"]
@@ -214,6 +215,7 @@ def cmd_analyze(cfg, args) -> int:
     else:
         model = cfg.model_spec.build(
             np.random.default_rng(cfg.train_cfg.seed))
+    model.eval()
     c = None
     if cfg.model_spec.num_controls:
         c = Tensor(np.full(cfg.model_spec.num_controls, 0.5,

@@ -195,8 +195,10 @@ class TVCond(nn.Module):
         self.latent_dim = latent
 
     def generate(self, x: Tensor, c, state):
-        """Returns [len(x), latent] ready to concatenate on the feature dim."""
+        """Returns [T, latent] for x [T], or [T, B, latent] for x [B, T],
+        ready to concatenate on the feature dim."""
         n = x.data.shape[-1]
         z, state = self.controller(x, c, state)
-        zs = T.transpose(T.upsample1d(T.transpose(z), self.block_size)[:, 0:n])
+        up = T.upsample1d(T.transpose(z), self.block_size)
+        zs = T.transpose(up[(slice(None),) * (up.data.ndim - 1) + (slice(0, n),)])
         return zs, state

@@ -35,10 +35,18 @@ def num_blocks(signal_len: int, block_size: int) -> int:
     return -(-signal_len // block_size)
 
 
+def time_major(x: Tensor) -> Tensor:
+    """A signal [T] or B signals [B, T] as an LSTM input feature [T, 1] or
+    [T, B, 1]."""
+    if x.data.ndim == 2:
+        x = T.transpose(x)
+    return T.reshape(x, x.data.shape + (1,))
+
+
 def block_means(x: Tensor, block_size: int) -> Tensor:
-    """Non-overlapping block means of a 1-D signal as an [nb, 1] feature."""
-    nb = num_blocks(x.data.shape[-1], block_size)
-    return T.reshape(T.blockmean1d(x, block_size), (nb, 1))
+    """Non-overlapping block means of a signal [T] or signals [B, T] as a
+    feature [nb, 1] or [nb, B, 1]."""
+    return time_major(T.blockmean1d(x, block_size))
 
 
 def _check_controls(c, num_controls: int) -> None:
@@ -48,13 +56,15 @@ def _check_controls(c, num_controls: int) -> None:
 
 
 def append_controls(feats: Tensor, c, num_controls: int) -> Tensor:
-    """Concatenate the checked controls, repeated over time, to [T, F]
-    features; with num_controls 0 the features pass and c is ignored."""
+    """Concatenate the checked controls, repeated over time (and batch), to
+    [T, (B,) F] features; with num_controls 0 the features pass and c is
+    ignored."""
     if num_controls == 0:
         return feats
     _check_controls(c, num_controls)
-    return T.concat([feats, T.repeat_new_axis(c, feats.data.shape[0], axis=0)],
-                    axis=1)
+    for n in reversed(feats.data.shape[:-1]):
+        c = T.repeat_new_axis(c, n, axis=0)
+    return T.concat([feats, c], axis=-1)
 
 
 class Controller(nn.Module):

@@ -66,16 +66,19 @@ class LSTMModel(nn.Module):
         self.out = nn.Linear(hidden, 1, rng)
 
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
+        """x [T], or B signals [B, T] sharing the controls c (inference
+        only) -> (y of x's shape, state)."""
         lstm_state, gen_state = state if state is not None else (None, None)
-        n = x.data.shape[-1]
-        feats = T.reshape(x, (n, 1))
+        feats = ctrl.time_major(x)
         if self.cond_mode == "concat":
             feats = ctrl.append_controls(feats, c, self.num_controls)
         elif self.cond_mode == "tvcond":
             z, gen_state = self.generator.generate(x, c, gen_state)
-            feats = T.concat([feats, z], axis=1)
+            feats = T.concat([feats, z], axis=-1)
         hs, lstm_state = self.lstm(feats, lstm_state)
-        y = T.reshape(self.out(hs), (n,))
+        if x.data.ndim == 2:
+            hs = T.transpose(hs, (1, 0, 2))  # [B, T, H]: one GEMV per signal
+        y = T.reshape(self.out(hs), x.data.shape)
         return T.tanh(y), (lstm_state, gen_state)
 
 

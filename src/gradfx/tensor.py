@@ -12,6 +12,7 @@ bits). Arrays passed in as float64 keep their dtype.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -265,20 +266,27 @@ class suspend_tape:
         return False
 
 
+def records(parents) -> bool:
+    """Whether an op over these parents records a node: a tape is active
+    and some parent requires grad or is already on it."""
+    tape = _ACTIVE_TAPE
+    if tape is not None:
+        for p in parents:
+            if p.requires_grad or (p._tape is tape and p._node_id is not None):
+                return True
+    return False
+
+
 def _emit(op: str, out_data: np.ndarray, parents, vjp_builder) -> Tensor:
-    """Create the output tensor and record a node if the result is tracked.
+    """Create the output tensor and record a node if `records(parents)`.
 
     vjp_builder is called only when recording, so untracked forwards pay
     nothing for closure setup.
     """
     out = Tensor(out_data)
-    tape = _ACTIVE_TAPE
-    if tape is None:
-        return out
-    pids = [tape._ensure(p) for p in parents]
-    if all(pid is None for pid in pids):
-        return out
-    tape._record(op, pids, vjp_builder(), out)
+    if records(parents):
+        tape = _ACTIVE_TAPE
+        tape._record(op, [tape._ensure(p) for p in parents], vjp_builder(), out)
     return out
 
 
@@ -351,24 +359,33 @@ def tanh(x: Tensor) -> Tensor:
     return _emit("tanh", out, (x,), lambda: lambda g: (g * (1.0 - out * out),))
 
 
-def _sigmoid(z: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """Logistic function exp(min(z, 0)) / (1 + exp(-|z|)), into `out`.
+def _sigmoid_into(z: np.ndarray):
+    """A function writing the logistic of the buffer z into its argument,
+    for repeated calls on the same z.
 
-    Neither exp can overflow, and for z < 0 both see -|z| == z exactly, so
-    this is the two-branch form (1 / (1 + e) where z >= 0, else e / (1 + e))
-    bit for bit. `tmp` is scratch of z's shape. The constants are typed 0-d
-    arrays: a Python scalar costs a conversion in every call.
+    It computes exp(min(z, 0)) / (1 + exp(-|z|)), both exponentials in one
+    exp call over a stacked [2, *z.shape] scratch. Neither can overflow,
+    and for z < 0 both see -|z| == z exactly, so this is the two-branch
+    form (1 / (1 + e) where z >= 0, else e / (1 + e)) bit for bit. The
+    scratch and the typed 0-d constants are made once: a Python scalar
+    costs a conversion in every call.
     """
-    if out is None:
-        out, tmp = np.empty_like(z), np.empty_like(z)
+    e = np.empty((2,) + z.shape, dtype=z.dtype)
+    num, den = e
     zero, one = np.zeros((), dtype=z.dtype), np.ones((), dtype=z.dtype)
-    np.abs(z, out=tmp)
-    np.negative(tmp, out=tmp)
-    np.exp(tmp, out=tmp)
-    np.add(one, tmp, out=tmp)
-    np.minimum(z, zero, out=out)
-    np.exp(out, out=out)
-    return np.divide(out, tmp, out=out)
+
+    def into(out: np.ndarray) -> np.ndarray:
+        np.minimum(z, zero, out=num)
+        np.abs(z, out=den)
+        np.negative(den, out=den)
+        np.exp(e, out=e)
+        np.add(one, den, out=den)
+        return np.divide(num, den, out=out)
+    return into
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return _sigmoid_into(z)(np.empty_like(z))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -711,34 +728,66 @@ def lstm(xz: Tensor, w_h: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
     gates and repeats, operation for operation and in the same order,
     what the per-step composition of slice/matmul/add/sigmoid/tanh/mul
     would compute on the tape, so the gradients equal it to the bit.
+
+    Batched: xz [T, B, 4H] with h0, c0 [B, H] returns [T + 2, B, H], each
+    sequence on its own row. It records no gradient: under a tape that
+    would record it, it raises ValueError.
     """
-    xzd, whd = xz.data, w_h.data
+    xzd, whd, h0d, c0d = xz.data, w_h.data, h0.data, c0.data
     n, hs = xzd.shape[0], whd.shape[0]
     dt = xzd.dtype
-    out = np.empty((n + 2, hs), dtype=dt)
-    gates = np.empty_like(xzd)  # sigmoid(z): i, f, (cell slot unused), o
-    # Row t holds step t's factors [tanh(g_t), c_{t-1}, i_t, tanh(c_t)], so
-    # [i, f] * row[:2H] is [i*g, f*c] in one multiply; row n holds c_T.
-    fac = np.empty((n + 1, 4 * hs), dtype=dt)
-    fac[0, hs:2 * hs] = c0.data
-    z, tmp = np.empty((2, 4 * hs), dtype=dt)
-    ig_fc = np.empty(2 * hs, dtype=dt)
-    zg, ig, fc = z[2 * hs:3 * hs], ig_fc[:hs], ig_fc[hs:]
-    h0d = h = h0.data
-    # row views of column slices: cheaper per step than slicing each row
-    rows = zip(xzd, gates, gates[:, :2 * hs], gates[:, 3 * hs:], fac[:, :2 * hs],
-               fac[:, :hs], fac[:, 3 * hs:], fac[1:, hs:2 * hs], out)
-    for xt, s, s_if, s_o, f_gc, f_g, f_tc, c, ht in rows:
-        np.dot(h, whd, out=z)
+    taped = records((xz, w_h, h0, c0))
+    if xzd.ndim == 3:
+        if taped:
+            raise ValueError("a batched lstm records no gradient; run it "
+                             "untaped or on untracked inputs")
+        # gate-major steps: z[k] = h @ w_h[:, kH:(k+1)H] for all rows at once
+        hshape = c0d.shape
+        prod, w = np.matmul, np.ascontiguousarray(
+            whd.reshape(hs, 4, hs).transpose(1, 0, 2))
+        z = np.empty((4,) + hshape, dtype=dt)
+        xrows = xzd.reshape(n, -1, 4, hs).transpose(0, 2, 1, 3)
+    else:
+        hshape = (hs,)
+        prod, w = np.dot, whd
+        z = np.empty(4 * hs, dtype=dt)
+        xrows = xzd
+    out = np.empty((n + 2,) + hshape, dtype=dt)
+    zg = z.reshape((4,) + hshape)[2]
+    sigmoid_into = _sigmoid_into(z)
+    ig_fc = np.empty((2,) + hshape, dtype=dt)
+    ig, fc = ig_fc
+    # A factor row holds a step's [tanh(g_t), c_{t-1}, i_t, tanh(c_t)], so
+    # [i, f] * row[:2] is [i*g, f*c] in one multiply; c_t goes to the next
+    # row. Taped, every step keeps its sigmoid gates (cell slot unused) and
+    # factors, and row n holds c_T; untaped, one gate row and two
+    # alternating factor rows serve every step.
+    if taped:
+        gates = np.empty((n,) + z.shape, dtype=dt)
+        fac = np.empty((n + 1, 4 * hs), dtype=dt)
+        g4, f4 = gates.reshape(n, 4, hs), fac.reshape(n + 1, 4, hs)
+        # row views of column slices: cheaper per step than slicing each row
+        steps = zip(gates, g4[:, :2], g4[:, 3], f4[:-1, :2], f4[:-1, 0],
+                    f4[:-1, 3], f4[1:, 1])
+    else:
+        s = np.empty_like(z)
+        s4 = s.reshape((4,) + hshape)
+        f4 = np.empty((2, 4) + hshape, dtype=dt)
+        steps = itertools.cycle([(s, s4[:2], s4[3], a[:2], a[0], a[3], b[1])
+                                 for a, b in (f4, f4[::-1])])
+    f4[0, 1] = c0d
+    h, c = h0d, c0d
+    for xt, (s, s_if, s_o, f_gc, f_g, f_tc, c), ht in zip(xrows, steps, out):
+        prod(h, w, out=z)
         np.add(xt, z, out=z)
-        _sigmoid(z, s, tmp)
+        sigmoid_into(s)
         np.tanh(zg, out=f_g)
         np.multiply(s_if, f_gc, out=ig_fc)  # [i*g, f*c]
         np.add(fc, ig, out=c)
         np.tanh(c, out=f_tc)
         h = np.multiply(s_o, f_tc, out=ht)
     out[n] = h
-    out[n + 1] = fac[n, hs:2 * hs]
+    out[n + 1] = c
 
     def build():
         # dz_t = (([dc, dc, dc, dh] * fac[t]) * gates[t]) * u_t is then each
@@ -810,8 +859,12 @@ def _allpole_taps(a1: np.ndarray, a2: np.ndarray, b: int):
     else:
         g = np.zeros((b + 2, a1.shape[0]))
         g[2] = 1.0
-        for t in range(3, b + 2):
-            g[t] = -a1 * g[t - 1] - a2 * g[t - 2]
+        m1, tmp = -a1, np.empty_like(g[0])
+        # g[t] = -a1 * g[t-1] - a2 * g[t-2], the same operations in place
+        for g2, g1, g0 in zip(g[1:], g[2:], g[3:]):
+            np.multiply(m1, g1, out=g0)
+            np.multiply(a2, g2, out=tmp)
+            np.subtract(g0, tmp, out=g0)
         g = np.ascontiguousarray(g.T)
     return g, np.fft.rfft(g[:, 2:], n=2 * b, axis=1)
 

@@ -1,5 +1,6 @@
 """Stepped-sine analyzer against analytic responses; plot emission."""
 
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import gradfx.tensor as T
 from gradfx import analysis as A
 from gradfx import controllers as C
+from gradfx import models as M
 from gradfx import processors as P
 from gradfx.tensor import Tensor
 
@@ -44,6 +46,12 @@ def test_sweep_config_validation_and_tail():
         A.SweepConfig(steps=1)
     with pytest.raises(ValueError):
         A.SweepConfig(f1=1.5)  # tail would exceed half the render
+    # a tail shorter than one period of f1 could not be measured
+    with pytest.raises(ValueError, match="no full period of f1 = 100 Hz"):
+        A.SweepConfig(f1=100.0, f2=1000.0, steps=2, T=0.5)
+    with pytest.raises(ValueError, match="no full period of f1 = 7 Hz"):
+        A.SweepConfig(f1=7.0, T=1.0)  # 48000 / 7 is no integer
+    assert A.SweepConfig(f1=100.0, f2=1000.0, steps=2, T=1.0).tail_length == 480
 
 
 def test_flat_gain_measurement():
@@ -76,6 +84,70 @@ def test_lti_chain_matches_analytic_response():
     ph_ref = np.unwrap(np.angle(h))
     assert np.max(np.abs(curve.magnitude_db - mag_ref)) < 0.05
     assert np.max(np.abs(curve.phase_rad - ph_ref)) < 0.02
+
+
+def _per_frequency_sweep(model, cfg, c=None, freqs=None):
+    """The sweep as one warm-up and one measured render per frequency: the
+    loop the batched recurrent path replaced, kept as its oracle."""
+    tail = cfg.tail_length
+    n_meas = int(round(cfg.T * cfg.fs))
+    n_warm = int(round(cfg.warmup * cfg.fs))
+    dt = T.default_dtype()
+    mags, phases = [], []
+    for f in cfg.frequencies if freqs is None else freqs:
+        t_all = np.arange(n_warm + n_meas, dtype=np.float64) / cfg.fs
+        x_all = cfg.amplitude * np.sin(2 * np.pi * f * t_all)
+        state = None
+        if n_warm:
+            _, state = model.forward(Tensor(x_all[:n_warm].astype(dt)), c,
+                                     state)
+        y, _ = model.forward(Tensor(x_all[n_warm:].astype(dt)), c, state)
+        zx = A._project(x_all[n_warm:][-tail:], f, cfg.fs)
+        zy = A._project(np.asarray(y.data, dtype=np.float64)[-tail:], f,
+                        cfg.fs)
+        mags.append(20.0 * np.log10(abs(zy / zx)))
+        phases.append(np.angle(zy / zx))
+    return np.array(mags), np.unwrap(phases)
+
+
+def _lstm_model(mode):
+    return M.LSTMModel(num_controls=0 if mode == "none" else 2, hidden=16,
+                       cond_mode=mode, rng=np.random.default_rng(140))
+
+
+# the warm-up, 1024 samples, is whole control blocks of the tvcond model:
+# the oracle restarts its block grid there, the batched render does not
+_LSTM_SWEEP = A.SweepConfig(fs=8000.0, f1=50.0, f2=3000.0, steps=5, T=1.0,
+                            warmup=0.128)
+
+
+@pytest.mark.parametrize("mode", ["none", "concat", "tvcond"])
+def test_batched_lstm_sweep_matches_per_frequency_renders(mode):
+    model = _lstm_model(mode)
+    c = None if mode == "none" else Tensor(np.array([0.3, 0.8], dtype=np.float32))
+    curve = A.stepped_sine_response(model, _LSTM_SWEEP, c)
+    mags, phases = _per_frequency_sweep(model, _LSTM_SWEEP, c)
+    assert np.max(np.abs(curve.magnitude_db - mags)) < 1e-6
+    assert np.max(np.abs(curve.phase_rad - phases)) < 1e-6
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batched_lstm_sweep_holds_no_more_than_one_frequency():
+    model = _lstm_model("none")
+    cfg = A.SweepConfig(fs=8000.0, f1=50.0, f2=3000.0, steps=8, T=1.0,
+                        warmup=0.128)
+    batched = _traced_peak(lambda: A.stepped_sine_response(model, cfg))
+    single = _traced_peak(lambda: _per_frequency_sweep(model, cfg,
+                                                       freqs=[cfg.f1]))
+    assert batched <= 1.25 * single, batched / single
 
 
 def test_amplitude_response_tanh_and_rational():

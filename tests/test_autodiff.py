@@ -467,6 +467,42 @@ def test_lstm_cell_gradients():
     assert grad_check(fp, lstm.parameters()) < TOL
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, n, hidden", [(1, 1, 7), (2, 300, 7), (5, 2048, 32)])
+def test_lstm_batched_rows_match_unbatched(dtype, b, n, hidden):
+    rng = np.random.default_rng(40 + b)
+    xz = (rng.standard_normal((n, b, 4 * hidden))).astype(dtype)
+    w_h = Tensor((0.3 * rng.standard_normal((hidden, 4 * hidden))).astype(dtype))
+    h0 = (0.5 * rng.standard_normal((b, hidden))).astype(dtype)
+    c0 = (0.5 * rng.standard_normal((b, hidden))).astype(dtype)
+    assert len({row.tobytes() for row in h0}) == b  # distinct rows
+    out = T.lstm(Tensor(xz), w_h, Tensor(h0), Tensor(c0)).data
+    assert out.shape == (n + 2, b, hidden) and out.dtype == dtype
+    for k in range(b):
+        ref = T.lstm(Tensor(np.ascontiguousarray(xz[:, k])), w_h,
+                     Tensor(h0[k]), Tensor(c0[k])).data
+        if dtype == np.float32:
+            assert np.array_equal(out[:, k], ref), k
+        else:
+            assert np.max(np.abs(out[:, k] - ref)) <= 1e-12, k
+
+
+def test_lstm_batched_records_no_gradient():
+    rng = np.random.default_rng(44)
+    xz, w_h = randt(rng, 5, 2, 12), randt(rng, 3, 12)
+    h0, c0 = randt(rng, 2, 3), randt(rng, 2, 3)
+    w_h.requires_grad = True
+    with Tape():
+        with pytest.raises(ValueError, match="batched"):
+            T.lstm(xz, w_h, h0, c0)
+    # untracked inputs under a tape, and no tape at all, run
+    w_h.requires_grad = False
+    with Tape() as tape:
+        taped = T.lstm(xz, w_h, h0, c0)
+    assert tape.nodes == []
+    assert np.array_equal(taped.data, T.lstm(xz, w_h, h0, c0).data)
+
+
 def test_lstm_layer_fast_path_matches_taped():
     rng = np.random.default_rng(14)
     T.set_default_dtype(np.float64)

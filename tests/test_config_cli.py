@@ -4,11 +4,13 @@ import shutil
 import numpy as np
 import pytest
 
+from gradfx import analysis as A
 from gradfx import cli
 from gradfx import data as D
 from gradfx import training as tr
 from gradfx.config import ConfigError, load_config
-from gradfx.models import ModelSpec
+from gradfx.models import ModelSpec, load_checkpoint, save_checkpoint
+from gradfx.tensor import Tensor
 
 
 def _write_dataset(root, n_files=5, length=8192, gain=0.5, fs=48000,
@@ -315,6 +317,47 @@ def test_cli_analyze_blackbox_whole_model_only(tmp_path):
     assert list(out.glob("stage_*.csv")) == []
 
 
+def test_cli_analyze_measures_a_batchnorm_model_in_eval_mode(tmp_path):
+    # in training mode batch norm would normalize by each tone's own
+    # statistics, and move the running ones
+    model_doc = {"kind": "tcn", "sample_rate": 48000.0, "num_controls": 0,
+                 "tcn": {"blocks": 2, "kernel": 3, "dilation_growth": 2,
+                         "channels": 4, "batchnorm": True}}
+    spec = ModelSpec.from_dict(model_doc)
+    model = spec.build(np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    for _ in range(3):  # running statistics away from their start
+        model.forward(Tensor((0.5 * rng.standard_normal(4096) + 0.2)
+                             .astype(np.float32)))
+    ckpt = tmp_path / "bn.json"
+    save_checkpoint(ckpt, model, spec)
+    cfg_path = _write_config(tmp_path / "exp.json", model=model_doc,
+                             extra={"analysis": {"f1": 100.0, "f2": 4000.0,
+                                                 "steps": 3, "T": 1.0,
+                                                 "warmup": 0.05}},
+                             with_data=False)
+    assert cli.main(["analyze", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 0
+    ref, _, _ = load_checkpoint(ckpt)
+    ref.eval()
+    A.emit_plot_data(A.stepped_sine_response(ref, load_config(cfg_path)
+                                             .sweep_cfg),
+                     tmp_path / "ref.csv")
+    assert ((tmp_path / "out" / "response_model.csv").read_text()
+            == (tmp_path / "ref.csv").read_text())
+
+
+def test_cli_analyze_rejects_a_tail_without_a_period_exit2(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path / "exp.json",
+                             extra={"analysis": {"f1": 100.0, "f2": 1000.0,
+                                                 "steps": 2, "T": 0.5}},
+                             with_data=False)
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "/analysis: analysis tail of 240 samples holds no full period" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_render_identity(tmp_path):
     cfg_path = _write_config(tmp_path / "exp.json", with_data=False)
     t = np.arange(4000) / 48000.0
@@ -416,6 +459,22 @@ def test_cli_train_resume_exhausted_checkpoint_exit2(tmp_path, capsys):
                    str(tmp_path / "first_out" / "checkpoint.json")])
     assert rc == 2
     assert "max_steps" in capsys.readouterr().err
+
+
+def test_cli_train_resume_without_validation_saves_the_final_state(tmp_path):
+    _write_dataset(tmp_path)
+    full = _write_config(tmp_path / "full.json",
+                         extra=dict(_resume_doc(12), output_dir="full_out"))
+    assert cli.main(["train", "--config", str(full)]) == 0
+    first = _write_config(tmp_path / "first.json",
+                          extra=dict(_resume_doc(6), output_dir="out"))
+    assert cli.main(["train", "--config", str(first)]) == 0
+    resumed = _write_config(tmp_path / "resumed.json",
+                            extra=dict(_resume_doc(12), output_dir="out"))
+    assert cli.main(["train", "--config", str(resumed), "--checkpoint",
+                     str(tmp_path / "out" / "checkpoint.json")]) == 0
+    assert ((tmp_path / "out" / "checkpoint.json").read_bytes()
+            == (tmp_path / "full_out" / "checkpoint.json").read_bytes())
 
 
 def test_cli_train_resume_keeps_the_run_log(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Model assembly: receptive fields, causality, chains, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,22 @@ def test_lstm_tvcond_chunked_on_block_boundary():
     b, _ = model.forward(Tensor(x[64:]), c, state=st)
     stitched = np.concatenate([a.data, b.data])
     assert np.max(np.abs(stitched - full.data)) < 1e-6
+
+
+def test_untaped_lstm_forward_keeps_no_per_step_gates():
+    # inference holds the input projection and the output, 5H floats per
+    # sample; per-step gates and factors would add 8H more
+    hidden, n = 32, 48000
+    model = M.LSTMModel(hidden=hidden, rng=np.random.default_rng(90))
+    x = Tensor((0.1 * np.random.default_rng(91).standard_normal(n))
+               .astype(np.float32))
+    tracemalloc.start()
+    try:
+        model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * hidden * 4 * n, peak / (hidden * 4 * n)
 
 
 # -- causality ---------------------------------------------------------------

@@ -290,6 +290,26 @@ def test_per_block_filter_matches_carried_state_recursion(block):
     assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
 
 
+def _allpole_taps_expression(a1, a2, b):
+    """The per-block taps as the expression the in-place loop replaced."""
+    g = np.zeros((b + 2, a1.shape[0]))
+    g[2] = 1.0
+    for t in range(3, b + 2):
+        g[t] = -a1 * g[t - 1] - a2 * g[t - 2]
+    return np.ascontiguousarray(g.T)
+
+
+def test_per_block_taps_equal_the_expression_they_replace():
+    rng = np.random.default_rng(38)
+    r, theta = rng.uniform(0.3, 0.999, 40), rng.uniform(0.0, np.pi, 40)
+    a1, a2 = -2.0 * r * np.cos(theta), r * r  # distinct stable pole pairs
+    g, spectrum = T._allpole_taps(a1, a2, T._BIQUAD_BLOCK)
+    ref = _allpole_taps_expression(a1, a2, T._BIQUAD_BLOCK)
+    assert np.array_equal(g, ref)
+    assert np.array_equal(spectrum, np.fft.rfft(ref[:, 2:], n=2 * T._BIQUAD_BLOCK,
+                                                axis=1))
+
+
 @pytest.mark.parametrize("block", [128, 256])
 def test_per_block_constant_coefficients_equal_static_path(block):
     rng = np.random.default_rng(37)
