@@ -109,11 +109,6 @@ def _project(signal: np.ndarray, freq: float, fs: float) -> complex:
     return 2.0 * np.dot(seg, basis) / span
 
 
-def _tones(cfg: SweepConfig, freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The sweep's sinusoids, one row per frequency, at times t."""
-    return cfg.amplitude * np.sin(2 * np.pi * freqs[:, None] * t)
-
-
 def _render(model, cfg: SweepConfig, freqs, edges, c, tail: int,
             batched: bool):
     """Tones at `freqs` through the model over the pieces between
@@ -126,7 +121,8 @@ def _render(model, cfg: SweepConfig, freqs, edges, c, tail: int,
     y_tail = np.empty((len(freqs), tail), dtype=dt)
     state = None
     for a, e in zip(edges, edges[1:]):
-        x = _tones(cfg, freqs, np.arange(a, e, dtype=np.float64) / cfg.fs)
+        t = np.arange(a, e, dtype=np.float64) / cfg.fs
+        x = cfg.amplitude * np.sin(2 * np.pi * freqs[:, None] * t)
         y, state = model.forward(Tensor((x if batched else x[0]).astype(dt)),
                                  c, state)
         j = max(a, start)
