@@ -63,6 +63,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _setup(args):
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError([f"--seed: expected a nonnegative integer, "
+                           f"got {args.seed}"])
     cfg = load_config(args.config)
     if args.output_dir:
         cfg.output_dir = Path(args.output_dir)
@@ -74,10 +77,17 @@ def _setup(args):
     return cfg
 
 
-def _load_splits(cfg) -> dict:
+def _load_splits(cfg, need: str) -> dict:
+    """Segments per split; the split named by `need` must not be empty."""
     if cfg.data is None:
         raise ConfigError(["/data: required for this command"])
-    manifest = D.load_manifest(cfg.data["manifest"])
+    try:
+        manifest = D.load_manifest(cfg.data["manifest"])
+        splits = D.segment(manifest, cfg.data["segment_len"],
+                           cfg.data["hop"], cfg.data["fractions"],
+                           cfg.data["seed"])
+    except ValueError as e:
+        raise ConfigError([f"/data/manifest: {e}"])
     if manifest.sample_rate != cfg.model_spec.sample_rate:
         raise ConfigError([f"/data/manifest: sample rate "
                            f"{manifest.sample_rate} != model rate "
@@ -86,15 +96,24 @@ def _load_splits(cfg) -> dict:
         raise ConfigError([f"/data/manifest: {manifest.num_controls} "
                            f"controls != model's "
                            f"{cfg.model_spec.num_controls}"])
-    return D.segment(manifest, cfg.data["segment_len"], cfg.data["hop"],
-                     cfg.data["fractions"], cfg.data["seed"])
+    if not splits[need]:
+        raise ConfigError([f"/data/fractions: {cfg.data['fractions']!r} "
+                           f"leaves no {need} file of {len(manifest)}"])
+    return splits
 
 
-def _model_from_checkpoint(cfg, checkpoint_path):
-    model, spec, extra = load_checkpoint(checkpoint_path)
+def _check_spec(cfg, spec, checkpoint_path) -> None:
     if spec.to_dict() != cfg.model_spec.to_dict():
         raise ConfigError(["/model: config does not match the model spec stored "
                            f"in {checkpoint_path}"])
+
+
+def _model(cfg, checkpoint_path):
+    """The checkpoint's model, or a fresh one seeded by the training seed."""
+    if not checkpoint_path:
+        return cfg.model_spec.build(np.random.default_rng(cfg.train_cfg.seed))
+    model, spec, _ = load_checkpoint(checkpoint_path)
+    _check_spec(cfg, spec, checkpoint_path)
     return model
 
 
@@ -119,7 +138,7 @@ def _resumed_log(path, step: int):
 
 
 def cmd_train(cfg, args) -> int:
-    splits = _load_splits(cfg)
+    splits = _load_splits(cfg, "train")
     out = cfg.output_dir
     ckpt = out / "checkpoint.json"
     start_step, best, log = 0, np.inf, None
@@ -129,17 +148,14 @@ def cmd_train(cfg, args) -> int:
                 args.checkpoint, cfg.train_cfg)
         except ValueError as e:
             raise ConfigError([f"--checkpoint: {e}"])
-        if spec.to_dict() != cfg.model_spec.to_dict():
-            raise ConfigError(["/model: config does not match the model spec "
-                               f"stored in {args.checkpoint}"])
+        _check_spec(cfg, spec, args.checkpoint)
         if start_step >= cfg.train_cfg.max_steps:
             raise ConfigError([f"--checkpoint: saved step {start_step} is "
                                f"not before train.max_steps "
                                f"{cfg.train_cfg.max_steps}"])
         log = _resumed_log(out / "run_log.csv", start_step)
     else:
-        model = cfg.model_spec.build(
-            np.random.default_rng(cfg.train_cfg.seed))
+        model = _model(cfg, None)
         optimizer = tr.Adam(model.parameters(), cfg.train_cfg.lr,
                             cfg.train_cfg.beta1, cfg.train_cfg.beta2,
                             cfg.train_cfg.eps)
@@ -162,8 +178,8 @@ def cmd_train(cfg, args) -> int:
 
 
 def cmd_test(cfg, args) -> int:
-    model = _model_from_checkpoint(cfg, args.checkpoint)
-    splits = _load_splits(cfg)
+    model = _model(cfg, args.checkpoint)
+    splits = _load_splits(cfg, "test")
     metrics = tr.evaluate(model, splits["test"], cfg.train_cfg.weights,
                           cfg.train_cfg.mrstft_cfg)
     _write_metrics(cfg.output_dir / "metrics.csv", cfg.model_spec.kind,
@@ -210,11 +226,7 @@ def _stage_report(out_dir: Path, i: int, proc, ctrl, c, sweep) -> Path:
 
 
 def cmd_analyze(cfg, args) -> int:
-    if args.checkpoint:
-        model = _model_from_checkpoint(cfg, args.checkpoint)
-    else:
-        model = cfg.model_spec.build(
-            np.random.default_rng(cfg.train_cfg.seed))
+    model = _model(cfg, args.checkpoint)
     model.eval()
     c = None
     if cfg.model_spec.num_controls:
@@ -246,11 +258,7 @@ def cmd_render(cfg, args) -> int:
                            f"{cfg.model_spec.num_controls}"])
     if any(not 0.0 <= v <= 1.0 for v in controls):
         raise ConfigError(["/: controls must lie in [0, 1]"])
-    if args.checkpoint:
-        model = _model_from_checkpoint(cfg, args.checkpoint)
-    else:
-        model = cfg.model_spec.build(
-            np.random.default_rng(cfg.train_cfg.seed))
+    model = _model(cfg, args.checkpoint)
     model.eval()
     c = Tensor(np.asarray(controls, dtype=T.default_dtype())) \
         if controls else None

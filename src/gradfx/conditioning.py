@@ -192,7 +192,6 @@ class TVCond(nn.Module):
                  block_size: int = 128, latent: int = 16):
         self.controller = BlockLSTM(latent, rng, block_size, num_controls)
         self.block_size = block_size
-        self.latent_dim = latent
 
     def generate(self, x: Tensor, c, state):
         """Returns [T, latent] for x [T], or [T, B, latent] for x [B, T],

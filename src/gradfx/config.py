@@ -7,6 +7,7 @@ the like) before any compute starts.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -16,31 +17,59 @@ from .training import EVAL_COLUMNS, TrainConfig
 
 OUTPUT_ROOT_ENV = "GRADFX_OUTPUT_ROOT"
 
-_TRAIN_KEYS = {"max_steps", "batch_size", "lr", "beta1", "beta2", "eps",
-               "w_l1", "w_mrstft", "mrstft_resolutions", "tbptt",
-               "chunk_len", "warmup_len", "validate_every", "seed",
-               "stop_metric", "stop_value"}
 
-# /train values TrainConfig would take and then fail on mid-run:
-# field -> (check on the JSON value, what the field must hold)
-_NUMBER = (int, float)
-_TRAIN_RULES = {
-    "max_steps": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "batch_size": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "validate_every": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "seed": (lambda v: type(v) is int, "an integer"),
-    "lr": (lambda v: type(v) in _NUMBER and v > 0, "a number > 0"),
-    "beta1": (lambda v: type(v) in _NUMBER and 0 <= v < 1, "a number in [0, 1)"),
-    "beta2": (lambda v: type(v) in _NUMBER and 0 <= v < 1, "a number in [0, 1)"),
-    "eps": (lambda v: type(v) in _NUMBER and v > 0, "a number > 0"),
-    "chunk_len": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "warmup_len": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
-    "stop_metric": (lambda v: v is None or v in EVAL_COLUMNS,
-                    "one of " + ", ".join(EVAL_COLUMNS)),
+def _number(v) -> bool:
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+def _integer(lo: int):
+    return lambda v: type(v) is int and v >= lo
+
+
+_COUNT = (_integer(1), "an integer >= 1")
+_NATURAL = (_integer(0), "a nonnegative integer")
+_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
+_NONNEGATIVE = (lambda v: _number(v) and v >= 0, "a number >= 0")
+_UNIT = (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)")
+
+# Every field of /train, /data and /analysis: field -> (check on the JSON
+# value, what it must hold). The keys are the accepted fields; checks that
+# span fields, and the defaults, stay with the objects the sections build.
+_RULES = {
+    "train": {
+        "max_steps": _COUNT, "batch_size": _COUNT, "lr": _POSITIVE,
+        "beta1": _UNIT, "beta2": _UNIT, "eps": _POSITIVE,
+        "w_l1": _NONNEGATIVE, "w_mrstft": _NONNEGATIVE,
+        "mrstft_resolutions": (
+            lambda v: type(v) is list and len(v) > 0 and all(
+                type(r) is list and len(r) == 3
+                and all(type(n) is int for n in r) for r in v),
+            "a non-empty list of [fft, hop, window] integer triples"),
+        "tbptt": (lambda v: type(v) is bool, "true or false"),
+        "chunk_len": _COUNT, "warmup_len": _NATURAL,
+        "validate_every": _COUNT, "seed": _NATURAL,
+        "stop_metric": (lambda v: v is None or v in EVAL_COLUMNS,
+                        "one of " + ", ".join(EVAL_COLUMNS)),
+        "stop_value": (lambda v: v is None or _number(v), "a number or null"),
+    },
+    "data": {
+        "manifest": (lambda v: type(v) is str, "a string path"),
+        "segment_len": (_COUNT[0], "positive integer"),
+        "hop": (lambda v: v is None or _COUNT[0](v), "positive integer or null"),
+        "fractions": (
+            lambda v: type(v) is list and len(v) == 3
+            and all(_number(f) and 0 <= f <= 1 for f in v)
+            and abs(sum(v) - 1.0) <= 1e-9,
+            "[train, val, test], three numbers in [0, 1] summing to 1"),
+        "seed": _NATURAL,
+    },
+    "analysis": {
+        "fs": _POSITIVE, "f1": _POSITIVE,
+        "f2": (lambda v: v is None or _POSITIVE[0](v), "a number > 0 or null"),
+        "steps": (_integer(2), "an integer >= 2"),
+        "T": _POSITIVE, "amplitude": _POSITIVE, "warmup": _NONNEGATIVE,
+    },
 }
-
-_SWEEP_KEYS = {"fs", "f1", "f2", "steps", "T", "amplitude", "warmup"}
-_DATA_KEYS = {"manifest", "segment_len", "hop", "fractions", "seed"}
 
 
 class ConfigError(ValueError):
@@ -63,39 +92,35 @@ class ExperimentConfig:
         self.output_dir = Path(output_dir)
 
 
+def _check_fields(section: str, doc, problems) -> bool:
+    """Report each unknown field and bad value; True when there is none."""
+    if not isinstance(doc, dict):
+        problems.append(f"/{section}: expected an object")
+        return False
+    rules = _RULES[section]
+    before = len(problems)
+    for key, value in doc.items():
+        if key not in rules:
+            problems.append(f"/{section}/{key}: unknown field")
+        elif not rules[key][0](value):
+            problems.append(f"/{section}/{key}: expected {rules[key][1]}, "
+                            f"got {value!r}")
+    return len(problems) == before
+
+
 def _check_data(d, base: Path, problems) -> dict | None:
+    """/data with defaults and the manifest path; None if a field is bad."""
+    valid = _check_fields("data", d, problems)
     if not isinstance(d, dict):
-        problems.append("/data: expected an object")
         return None
-    for key in d:
-        if key not in _DATA_KEYS:
-            problems.append(f"/data/{key}: unknown field")
-    out = {"segment_len": d.get("segment_len", 48000),
-           "hop": d.get("hop"), "fractions": d.get("fractions",
-                                                   (0.8, 0.1, 0.1)),
-           "seed": d.get("seed", 0)}
-    if not isinstance(out["segment_len"], int) or out["segment_len"] < 1:
-        problems.append("/data/segment_len: expected positive integer")
-    if out["hop"] is not None and (not isinstance(out["hop"], int)
-                                   or out["hop"] < 1):
-        problems.append("/data/hop: expected positive integer")
-    fr = out["fractions"]
-    if not (isinstance(fr, (list, tuple)) and len(fr) == 3
-            and all(type(v) in _NUMBER and 0 <= v <= 1 for v in fr)
-            and abs(sum(fr) - 1.0) <= 1e-9):
-        problems.append("/data/fractions: expected [train, val, test], three "
-                        f"numbers in [0, 1] summing to 1, got {fr!r}")
-    man = d.get("manifest")
-    if not isinstance(man, str):
+    if "manifest" not in d:
         problems.append("/data/manifest: required string path")
-        return out
-    path = Path(man)
-    if not path.is_absolute():
-        path = base / path
-    if not path.exists():
-        problems.append(f"/data/manifest: file not found: {path}")
-    out["manifest"] = path
-    return out
+    elif type(d["manifest"]) is str:
+        d = dict(d, manifest=base / d["manifest"])  # unless absolute
+        if not d["manifest"].exists():
+            problems.append(f"/data/manifest: file not found: {d['manifest']}")
+    return ({"segment_len": 48000, "hop": None, "fractions": (0.8, 0.1, 0.1),
+             "seed": 0, **d} if valid else None)
 
 
 def _check_lengths(data: dict | None, tc: TrainConfig, problems) -> None:
@@ -103,8 +128,6 @@ def _check_lengths(data: dict | None, tc: TrainConfig, problems) -> None:
     and truncated BPTT needs a warm-up plus one whole chunk per segment."""
     fft = tc.mrstft_cfg.max_fft
     seg = data["segment_len"] if data is not None else None
-    if not isinstance(seg, int) or seg < 1:
-        seg = None  # absent, or already reported
     if seg is not None and seg < fft:
         problems.append(f"/data/segment_len: {seg} is shorter than the "
                         f"largest MR-STFT fft size {fft}")
@@ -152,48 +175,23 @@ def load_config(path) -> ExperimentConfig:
 
     train_cfg = None
     tdoc = doc.get("train", {})
-    if not isinstance(tdoc, dict):
-        problems.append("/train: expected an object")
-    else:
-        bad = False
-        for key, value in tdoc.items():
-            if key not in _TRAIN_KEYS:
-                problems.append(f"/train/{key}: unknown field")
-                bad = True
-            elif key in _TRAIN_RULES and not _TRAIN_RULES[key][0](value):
-                problems.append(f"/train/{key}: expected "
-                                f"{_TRAIN_RULES[key][1]}, got {value!r}")
-                bad = True
-        if not bad:
-            try:
-                kwargs = dict(tdoc)
-                if "mrstft_resolutions" in kwargs:
-                    kwargs["mrstft_resolutions"] = tuple(
-                        tuple(r) for r in kwargs["mrstft_resolutions"])
-                train_cfg = TrainConfig(**kwargs)
-            except (ValueError, TypeError) as e:
-                problems.append(f"/train: {e}")
-            else:
-                _check_lengths(data, train_cfg, problems)
+    if _check_fields("train", tdoc, problems):
+        try:
+            train_cfg = TrainConfig(**tdoc)
+        except ValueError as e:
+            problems.append(f"/train: {e}")
+        else:
+            _check_lengths(data, train_cfg, problems)
 
     sweep_cfg = None
     adoc = doc.get("analysis", {})
-    if not isinstance(adoc, dict):
-        problems.append("/analysis: expected an object")
-    else:
-        bad = False
-        for key in adoc:
-            if key not in _SWEEP_KEYS:
-                problems.append(f"/analysis/{key}: unknown field")
-                bad = True
-        if not bad:
-            try:
-                kwargs = dict(adoc)
-                if "fs" not in kwargs and model_spec is not None:
-                    kwargs["fs"] = model_spec.sample_rate
-                sweep_cfg = SweepConfig(**kwargs)
-            except (ValueError, TypeError) as e:
-                problems.append(f"/analysis: {e}")
+    if _check_fields("analysis", adoc, problems):
+        if "fs" not in adoc and model_spec is not None:
+            adoc = dict(adoc, fs=model_spec.sample_rate)
+        try:
+            sweep_cfg = SweepConfig(**adoc)
+        except ValueError as e:
+            problems.append(f"/analysis: {e}")
 
     out_dir = doc.get("output_dir")
     if out_dir is not None and not isinstance(out_dir, str):

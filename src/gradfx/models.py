@@ -37,6 +37,20 @@ def receptive_field(blocks: int, kernel: int, growth: int) -> int:
 
 # -- recurrent ---------------------------------------------------------------
 
+def _check_lstm(num_controls: int, cfg: dict) -> None:
+    """The rules of an lstm section, shared by ModelSpec and LSTMModel."""
+    for key, v in cfg.items():
+        if key == "cond_mode":
+            if v not in ("none", "concat", "tvcond"):
+                raise ValueError(f"unknown cond_mode {v!r}")
+            if v != "none" and num_controls < 1:
+                raise ValueError("conditioned model needs num_controls >= 1")
+        elif key not in ("hidden", "block_size", "tvcond_latent"):
+            raise ValueError(f"unknown lstm field {key!r}")
+        elif type(v) is not int or v < 1:
+            raise ValueError(f"lstm {key} must be an integer >= 1, got {v!r}")
+
+
 class LSTMModel(nn.Module):
     """Single LSTM layer, linear projection, tanh. No residual path.
 
@@ -48,10 +62,9 @@ class LSTMModel(nn.Module):
     def __init__(self, num_controls: int = 0, hidden: int = 32,
                  cond_mode: str = "none", rng: np.random.Generator | None = None,
                  block_size: int = 128, tvcond_latent: int = 16):
-        if cond_mode not in ("none", "concat", "tvcond"):
-            raise ValueError(f"unknown cond_mode {cond_mode!r}")
-        if cond_mode != "none" and num_controls < 1:
-            raise ValueError("conditioned model needs num_controls >= 1")
+        _check_lstm(num_controls, {"hidden": hidden, "cond_mode": cond_mode,
+                                   "block_size": block_size,
+                                   "tvcond_latent": tvcond_latent})
         rng = rng if rng is not None else np.random.default_rng()
         self.cond_mode = cond_mode
         self.num_controls = num_controls
@@ -298,7 +311,6 @@ class GrayBoxChain(nn.Module):
 
     def __init__(self, spec: GrayBoxSpec, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng()
-        self.spec = spec
         self.processors = []
         self.controllers = []
         for st in spec.stages:
@@ -354,6 +366,7 @@ class ModelSpec:
             self.config = v
         else:
             self.config = dict(v)
+            _check_lstm(num_controls, self.config)
 
     def to_dict(self) -> dict:
         if self.kind == "lstm":

@@ -115,8 +115,6 @@ class Linear(Module):
     """Affine map. Weight stored [in, out] so x @ w works without transpose."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        self.in_features = in_features
-        self.out_features = out_features
         self.w = _uniform(rng, (in_features, out_features), in_features)
         self.b = Tensor(np.zeros(out_features, dtype=T.default_dtype()),
                         requires_grad=True)
@@ -130,9 +128,6 @@ class Conv1d(Module):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, dilation: int = 1):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.dilation = dilation
         self.w = _uniform(rng, (out_channels, in_channels, kernel_size),
                           in_channels * kernel_size)

@@ -78,9 +78,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 

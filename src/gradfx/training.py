@@ -28,18 +28,8 @@ class TrainConfig:
                  warmup_len: int = 1000, validate_every: int = 500,
                  seed: int = 0, stop_metric: str | None = None,
                  stop_value: float | None = None):
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if validate_every < 1:
-            raise ValueError("validate_every must be >= 1")
-        if not lr > 0:
-            raise ValueError("lr must be > 0")
         if tbptt and batch_size != 1:
             raise ValueError("batch_size must be 1 when tbptt is enabled")
-        if tbptt and chunk_len < 1:
-            raise ValueError("chunk_len must be >= 1 when tbptt is enabled")
         if (stop_metric is None) != (stop_value is None):
             raise ValueError("stop_metric and stop_value go together")
         self.max_steps = max_steps
@@ -138,6 +128,16 @@ def _loss(y, y_hat, cfg: TrainConfig):
     return L.weighted_loss(yt, y_hat, cfg.weights, cfg.mrstft_cfg)
 
 
+def _update(tape: Tape, tot: Tensor, optimizer: Adam) -> tuple:
+    """Backward and one optimizer step when the loss is finite, a counted
+    skip otherwise; returns (loss value, whether the update applied)."""
+    loss_val = tot.item()
+    if not np.isfinite(loss_val):
+        optimizer.skipped += 1
+        return loss_val, False
+    return loss_val, optimizer.step(tape.backward(tot))
+
+
 def train_step(model, batch, optimizer: Adam, cfg: TrainConfig) -> dict:
     """One forward/backward/update over a batch of segments."""
     if not batch:
@@ -157,13 +157,7 @@ def train_step(model, batch, optimizer: Adam, cfg: TrainConfig) -> dict:
         if len(batch) > 1:
             tot = T.mul(tot, Tensor(np.asarray(1.0 / len(batch),
                                                dtype=tot.data.dtype)))
-        loss_val = tot.item()
-        applied = False
-        if np.isfinite(loss_val):
-            grads = tape.backward(tot)
-            applied = optimizer.step(grads)
-        else:
-            optimizer.skipped += 1
+        loss_val, applied = _update(tape, tot, optimizer)
     return {"loss_tot": loss_val, "loss_l1": l1_val / len(batch),
             "loss_mrstft": mr_val / len(batch), "applied": applied}
 
@@ -197,13 +191,8 @@ def tbptt_train_step(model, seg, optimizer: Adam, cfg: TrainConfig) -> dict:
         with Tape() as tape:
             y_hat, new_state = model.forward(xc, c, state)
             tot, p1, p2 = _loss(yc, y_hat, cfg)
-            loss_val = tot.item()
-            if np.isfinite(loss_val):
-                grads = tape.backward(tot)
-                if optimizer.step(grads):
-                    updates += 1
-            else:
-                optimizer.skipped += 1
+            loss_val, applied = _update(tape, tot, optimizer)
+            updates += applied
         state = detach_state(new_state)
         tots.append(loss_val)
         l1s.append(p1)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import shutil
 
@@ -8,7 +9,7 @@ from gradfx import analysis as A
 from gradfx import cli
 from gradfx import data as D
 from gradfx import training as tr
-from gradfx.config import ConfigError, load_config
+from gradfx.config import _RULES, ConfigError, load_config
 from gradfx.models import ModelSpec, load_checkpoint, save_checkpoint
 from gradfx.tensor import Tensor
 
@@ -165,8 +166,8 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
     ({"beta1": 1}, "/train/beta1: expected a number in [0, 1), got 1"),
     ({"eps": -1}, "/train/eps: expected a number > 0, got -1"),
     ({"eps": 0.0}, "/train/eps: expected a number > 0, got 0.0"),
-    ({"seed": "x"}, "/train/seed: expected an integer, got 'x'"),
-    ({"seed": 1.5}, "/train/seed: expected an integer, got 1.5"),
+    ({"seed": "x"}, "/train/seed: expected a nonnegative integer, got 'x'"),
+    ({"seed": 1.5}, "/train/seed: expected a nonnegative integer, got 1.5"),
     ({"lr": "fast"}, "/train/lr: expected a number > 0, got 'fast'"),
     ({"tbptt": True, "chunk_len": 2048.5},
      "/train/chunk_len: expected an integer >= 1, got 2048.5"),
@@ -175,6 +176,18 @@ def test_cli_missing_manifest_exit2(tmp_path, capsys):
      "/train/validate_every: expected an integer >= 1, got 2.5"),
     ({"batch_size": True},
      "/train/batch_size: expected an integer >= 1, got True"),
+    ({"max_steps": 0}, "/train/max_steps: expected an integer >= 1, got 0"),
+    ({"tbptt": True, "chunk_len": 0},
+     "/train/chunk_len: expected an integer >= 1, got 0"),
+    ({"stop_metric": "esr", "stop_value": "0.1"},
+     "/train/stop_value: expected a number or null, got '0.1'"),
+    ({"tbptt": "no"}, "/train/tbptt: expected true or false, got 'no'"),
+    ({"seed": -1}, "/train/seed: expected a nonnegative integer, got -1"),
+    ({"w_l1": "1"}, "/train/w_l1: expected a number >= 0, got '1'"),
+    ({"w_mrstft": -1}, "/train/w_mrstft: expected a number >= 0, got -1"),
+    ({"mrstft_resolutions": [[1024, 256]]},
+     "/train/mrstft_resolutions: expected a non-empty list of [fft, hop, "
+     "window] integer triples, got [[1024, 256]]"),
 ])
 def test_cli_rejects_bad_train_values_exit2(tmp_path, capsys, train, message):
     _write_dataset(tmp_path)
@@ -202,6 +215,72 @@ def test_cli_reports_every_data_problem_without_a_manifest(tmp_path, capsys):
                     "/data/segment_len: expected positive integer",
                     "/data/fractions: expected [train, val, test]"):
         assert pointer in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"hop": True}, "/data/hop: expected positive integer or null, got True"),
+    ({"seed": "x"}, "/data/seed: expected a nonnegative integer, got 'x'"),
+    ({"seed": 1.5}, "/data/seed: expected a nonnegative integer, got 1.5"),
+    ({"seed": -1}, "/data/seed: expected a nonnegative integer, got -1"),
+])
+def test_cli_rejects_bad_data_values_exit2(tmp_path, capsys, data, message):
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json")
+    doc = json.loads(cfg_path.read_text())
+    doc["data"].update(data)
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+def _with_controls(*controls):
+    """A manifest edit: entry i gets controls[i % len(controls)]."""
+    return lambda m: json.dumps(dict(m, entries=[
+        dict(e, controls=controls[i % len(controls)])
+        for i, e in enumerate(m["entries"])]))
+
+
+@pytest.mark.parametrize("command, edit, data, argv, message", [
+    ("train", _with_controls([1.5]), {}, [],
+     "/data/manifest: entry 0: controls must lie in [0, 1]"),
+    ("train", _with_controls(["x"]), {}, [],
+     "/data/manifest: could not convert string to float: 'x'"),
+    ("train", lambda m: "{ nope", {}, [],
+     "/data/manifest: Expecting property name"),
+    ("train", lambda m: json.dumps({"entries": m["entries"]}), {}, [],
+     "/data/manifest: manifest needs sample_rate and entries"),
+    ("train", lambda m: json.dumps(dict(m, entries=[])), {}, [],
+     "/data/manifest: manifest has no entries"),
+    ("train", _with_controls([], [0.5]), {}, [],
+     "/data/manifest: entries disagree on controls arity: [0, 1]"),
+    ("train", None, {"segment_len": 16384}, [],
+     "/data/manifest: entry 2: file shorter than seg_len (8192 < 16384)"),
+    ("train", None, {"fractions": [0.1, 0.45, 0.45]}, [],
+     "/data/fractions: [0.1, 0.45, 0.45] leaves no train file of 5"),
+    ("test", None, {"fractions": [0.6, 0.4, 0.0]}, [],
+     "/data/fractions: [0.6, 0.4, 0.0] leaves no test file of 5"),
+    ("train", None, {}, ["--seed", "-1"],
+     "--seed: expected a nonnegative integer, got -1"),
+])
+def test_cli_rejects_bad_inputs_read_after_load_exit2(
+        tmp_path, capsys, command, edit, data, argv, message):
+    man = _write_dataset(tmp_path)
+    if edit is not None:
+        man.write_text(edit(json.loads(man.read_text())))
+    cfg_path = _write_config(tmp_path / "exp.json")
+    doc = json.loads(cfg_path.read_text())
+    doc["data"].update(data)
+    cfg_path.write_text(json.dumps(doc))
+    if command == "test":
+        spec = ModelSpec.from_dict(doc["model"])
+        save_checkpoint(tmp_path / "ckpt.json",
+                        spec.build(np.random.default_rng(0)), spec)
+        argv = argv + ["--checkpoint", str(tmp_path / "ckpt.json")]
+    assert cli.main([command, "--config", str(cfg_path)] + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("fractions", [
@@ -235,6 +314,25 @@ def test_cli_rejects_control_conditioning_without_controls_exit2(
     assert (f"/model: cond '{cond}' needs num_controls >= 1"
             in capsys.readouterr().err)
     assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "analyze"])
+@pytest.mark.parametrize("lstm, message", [
+    ({"hidden": 4, "cond_mode": "bogus"}, "/model: unknown cond_mode 'bogus'"),
+    ({"hidden": 4, "cond_mode": "concat"},
+     "/model: conditioned model needs num_controls >= 1"),
+    ({"hidden": 2.5}, "/model: lstm hidden must be an integer >= 1, got 2.5"),
+    ({"hiden": 4}, "/model: unknown lstm field 'hiden'"),
+])
+def test_cli_rejects_bad_lstm_sections_exit2(tmp_path, capsys, command, lstm,
+                                             message):
+    _write_dataset(tmp_path)
+    model = {"kind": "lstm", "sample_rate": 48000.0, "num_controls": 0,
+             "lstm": lstm}
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_test_identity_zero_metrics(tmp_path):
@@ -356,6 +454,32 @@ def test_cli_analyze_rejects_a_tail_without_a_period_exit2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "/analysis: analysis tail of 240 samples holds no full period" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("analysis, message", [
+    ({"steps": 2.5}, "/analysis/steps: expected an integer >= 2, got 2.5"),
+    ({"steps": "6"}, "/analysis/steps: expected an integer >= 2, got '6'"),
+    ({"T": True}, "/analysis/T: expected a number > 0, got True"),
+    ({"amplitude": -1}, "/analysis/amplitude: expected a number > 0, got -1"),
+    ({"warmup": -1}, "/analysis/warmup: expected a number >= 0, got -1"),
+])
+def test_cli_analyze_rejects_bad_values_exit2(tmp_path, capsys, analysis,
+                                              message):
+    cfg_path = _write_config(tmp_path / "exp.json", with_data=False)
+    doc = json.loads(cfg_path.read_text())
+    doc["analysis"].update(analysis)
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rule_table_names_every_config_parameter():
+    # a new TrainConfig or SweepConfig parameter cannot skip its load rule
+    for section, cls in (("train", tr.TrainConfig),
+                         ("analysis", A.SweepConfig)):
+        params = set(inspect.signature(cls.__init__).parameters) - {"self"}
+        assert set(_RULES[section]) == params, section
 
 
 def test_cli_render_identity(tmp_path):

@@ -37,12 +37,11 @@ class _StubGrads:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        tr.TrainConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        tr.TrainConfig(tbptt=True, chunk_len=0)
+    # per-field rules are checked at config load (tests/test_config_cli.py)
     with pytest.raises(ValueError):
         tr.TrainConfig(stop_metric="esr")  # missing stop_value
+    with pytest.raises(ValueError):
+        tr.TrainConfig(tbptt=True, batch_size=2)
 
 
 def test_adam_matches_hand_iterates():
