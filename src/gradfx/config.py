@@ -7,26 +7,20 @@ the like) before any compute starts.
 from __future__ import annotations
 
 import json
-import math
 import os
 from pathlib import Path
 
 from .analysis import SweepConfig
-from .models import ModelSpec
+from .models import _COUNT, ModelSpec, _number
 from .training import EVAL_COLUMNS, TrainConfig
 
 OUTPUT_ROOT_ENV = "GRADFX_OUTPUT_ROOT"
-
-
-def _number(v) -> bool:
-    return type(v) is int or type(v) is float and math.isfinite(v)
 
 
 def _integer(lo: int):
     return lambda v: type(v) is int and v >= lo
 
 
-_COUNT = (_integer(1), "an integer >= 1")
 _NATURAL = (_integer(0), "a nonnegative integer")
 _POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
 _NONNEGATIVE = (lambda v: _number(v) and v >= 0, "a number >= 0")
@@ -182,6 +176,11 @@ def load_config(path) -> ExperimentConfig:
             problems.append(f"/train: {e}")
         else:
             _check_lengths(data, train_cfg, problems)
+            if train_cfg.tbptt and model_spec is not None \
+                    and model_spec.kind != "lstm":
+                problems.append(f"/train/tbptt: a {model_spec.kind} model "
+                                f"carries no state across chunks; truncated "
+                                f"BPTT needs an lstm model")
 
     sweep_cfg = None
     adoc = doc.get("analysis", {})

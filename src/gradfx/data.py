@@ -168,12 +168,20 @@ def load_manifest(path) -> RunManifest:
     """Parse and validate a manifest; relative paths resolve next to it."""
     with open(path) as f:
         doc = json.load(f)
-    if "sample_rate" not in doc or "entries" not in doc:
+    if not isinstance(doc, dict) or "sample_rate" not in doc \
+            or "entries" not in doc:
         raise ValueError("manifest needs sample_rate and entries")
+    if not isinstance(doc["entries"], list):
+        raise ValueError(f"entries must be a list, got {doc['entries']!r}")
     root = os.path.dirname(os.path.abspath(path))
     entries = []
     for i, e in enumerate(doc["entries"]):
+        if not isinstance(e, dict):
+            raise ValueError(f"entry {i}: expected an object, got {e!r}")
         controls = e.get("controls", [])
+        if not isinstance(controls, list):
+            raise ValueError(f"entry {i}: controls must be a list, "
+                             f"got {controls!r}")
         if any(not (0.0 <= float(v) <= 1.0) for v in controls):
             raise ValueError(f"entry {i}: controls must lie in [0, 1]")
         pair = []
@@ -181,6 +189,8 @@ def load_manifest(path) -> RunManifest:
             if key not in e:
                 raise ValueError(f"entry {i}: missing {key!r}")
             p = e[key]
+            if not isinstance(p, str):
+                raise ValueError(f"entry {i}: {key} must be a path, got {p!r}")
             if not os.path.isabs(p):
                 p = os.path.join(root, p)
             if not os.path.exists(p):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 
 import numpy as np
 
@@ -26,6 +27,14 @@ from .data import atomic_open
 from .tensor import Tensor
 
 COND_MODES = ("none", "film", "tfilm", "ttfilm", "tvfilm")
+
+
+def _number(v) -> bool:
+    """A finite JSON number: an int or float, not a bool."""
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 
 
 def receptive_field(blocks: int, kernel: int, growth: int) -> int:
@@ -47,8 +56,8 @@ def _check_lstm(num_controls: int, cfg: dict) -> None:
                 raise ValueError("conditioned model needs num_controls >= 1")
         elif key not in ("hidden", "block_size", "tvcond_latent"):
             raise ValueError(f"unknown lstm field {key!r}")
-        elif type(v) is not int or v < 1:
-            raise ValueError(f"lstm {key} must be an integer >= 1, got {v!r}")
+        elif not _COUNT[0](v):
+            raise ValueError(f"lstm {key} must be {_COUNT[1]}, got {v!r}")
 
 
 class LSTMModel(nn.Module):
@@ -103,12 +112,15 @@ class TCNConfig:
     def __init__(self, blocks: int = 5, kernel: int = 7,
                  dilation_growth: int = 4, channels: int = 16,
                  cond: str = "none", batchnorm: bool = False):
-        if blocks < 1 or kernel < 1 or dilation_growth < 1:
-            raise ValueError("blocks, kernel, dilation_growth must be >= 1")
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
+        for key, v in (("blocks", blocks), ("kernel", kernel),
+                       ("dilation_growth", dilation_growth),
+                       ("channels", channels)):
+            if not _COUNT[0](v):
+                raise ValueError(f"{key} must be {_COUNT[1]}, got {v!r}")
         if cond not in COND_MODES:
             raise ValueError(f"cond must be one of {COND_MODES}")
+        if type(batchnorm) is not bool:
+            raise ValueError(f"batchnorm must be true or false, got {batchnorm!r}")
         self.blocks = blocks
         self.kernel = kernel
         self.dilation_growth = dilation_growth
@@ -219,6 +231,33 @@ class GCN(nn.Module):
 
 # -- gray box ----------------------------------------------------------------
 
+# The options a stage's processor or controller takes from a config, per
+# kind: option -> (check on the JSON value, what it must hold)
+_STAGE_OPTS = {
+    "fir": {"num_taps": _COUNT, "width": _COUNT, "depth": _COUNT,
+            "w0": (lambda v: _number(v) and v > 0, "a number > 0")},
+    "rational": {"coeffs": (
+        lambda v: type(v) is dict and set(v) == {"numerator", "denominator"}
+        and all(type(v[k]) is list and len(v[k]) == n and all(map(_number, v[k]))
+                for k, n in (("numerator", 7), ("denominator", 5))),
+        "{numerator: 7 numbers, denominator: 5 numbers}")},
+    "static_cond": {"layers": _COUNT, "hidden": _COUNT},
+}
+
+
+def _check_opts(kind: str, field: str, opts) -> dict:
+    if not isinstance(opts, dict):
+        raise ValueError(f"{kind} {field} must be an object, got {opts!r}")
+    rules = _STAGE_OPTS.get(kind, {})
+    for key, v in opts.items():
+        if key not in rules:
+            raise ValueError(f"{kind} {field}: unknown option {key!r}")
+        if not rules[key][0](v):
+            raise ValueError(f"{kind} {field} {key} must be {rules[key][1]}, "
+                             f"got {v!r}")
+    return dict(opts)
+
+
 class StageSpec:
     """One chain stage: a processor kind plus the controller that drives it."""
 
@@ -231,8 +270,10 @@ class StageSpec:
             raise ValueError(f"unknown controller kind {controller!r}")
         self.processor = processor
         self.controller = controller
-        self.processor_opts = dict(processor_opts or {})
-        self.controller_opts = dict(controller_opts or {})
+        self.processor_opts = _check_opts(processor, "processor_opts",
+                                          processor_opts or {})
+        self.controller_opts = _check_opts(controller, "controller_opts",
+                                           controller_opts or {})
 
     def to_dict(self) -> dict:
         return {"processor": self.processor, "controller": self.controller,
@@ -272,19 +313,17 @@ class GrayBoxSpec:
 
 def _build_processor(st: StageSpec, spec: GrayBoxSpec, rng) -> proc.Processor:
     kind = st.processor
-    opts = dict(st.processor_opts)
     cls = proc.PROCESSOR_KINDS[kind]
     if kind in ("parametric_eq", "shelving_eq"):
-        return cls(spec.sample_rate, **opts)
+        return cls(spec.sample_rate)
     if kind == "fir":
-        return cls(rng, **opts)
-    return cls(**opts)
+        return cls(rng, **st.processor_opts)
+    return cls(**st.processor_opts)
 
 
 def _build_controller(st: StageSpec, p: proc.Processor, spec: GrayBoxSpec,
                       rng) -> ctrl.Controller:
     kind = st.controller
-    opts = dict(st.controller_opts)
     if p.num_params == 0:
         if kind != "dummy":
             raise ValueError(f"{p.name} has no controlled parameters; "
@@ -299,11 +338,10 @@ def _build_controller(st: StageSpec, p: proc.Processor, spec: GrayBoxSpec,
         raise ValueError(f"a {kind} controller needs num_controls >= 1")
     if kind == "static_cond":
         return ctrl.StaticCondController(spec.num_controls, p.num_params,
-                                         rng, **opts)
-    if kind == "dynamic_cond":
-        opts["num_controls"] = spec.num_controls
-    return ctrl.DynamicController(p.num_params, rng,
-                                  block_size=spec.block_size, **opts)
+                                         rng, **st.controller_opts)
+    return ctrl.DynamicController(
+        p.num_params, rng, block_size=spec.block_size,
+        num_controls=spec.num_controls if kind == "dynamic_cond" else 0)
 
 
 class GrayBoxChain(nn.Module):

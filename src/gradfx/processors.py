@@ -1,11 +1,14 @@
 """Differentiable audio processors: basic ops, biquad EQs, nonlinearities.
 
 Filters are second-order sections from the Bristow-Johnson cookbook,
-applied by exact recursive filtering: each section is one direct-form-I
-`tensor.biquad` node, so the IIR tail is kept whole and per-block
-(time-varying) coefficients act on the filter state carried across
-blocks. The filter is differentiable in (f0, gain, Q) through the
-coefficient formulas, which stay on the tape.
+applied by exact recursive filtering: a whole cascade is one
+direct-form-I `tensor.biquad` node over an [S, 5] (or per-block
+[nb, S, 5]) coefficient operand, so the IIR tail is kept whole and
+per-block (time-varying) coefficients act on the filter state carried
+across blocks. The coefficients are designed over a section axis: each
+cookbook formula runs once per group of kinds that share it, and one
+division normalizes by a0. The filter is differentiable in (f0, gain, Q)
+through those formulas, which stay on the tape.
 
 Controlled processors expose `num_params` physical parameters, each with
 a ParamRange mapping a controller's [0,1] output to physical units.
@@ -93,6 +96,9 @@ def offset_range() -> ParamRange:
 # ---------------------------------------------------------------------------
 # biquad sections
 
+GAIN_KINDS = ("lowshelf", "highshelf", "peak")
+
+
 class FilterParams:
     """One filter's physical parameters. Values may be floats or Tensors."""
 
@@ -101,7 +107,7 @@ class FilterParams:
     def __init__(self, kind: str, f0, q, gain_db=None, fs: float = 48000.0):
         if kind not in self.KINDS:
             raise ValueError(f"unknown filter kind {kind!r}")
-        if kind in ("lowshelf", "highshelf", "peak") and gain_db is None:
+        if kind in GAIN_KINDS and gain_db is None:
             raise ValueError(f"{kind} requires gain_db")
         self.kind = kind
         self.f0 = f0
@@ -122,65 +128,114 @@ class BiquadSection:
                 self.a0.data, self.a1.data, self.a2.data)
 
 
-def biquad_coefficients(p: FilterParams) -> BiquadSection:
-    """Cookbook coefficients for one second-order section.
+# b1 sign of each kind: lowpass and highpass differ only in it and the sign
+# of cos w0 in 1 -/+ cos w0, and so do the low and high shelf
+_SIGN = {"lowpass": 1.0, "highpass": -1.0, "lowshelf": 1.0, "highshelf": -1.0}
 
-    Differentiable w.r.t. f0 / gain_db / Q when those are tensors.
+
+def _lp_hp(one, two, cosw, alpha, A, sg):
+    c = T.sub(one, T.mul(cosw, sg))                 # 1 -/+ cos
+    b0 = T.div(c, two)
+    b1 = T.mul(c, sg)
+    a0 = T.add(one, alpha)
+    return b0, b1, b0, T.mul(T.neg(two), cosw), T.sub(one, alpha), a0
+
+
+def _peak(one, two, cosw, alpha, A, sg):
+    aA = T.mul(alpha, A)
+    adA = T.div(alpha, A)
+    m2c = T.mul(T.neg(two), cosw)
+    b0, b2 = T.add(one, aA), T.sub(one, aA)
+    a0 = T.add(one, adA)
+    return b0, m2c, b2, m2c, T.sub(one, adA), a0
+
+
+def _shelves(one, two, cosw, alpha, A, sg):
+    ap1 = T.add(A, one)
+    am1 = T.sub(A, one)
+    s = T.mul(T.mul(two, T.sqrt(A)), alpha)         # 2*sqrt(A)*alpha
+    sc = T.mul(cosw, sg)                            # +/- cos
+    ap1c = T.mul(ap1, sc)
+    am1c = T.mul(am1, sc)
+    two_sg = T.mul(two, sg)
+    b0 = T.mul(A, T.add(T.sub(ap1, am1c), s))
+    b1 = T.mul(T.mul(two_sg, A), T.sub(am1, ap1c))
+    b2 = T.mul(A, T.sub(T.sub(ap1, am1c), s))
+    a0 = T.add(T.add(ap1, am1c), s)
+    a1 = T.mul(T.neg(two_sg), T.add(am1, ap1c))
+    return b0, b1, b2, a1, T.sub(T.add(ap1, am1c), s), a0
+
+
+_GROUPS = ((("lowpass", "highpass"), _lp_hp), (("peak",), _peak),
+           (("lowshelf", "highshelf"), _shelves))
+
+
+def _pick(t: Tensor, idx: list, n: int) -> Tensor:
+    """Entries idx of t's last axis of n; t itself when that is all of them."""
+    return t if idx == list(range(n)) else T.take(t, (Ellipsis, np.array(idx)))
+
+
+def _design(kinds, f0: Tensor, gain, q: Tensor, fs: float) -> Tensor:
+    """Cookbook coefficients of the sections `kinds` over a section axis.
+
+    f0, q: [..., S]; gain: [..., G] over the sections of a GAIN_KINDS kind,
+    in order, or None when there is none. Each group of kinds that shares a
+    formula runs it once over its sections, with the kinds' signs as a
+    constant. Returns [..., S, 6]: b0, b1, b2, a1, a2, a0 per section.
+    Differentiable w.r.t. f0 / gain / Q.
     """
-    f0 = _as_tensor(p.f0)
-    q = _as_tensor(p.q)
-    fs = p.fs
     if np.any(f0.data <= 0.0) or np.any(f0.data >= fs / 2.0):
         raise ValueError(f"filter frequency must lie in (0, fs/2), got {f0.data}")
     if np.any(q.data <= 0.0):
         raise ValueError("Q must be positive")
     dt = f0.data.dtype
-
+    one, two = _const(1.0, dt), _const(2.0, dt)
     w0 = T.mul(f0, _const(2.0 * math.pi / fs, dt))
     cosw = T.cos(w0)
-    sinw = T.sin(w0)
-    alpha = T.div(sinw, T.mul(q, _const(2.0, dt)))
-    one = _const(1.0, dt)
-    two = _const(2.0, dt)
+    alpha = T.div(T.sin(w0), T.mul(q, two))
+    gained = [i for i, k in enumerate(kinds) if k in GAIN_KINDS]
+    A = T.exp(T.mul(gain, _const(LN10 / 40.0, dt))) if gained else None
+    parts, pos, off = [], np.empty((len(kinds), 6), dtype=np.intp), 0
+    for group, formula in _GROUPS:
+        idx = [i for i, k in enumerate(kinds) if k in group]
+        if not idx:
+            continue
+        a = (_pick(A, [gained.index(i) for i in idx], len(gained))
+             if group[0] in GAIN_KINDS else None)
+        sg = _const([_SIGN.get(kinds[i], 1.0) for i in idx], dt)
+        parts += formula(one, two, _pick(cosw, idx, len(kinds)),
+                         _pick(alpha, idx, len(kinds)), a, sg)
+        for j, i in enumerate(idx):  # coefficient k of section i in parts
+            pos[i] = off + j + len(idx) * np.arange(6)
+        off += 6 * len(idx)
+    return T.take(T.concat(parts, axis=-1), (Ellipsis, pos))
 
-    if p.kind in ("lowpass", "highpass"):
-        low = p.kind == "lowpass"
-        c = T.sub(one, cosw) if low else T.add(one, cosw)   # 1 -/+ cos
-        b0 = T.div(c, two)
-        return BiquadSection(b0, c if low else T.neg(c), b0,
-                             T.add(one, alpha), T.mul(_const(-2.0, dt), cosw),
-                             T.sub(one, alpha))
 
-    gain = _as_tensor(p.gain_db)
-    A = T.exp(T.mul(gain, _const(LN10 / 40.0, dt)))
-    if p.kind == "peak":
-        aA = T.mul(alpha, A)
-        adA = T.div(alpha, A)
-        m2c = T.mul(_const(-2.0, dt), cosw)
-        return BiquadSection(T.add(one, aA), m2c, T.sub(one, aA),
-                             T.add(one, adA), m2c, T.sub(one, adA))
+def _normalize(raw: Tensor) -> Tensor:
+    """[..., S, 6] design -> the [..., S, 5] a0-normalized biquad operand.
 
-    # shelves
-    ap1 = T.add(A, one)
-    am1 = T.sub(A, one)
-    s = T.mul(T.mul(two, T.sqrt(A)), alpha)         # 2*sqrt(A)*alpha
-    ap1c = T.mul(ap1, cosw)
-    am1c = T.mul(am1, cosw)
-    if p.kind == "lowshelf":
-        b0 = T.mul(A, T.add(T.sub(ap1, am1c), s))
-        b1 = T.mul(T.mul(two, A), T.sub(am1, ap1c))
-        b2 = T.mul(A, T.sub(T.sub(ap1, am1c), s))
-        a0 = T.add(T.add(ap1, am1c), s)
-        a1 = T.mul(_const(-2.0, dt), T.add(am1, ap1c))
-        a2 = T.sub(T.add(ap1, am1c), s)
-    else:  # highshelf
-        b0 = T.mul(A, T.add(T.add(ap1, am1c), s))
-        b1 = T.mul(T.mul(_const(-2.0, dt), A), T.add(am1, ap1c))
-        b2 = T.mul(A, T.sub(T.add(ap1, am1c), s))
-        a0 = T.add(T.sub(ap1, am1c), s)
-        a1 = T.mul(two, T.sub(am1, ap1c))
-        a2 = T.sub(T.sub(ap1, am1c), s)
-    return BiquadSection(b0, b1, b2, a0, a1, a2)
+    The division runs over the reversed columns, so a0's gradient sums its
+    five terms from a2 down to b0, as five separate divisions would.
+    """
+    return T.div(raw[..., 4::-1], raw[..., 5:])[..., ::-1]
+
+
+def _views(raw: Tensor) -> list:
+    """One BiquadSection per section of a [..., S, 6] design."""
+    return [BiquadSection(*(raw[..., s, k] for k in (0, 1, 2, 5, 3, 4)))
+            for s in range(raw.data.shape[-2])]
+
+
+def biquad_coefficients(p: FilterParams) -> BiquadSection:
+    """Cookbook coefficients for one second-order section.
+
+    Differentiable w.r.t. f0 / gain_db / Q when those are tensors.
+    """
+    def col(v):
+        t = _as_tensor(v)
+        return T.reshape(t, t.data.shape + (1,))
+    gain = col(p.gain_db) if p.kind in GAIN_KINDS else None
+    return _views(_design((p.kind,), col(p.f0), gain, col(p.q), p.fs))[0]
 
 
 def frequency_response(sections, freqs, fs: float) -> np.ndarray:
@@ -204,21 +259,16 @@ def frequency_response(sections, freqs, fs: float) -> np.ndarray:
 
 
 def apply_filter(x: Tensor, sections, block_size: int | None = None) -> Tensor:
-    """Biquad cascade over a 1-D signal, by exact direct-form-I recursion.
-
-    Each section is one `T.biquad` over its a0-normalized coefficients.
-    Per-block sections ([nb] coefficients) hold one coefficient set per
-    `block_size` samples, applied to the history carried across blocks.
+    """Biquad cascade over a 1-D signal, by exact direct-form-I recursion:
+    the sections' coefficients stacked into one `T.biquad` node. Per-block
+    sections ([nb] coefficients) hold one coefficient set per `block_size`
+    samples, applied to the history carried across blocks.
     """
-    for s in sections:
-        b0, b1, b2, a1, a2 = (T.div(c, s.a0)
-                              for c in (s.b0, s.b1, s.b2, s.a1, s.a2))
-        x = T.biquad(x, b0, b1, b2, a1, a2, block_size)
-    return x
-
-
-def _col(params: Tensor, i: int) -> Tensor:
-    return params[i] if params.data.ndim == 1 else params[:, i]
+    cols = [T.reshape(c, c.data.shape + (1,)) for s in sections
+            for c in (s.b0, s.b1, s.b2, s.a1, s.a2, s.a0)]
+    flat = T.concat(cols, axis=-1)
+    raw = T.reshape(flat, flat.data.shape[:-1] + (len(sections), 6))
+    return T.biquad(x, _normalize(raw), block_size)
 
 
 def _eq_size(layout) -> int:
@@ -226,30 +276,37 @@ def _eq_size(layout) -> int:
     return sum(3 if has_gain else 2 for _, has_gain in layout)
 
 
-def _eq_ranges(layout, fs: float) -> list:
-    """(f0, gain, Q) or (f0, Q) ranges per section, in layout order."""
-    ranges = []
+def _eq_columns(params: Tensor, layout) -> list:
+    """f0, gain and Q of a layout's params [P] or [nb, P] as [..., S]
+    tensors (gain over the sections that have one, None if none does)."""
+    if params.data.shape[-1] != _eq_size(layout):
+        raise ValueError(f"expected {_eq_size(layout)} parameters, "
+                         f"got {params.data.shape[-1]}")
+    cols, i = ([], [], []), 0
     for _kind, has_gain in layout:
-        ranges += ([freq_range(fs), filter_gain_range(), q_range()] if has_gain
-                   else [freq_range(fs), q_range()])
-    return ranges
+        cols[0].append(i)
+        if has_gain:
+            cols[1].append(i + 1)
+        cols[2].append(i + 1 + has_gain)
+        i += 2 + has_gain
+    return [T.take(params, (Ellipsis, np.array(c))) if c else None
+            for c in cols]
 
 
-def _eq_sections(params, layout, fs):
-    """Build sections from (kind, has_gain) layout over grouped params."""
-    expected = _eq_size(layout)
-    got = params.data.shape[-1] if isinstance(params, Tensor) else len(params)
-    if got != expected:
-        raise ValueError(f"expected {expected} parameters, got {got}")
-    cols = [_col(params, i) for i in range(got)] if isinstance(params, Tensor) \
-        else list(params)
-    sections = []
-    i = 0
-    for kind, has_gain in layout:
-        f0, g, q = cols[i:i + 3] if has_gain else (cols[i], None, cols[i + 1])
-        i += 3 if has_gain else 2
-        sections.append(biquad_coefficients(FilterParams(kind, f0, q, gain_db=g, fs=fs)))
-    return sections
+def _eq_design(params: Tensor, layout, fs: float, ranges=None) -> Tensor:
+    """[..., S, 6] design of a layout over params [P] or [nb, P]: physical
+    values, or controls in [0, 1] that `ranges` (one per kind of column:
+    f0, gain, Q) denormalize, each kind once."""
+    cols = _eq_columns(params, layout)
+    if ranges is not None:
+        cols = [c if c is None else r.denormalize(c)
+                for c, r in zip(cols, ranges)]
+    return _design([k for k, _ in layout], *cols, fs)
+
+
+def _eq_sections(params: Tensor, layout, fs: float) -> list:
+    """Sections of a layout over physical params, as BiquadSection views."""
+    return _views(_eq_design(params, layout, fs))
 
 
 # low shelf + three peaks + high shelf; (f0, gain_dB, Q) per section
@@ -260,14 +317,14 @@ SHELVING_EQ_LAYOUT = (("highpass", False), ("lowshelf", True),
                       ("highshelf", True), ("lowpass", False))
 
 
-def apply_eq(x: Tensor, params, layout, fs: float,
+def apply_eq(x: Tensor, params: Tensor, layout, fs: float,
              block_size: int | None = None) -> Tensor:
     """Biquad cascade described by `layout`, one cascade application.
 
-    params: the layout's values in order, as a [P] tensor, a [nb, P]
-    tensor (per-block), or a sequence of P tensors.
+    params: the layout's physical values in order, [P] or [nb, P]
+    (per-block).
     """
-    return apply_filter(x, _eq_sections(params, layout, fs), block_size)
+    return T.biquad(x, _normalize(_eq_design(params, layout, fs)), block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +391,19 @@ class Processor(nn.Module):
     def apply(self, x: Tensor, g01=None, block_size: int | None = None) -> Tensor:
         raise NotImplementedError
 
-    def _phys(self, g01: Tensor):
-        """Denormalize each control column to physical units."""
+    def _check(self, g01: Tensor) -> Tensor:
         got = None if g01 is None else g01.data.shape[-1]
         if got != self.num_params:
             raise ValueError(f"{self.name} expects {self.num_params} controls, "
                              f"got {got}")
-        return [self.ranges[i].denormalize(_col(g01, i)) for i in range(self.num_params)]
+        return g01
+
+    def _phys(self, g01: Tensor):
+        """Denormalize each control column to physical units."""
+        self._check(g01)
+        return [self.ranges[i].denormalize(g01[i] if g01.data.ndim == 1
+                                           else g01[:, i])
+                for i in range(self.num_params)]
 
 
 class PhaseInvert(Processor):
@@ -354,8 +417,8 @@ class Gain(Processor):
     name = "gain"
     num_params = 1
 
-    def __init__(self, ranges=None):
-        self.ranges = ranges or [chain_gain_range()]
+    def __init__(self):
+        self.ranges = [chain_gain_range()]
 
     def apply(self, x, g01=None, block_size=None):
         """y = x * 10^(gain_dB / 20)."""
@@ -368,8 +431,8 @@ class DCOffset(Processor):
     name = "dc_offset"
     num_params = 1
 
-    def __init__(self, ranges=None):
-        self.ranges = ranges or [offset_range()]
+    def __init__(self):
+        self.ranges = [offset_range()]
 
     def apply(self, x, g01=None, block_size=None):
         """y = x + offset."""
@@ -385,16 +448,22 @@ class ParametricEQ(Processor):
     layout = PARAMETRIC_EQ_LAYOUT
     num_params = _eq_size(layout)
 
-    def __init__(self, fs: float, ranges=None):
+    def __init__(self, fs: float):
         self.fs = float(fs)
-        self.ranges = _eq_ranges(self.layout, fs) if ranges is None else ranges
+        # one range per kind of column (f0, gain, Q), and each column's
+        self.kind_ranges = (freq_range(fs), filter_gain_range(), q_range())
+        self.ranges = [self.kind_ranges[j] for _, has_gain in self.layout
+                       for j in ((0, 1, 2) if has_gain else (0, 2))]
+
+    def _design(self, g01):
+        return _eq_design(self._check(g01), self.layout, self.fs,
+                          self.kind_ranges)
 
     def apply(self, x, g01=None, block_size=None):
-        return apply_eq(x, self._phys(g01), self.layout, self.fs,
-                        block_size=block_size)
+        return T.biquad(x, _normalize(self._design(g01)), block_size)
 
     def sections(self, g01=None):
-        return _eq_sections(self._phys(g01), self.layout, self.fs)
+        return _views(self._design(g01))
 
 
 class ShelvingEQ(ParametricEQ):

@@ -494,10 +494,11 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def _is_basic(key) -> bool:
-    """An int, a slice or a tuple of them: each source element at most once."""
+    """An int, a slice, an Ellipsis or a tuple of them: each source element
+    at most once."""
     keys = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(k, slice) or (isinstance(k, (int, np.integer))
-                                        and not isinstance(k, bool))
+    return all(isinstance(k, slice) or k is Ellipsis
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
                for k in keys)
 
 
@@ -843,10 +844,10 @@ _BIQUAD_BLOCK = 128
 
 
 def _allpole_taps(a1: np.ndarray, a2: np.ndarray, b: int):
-    """First b taps g of 1 / (1 + a1 z^-1 + a2 z^-2), one row per block (one
-    in all when the blocks share a1, a2), behind two zeros so columns t + 1
-    and t hold g[t-1] and g[t-2]; and their rfft at size 2b."""
-    if np.all(a1 == a1[0]) and np.all(a2 == a2[0]):
+    """First b taps g of 1 / (1 + a1 z^-1 + a2 z^-2), one row per (a1, a2)
+    pair, behind two zeros so columns t + 1 and t hold g[t-1] and g[t-2];
+    and their rfft at size 2b."""
+    if a1.shape[0] == 1:
         # one row: Python floats are 15x faster than one-element arrays
         m1, m2 = -float(a1[0]), -float(a2[0])
         taps = [0.0, 0.0, 1.0]
@@ -894,75 +895,110 @@ def _allpole_blocks(v, g, G, a1_in, a2_in):
     return zs + u[:, :1] * g[:, 2:] + u[:, 1:] * g[:, 1:b + 1]
 
 
-def biquad(x: Tensor, b0: Tensor, b1: Tensor, b2: Tensor, a1: Tensor,
-           a2: Tensor, block: int | None = None) -> Tensor:
-    """Direct-form-I biquad over x [T], a0-normalized coefficients:
+def _section(xd, cols, b: int, taps, record: bool):
+    """One direct-form-I section over xd [n] with coefficient rows cols
+    (b0, b1, b2, a1, a2, each float64 [nb] over solver blocks of b) and
+    all-pole taps (g, G) of one row or one per block. Returns the output in
+    xd's dtype and, when recording, its vjp: output gradient -> (input
+    gradient in xd's dtype, the five coefficient gradients per block)."""
+    cb0, cb1, cb2, ca1, ca2 = cols
+    n, nb = xd.shape[0], cb0.shape[0]
+    big_n = nb * b
+    xh = np.concatenate([np.zeros(2), xd, np.zeros(big_n - n)])  # zero history, x
+    xs = [xh[2 - k:big_n + 2 - k].reshape(nb, b) for k in range(3)]  # x[t-k]
+    v = cb0[:, None] * xs[0] + cb1[:, None] * xs[1] + cb2[:, None] * xs[2]
+    g, G = taps
+    y = _allpole_blocks(v, g, G, ca1, ca2)
+    out = y.reshape(-1)[:n].astype(xd.dtype)
+    if not record:
+        return out, None
+
+    yh = np.concatenate([np.zeros(2), y.reshape(-1)])
+    ys = [yh[2 - k:big_n + 2 - k].reshape(nb, b) for k in (1, 2)]
+    # injections at the edges of the reversed blocks weigh the next block;
+    # with one-sample blocks, y[t-2]'s weight is two blocks on
+    sh = 2 if b == 1 else 1
+    a1_next, a2_next = np.zeros(nb), np.zeros(nb)
+    a1_next[:-1] = ca1[1:]
+    a2_next[:nb - sh] = ca2[sh:]
+
+    def vjp(gout):
+        gy = np.concatenate([gout, np.zeros(big_n - n)])
+        w = _allpole_blocks(gy.reshape(nb, b)[::-1, ::-1], g[::-1], G[::-1],
+                            a1_next[::-1], a2_next[::-1])[::-1, ::-1]
+        dx = (cb0[:, None] * w).reshape(-1)
+        dx[:-1] += (cb1[:, None] * w).reshape(-1)[1:]
+        dx[:-2] += (cb2[:, None] * w).reshape(-1)[2:]
+        sums = [(w * xs[k]).sum(axis=1) for k in range(3)]
+        sums += [-(w * ys[k]).sum(axis=1) for k in range(2)]
+        return dx[:n].astype(xd.dtype), sums
+    return out, vjp
+
+
+def biquad(x: Tensor, coeffs: Tensor, block: int | None = None) -> Tensor:
+    """Cascade of direct-form-I biquads over x [T]. Section s filters the
+    output of section s - 1:
     y[t] = b0 x[t] + b1 x[t-1] + b2 x[t-2] - a1 y[t-1] - a2 y[t-2].
 
-    Each coefficient is a scalar or per-block [ceil(T / block)], and acts
-    on the x and y history carried in from the block before. Computes in
-    float64 both ways. The vjp runs the same block solver on the reversed
-    gradient (next block's a1, a2 at block edges) for w = dL/dv; then
-    dL/db_k = sum w x[t-k], dL/da_k = -sum w y[t-k], dL/dx by FIR transpose.
+    coeffs holds each section's a0-normalized (b0, b1, b2, a1, a2): [S, 5]
+    for the whole signal, or [ceil(T / block), S, 5] with one set per block
+    of `block` samples acting on the x and y history carried in from the
+    block before. Each section computes in float64 and its output is cast
+    to x's dtype. The vjp walks the sections in reverse; each runs the same
+    block solver on its reversed output gradient (next block's a1, a2 at
+    block edges) for w = dL/dv, then dL/db_k = sum w x[t-k],
+    dL/da_k = -sum w y[t-k] and dL/dx by FIR transpose. While a tape
+    records, all sections' taps come from one `_allpole_taps` call;
+    otherwise each section makes its own and keeps nothing.
     """
-    xd = x.data
+    xd, cd = x.data, coeffs.data
     if xd.ndim != 1:
         raise ValueError("biquad expects a 1-D signal")
+    if cd.ndim not in (2, 3) or cd.shape[-1] != 5:
+        raise ValueError(f"coefficients must be [S, 5] or [blocks, S, 5], "
+                         f"got shape {cd.shape}")
     n = xd.shape[0]
-    coeffs = (b0, b1, b2, a1, a2)
-    if not any(c.data.ndim for c in coeffs):
+    if cd.ndim == 2:
         block = _BIQUAD_BLOCK
     elif block is None:
         raise ValueError("per-block coefficients require a block size")
     nbc = -(-n // block)
-    for c in coeffs:
-        if c.data.ndim and c.data.shape != (nbc,):
-            raise ValueError(f"coefficients have shape {c.data.shape}, "
-                             f"signal needs {nbc} blocks")
+    if cd.ndim == 3 and cd.shape[0] != nbc:
+        raise ValueError(f"coefficients have {cd.shape[0]} blocks, "
+                         f"signal needs {nbc}")
     reps, b = ((block // _BIQUAD_BLOCK, _BIQUAD_BLOCK)
                if block % _BIQUAD_BLOCK == 0 else (1, block))
     nb = nbc * reps
-    big_n = nb * b
-
-    cb0, cb1, cb2, ca1, ca2 = (np.repeat(c.data.astype(np.float64), reps)
-                               if c.data.ndim else np.full(nb, float(c.data))
-                               for c in coeffs)
-    xh = np.concatenate([np.zeros(2), xd, np.zeros(big_n - n)])  # zero history, x
-    xs = [xh[2 - k:big_n + 2 - k].reshape(nb, b) for k in range(3)]  # x[t-k]
-    v = cb0[:, None] * xs[0] + cb1[:, None] * xs[1] + cb2[:, None] * xs[2]
-    g, G = _allpole_taps(ca1, ca2, b)
-    y = _allpole_blocks(v, g, G, ca1, ca2)
-    out = y.reshape(-1)[:n].astype(xd.dtype)
+    c64 = cd.astype(np.float64)
+    # [S, 5, nb]: each section's coefficients per solver block, and the
+    # rows its taps need (one for static coefficients)
+    if cd.ndim == 2:
+        cs, rows = np.broadcast_to(c64[:, :, None], c64.shape + (nb,)), 1
+    else:
+        cs, rows = np.repeat(c64.transpose(1, 2, 0), reps, axis=2), nb
+    record = records((x, coeffs))
+    if record:
+        shared = _allpole_taps(cs[:, 3, :rows].reshape(-1),
+                               cs[:, 4, :rows].reshape(-1), b)
+    y, backs = xd, []
+    for s, cols in enumerate(cs):
+        taps = (tuple(t[s * rows:(s + 1) * rows] for t in shared) if record
+                else _allpole_taps(cols[3, :rows], cols[4, :rows], b))
+        y, back = _section(y, cols, b, taps, record)
+        backs.append(back)
 
     def build():
-        yh = np.concatenate([np.zeros(2), y.reshape(-1)])
-        ys = [yh[2 - k:big_n + 2 - k].reshape(nb, b) for k in (1, 2)]
-        # injections at the edges of the reversed blocks weigh the next
-        # block; with one-sample blocks, y[t-2]'s weight is two blocks on
-        sh = 2 if b == 1 else 1
-        a1_next, a2_next = np.zeros(nb), np.zeros(nb)
-        a1_next[:-1] = ca1[1:]
-        a2_next[:nb - sh] = ca2[sh:]
-
-        def reduce(gs, c):
-            gs = gs.reshape(-1, reps).sum(axis=1) if c.data.ndim else gs.sum()
-            return np.asarray(gs, dtype=c.data.dtype)
-
         def vjp(gout):
-            gy = np.concatenate([gout, np.zeros(big_n - n)])
-            w = _allpole_blocks(gy.reshape(nb, b)[::-1, ::-1], g[::-1],
-                                G[::-1], a1_next[::-1],
-                                a2_next[::-1])[::-1, ::-1]
-            dx = (cb0[:, None] * w).reshape(-1)
-            dx[:-1] += (cb1[:, None] * w).reshape(-1)[1:]
-            dx[:-2] += (cb2[:, None] * w).reshape(-1)[2:]
-            sums = [(w * xs[k]).sum(axis=1) for k in range(3)]
-            sums += [-(w * ys[k]).sum(axis=1) for k in range(2)]
-            return ((dx[:n].astype(xd.dtype),)
-                    + tuple(reduce(s, c) for s, c in zip(sums, coeffs)))
+            dc = np.empty_like(cd)
+            for s in reversed(range(len(backs))):
+                gout, sums = backs[s](gout)
+                for k, sm in enumerate(sums):
+                    dc[..., s, k] = (sm.reshape(-1, reps).sum(axis=1)
+                                     if cd.ndim == 3 else sm.sum())
+            return gout, dc
         return vjp
 
-    return _emit("biquad", out, (x,) + coeffs, build)
+    return _emit("biquad", y, (x, coeffs), build)
 
 
 # ---------------------------------------------------------------------------

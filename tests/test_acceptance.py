@@ -158,11 +158,34 @@ def _primitive_items(rng):
                 + [Tensor((-2.0 * r * np.cos(th)).reshape(shape)),
                    Tensor((r * r).reshape(shape))])
 
+    def operand(ts):
+        """x and the five coefficients as one section: [1, 5] or [nb, 1, 5]."""
+        return [ts[0], Tensor(np.stack([t.data for t in ts[1:]],
+                                       axis=-1)[..., None, :])]
+
     bq_static, bq_block = biquad_in(300, 1), biquad_in(700, 3)
     wb1, wb2 = br.standard_normal(300), br.standard_normal(700)
-    it("biquad", lambda ts: _wsum(T.biquad(*ts), wb1), bq_static)
+    it("biquad", lambda ts: _wsum(T.biquad(*ts), wb1), operand(bq_static))
     it("biquad_block",
-       lambda ts: _wsum(T.biquad(*ts, block=256), wb2), bq_block)
+       lambda ts: _wsum(T.biquad(*ts, block=256), wb2), operand(bq_block))
+
+    # own generator: three sections, static over three solver blocks and
+    # per-block over three coefficient blocks of two solver blocks each
+    cr = np.random.default_rng(114)
+
+    def cascade_in(n, shape):
+        r = cr.uniform(0.5, 0.95, shape)
+        th = cr.uniform(0.05, 3.0, shape)
+        c = np.stack([cr.uniform(-1.0, 1.0, shape) for _ in range(3)]
+                     + [-2.0 * r * np.cos(th), r * r], axis=-1)
+        return [Tensor(cr.uniform(-1.0, 1.0, n)), Tensor(c)]
+
+    cascade = cascade_in(300, (3,)) + cascade_in(700, (3, 3))
+    wc1, wc2 = cr.standard_normal(300), cr.standard_normal(700)
+    it("biquad_cascade",
+       lambda ts: T.add(_wsum(T.biquad(ts[0], ts[1]), wc1),
+                        _wsum(T.biquad(ts[2], ts[3], block=256), wc2)),
+       cascade)
 
     # own generator, so the items after these keep their inputs
     lr = np.random.default_rng(111)

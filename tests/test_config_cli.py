@@ -262,6 +262,12 @@ def _with_controls(*controls):
      "/data/fractions: [0.6, 0.4, 0.0] leaves no test file of 5"),
     ("train", None, {}, ["--seed", "-1"],
      "--seed: expected a nonnegative integer, got -1"),
+    ("train", lambda m: json.dumps(dict(m, entries=5)), {}, [],
+     "/data/manifest: entries must be a list, got 5"),
+    ("train", lambda m: json.dumps(dict(m, entries=["a"])), {}, [],
+     "/data/manifest: entry 0: expected an object, got 'a'"),
+    ("train", lambda m: json.dumps(dict(m, entries=[{"input": 5}])), {}, [],
+     "/data/manifest: entry 0: input must be a path, got 5"),
 ])
 def test_cli_rejects_bad_inputs_read_after_load_exit2(
         tmp_path, capsys, command, edit, data, argv, message):
@@ -333,6 +339,83 @@ def test_cli_rejects_bad_lstm_sections_exit2(tmp_path, capsys, command, lstm,
     assert cli.main([command, "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["tcn", "gcn"])
+@pytest.mark.parametrize("field, value, message", [
+    ("blocks", 2.5, "blocks must be an integer >= 1, got 2.5"),
+    ("kernel", 3.0, "kernel must be an integer >= 1, got 3.0"),
+    ("channels", True, "channels must be an integer >= 1, got True"),
+    ("dilation_growth", "2",
+     "dilation_growth must be an integer >= 1, got '2'"),
+    ("batchnorm", 1, "batchnorm must be true or false, got 1"),
+])
+def test_cli_rejects_non_integer_conv_sizes_exit2(tmp_path, capsys, kind,
+                                                  field, value, message):
+    _write_dataset(tmp_path)
+    section = {"blocks": 2, "kernel": 3, "dilation_growth": 2, "channels": 4}
+    model = {"kind": kind, "sample_rate": 48000.0, "num_controls": 0,
+             kind: dict(section, **{field: value})}
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert f"/model: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+def _stage(processor, controller="static", **opts):
+    return {"kind": "graybox", "sample_rate": 48000.0, "num_controls": 1,
+            "graybox": {"stages": [dict(processor=processor,
+                                        controller=controller, **opts)],
+                        "block_size": 128}}
+
+
+@pytest.mark.parametrize("model, message", [
+    (_stage("gain", processor_opts={"ranges": [[20, 1000]]}),
+     "/model: gain processor_opts: unknown option 'ranges'"),
+    (_stage("gain", processor_opts={"foo": 1}),
+     "/model: gain processor_opts: unknown option 'foo'"),
+    (_stage("parametric_eq", processor_opts={"ranges": None}),
+     "/model: parametric_eq processor_opts: unknown option 'ranges'"),
+    (_stage("fir", "dummy", processor_opts={"num_taps": 2.5}),
+     "/model: fir processor_opts num_taps must be an integer >= 1, got 2.5"),
+    (_stage("rational", "dummy", processor_opts={"coeffs": [1, 2]}),
+     "/model: rational processor_opts coeffs must be {numerator: 7 numbers, "
+     "denominator: 5 numbers}, got [1, 2]"),
+    (_stage("gain", "static_cond", controller_opts={"hidden": 0}),
+     "/model: static_cond controller_opts hidden must be an integer >= 1, "
+     "got 0"),
+    (_stage("gain", "dynamic", controller_opts={"block_size": 64}),
+     "/model: dynamic controller_opts: unknown option 'block_size'"),
+    (_stage("gain", processor_opts=[1]),
+     "/model: gain processor_opts must be an object, got [1]"),
+])
+def test_cli_rejects_bad_stage_options_exit2(tmp_path, capsys, model,
+                                             message):
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+@pytest.mark.parametrize("model", [
+    _gain_model_doc(),
+    {"kind": "tcn", "sample_rate": 48000.0, "num_controls": 0,
+     "tcn": {"blocks": 2, "kernel": 3, "dilation_growth": 2, "channels": 4}},
+    {"kind": "gcn", "sample_rate": 48000.0, "num_controls": 0,
+     "gcn": {"blocks": 2, "kernel": 3, "dilation_growth": 2, "channels": 4}},
+], ids=["graybox", "tcn", "gcn"])
+def test_cli_rejects_tbptt_for_stateless_models_exit2(tmp_path, capsys,
+                                                      model):
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
+    doc = json.loads(cfg_path.read_text())
+    doc["train"].update(tbptt=True, chunk_len=2048, warmup_len=0)
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert (f"/train/tbptt: a {model['kind']} model carries no state across "
+            f"chunks" in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "run_log.csv").exists()
 
 
 def test_cli_test_identity_zero_metrics(tmp_path):

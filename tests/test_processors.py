@@ -228,14 +228,13 @@ def test_shelving_eq_gradients_all_params():
     rng = np.random.default_rng(28)
     x = t64(rng.standard_normal(24))
     vals = [120.0, 0.8, 300.0, 5.0, 1.1, 3000.0, -4.0, 0.9, 9000.0, 0.75]
-    params = [t64(v) for v in vals]
     w = rng.standard_normal(24)
 
     def f(ts):
-        y = P.apply_eq(x, ts, P.SHELVING_EQ_LAYOUT, FS)
+        y = P.apply_eq(x, ts[0], P.SHELVING_EQ_LAYOUT, FS)
         return T.sum_(T.mul(y, Tensor(w)))
 
-    assert grad_check(f, params) < 1e-4
+    assert grad_check(f, [t64(vals)]) < 1e-4
 
 
 def test_time_varying_equals_static_at_full_block():
@@ -341,6 +340,83 @@ def test_f32_resonant_cascade_matches_sosfilt():
     assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-5
 
 
+def _stable_sections(rng, shape):
+    """Random a0-normalized sections [..., 5] with poles inside 0.95."""
+    r, th = rng.uniform(0.3, 0.95, shape), rng.uniform(0.05, 3.0, shape)
+    return np.stack([rng.uniform(-1.0, 1.0, shape) for _ in range(3)]
+                    + [-2.0 * r * np.cos(th), r * r], axis=-1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", [None, 256, 100])
+def test_cascade_node_equals_chain_of_single_sections(dtype, block):
+    # one node over four sections against four one-section nodes: output
+    # and every gradient bit for bit
+    rng = np.random.default_rng(40)
+    n = 1000
+    shape = (4,) if block is None else (-(-n // block), 4)
+    coeffs = _stable_sections(rng, shape).astype(dtype)
+    x0 = (rng.standard_normal(n) * 0.5).astype(dtype)
+    w = Tensor(rng.standard_normal(n).astype(dtype))
+    runs = []
+    for chained in (False, True):
+        x, c = Tensor(x0.copy(), requires_grad=True), Tensor(coeffs.copy(),
+                                                             requires_grad=True)
+        with T.Tape() as tape:
+            if chained:
+                y = x
+                for s in range(4):
+                    y = T.biquad(y, c[..., s:s + 1, :], block)
+            else:
+                y = T.biquad(x, c, block)
+            loss = T.sum_(T.mul(y, w))
+        grads = tape.backward(loss)
+        runs.append((y.data, grads[x].data, grads[c].data))
+        assert y.data.dtype == dtype and grads[c].data.dtype == dtype
+    for one, chain in zip(*runs):
+        assert np.array_equal(one, chain)
+    # the untaped forward computes its taps per section: same output
+    assert np.array_equal(T.biquad(Tensor(x0), Tensor(coeffs), block).data,
+                          runs[0][0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cascade_constant_per_block_coefficients_equal_static(dtype):
+    rng = np.random.default_rng(41)
+    n, block = 1000, 256
+    coeffs = _stable_sections(rng, (3,)).astype(dtype)
+    tiled = np.tile(coeffs, (-(-n // block), 1, 1))
+    x0 = rng.standard_normal(n).astype(dtype)
+    for taped in (False, True):
+        outs = []
+        for c, blk in ((coeffs, None), (tiled, block)):
+            ct = Tensor(c, requires_grad=taped)
+            with T.Tape():
+                outs.append(T.biquad(Tensor(x0), ct, blk).data)
+        assert np.array_equal(*outs)
+
+
+def test_eq_design_is_one_division_and_one_filter_node():
+    eq = P.ParametricEQ(FS)
+    x = Tensor(np.random.default_rng(42).standard_normal(512))
+    for g01 in (Tensor(np.full(15, 0.4), requires_grad=True),
+                Tensor(np.full((4, 15), 0.4), requires_grad=True)):
+        with T.Tape() as tape:
+            eq.apply(x, g01, block_size=128)
+        ops = [node.op for node in tape.nodes]
+        # the divisions: sin / 2Q, the peaks' alpha / A and the one by a0
+        assert ops.count("biquad") == 1 and ops.count("div") == 3
+        assert len(ops) < 70
+
+
+def test_cascade_operand_errors():
+    x = Tensor(np.zeros(100))
+    with pytest.raises(ValueError):
+        T.biquad(x, Tensor(np.zeros((2, 6))))        # not five coefficients
+    with pytest.raises(ValueError):
+        T.biquad(x, Tensor(np.zeros(5)))             # no section axis
+
+
 @pytest.mark.parametrize("block", [1, 2, 5])
 def test_per_block_biquad_gradients_short_blocks(block):
     # blocks shorter than the two-sample history reach across block edges
@@ -349,15 +425,16 @@ def test_per_block_biquad_gradients_short_blocks(block):
     nb = -(-n // block)
     r = rng.uniform(0.3, 0.9, nb)
     th = rng.uniform(0.1, 3.0, nb)
-    coeffs = [t64(rng.standard_normal(nb)) for _ in range(3)]
-    coeffs += [t64(-2.0 * r * np.cos(th)), t64(r * r)]
+    coeffs = [rng.standard_normal(nb) for _ in range(3)]
+    coeffs += [-2.0 * r * np.cos(th), r * r]
     x = t64(rng.standard_normal(n))
     w = rng.standard_normal(n)
 
     def f(ts):
-        return T.sum_(T.mul(T.biquad(ts[0], *ts[1:], block=block), Tensor(w)))
+        return T.sum_(T.mul(T.biquad(ts[0], ts[1], block=block), Tensor(w)))
 
-    assert grad_check(f, [x] + coeffs) < 1e-4
+    # one section: [nb, 1, 5]
+    assert grad_check(f, [x, t64(np.stack(coeffs, axis=-1)[:, None])]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +447,8 @@ def test_phase_inversion():
 
 def _gain_db(x, db):
     # control 0.5 is the midpoint of [db - 1, db + 1], exactly db
-    gain = P.Gain([P.ParamRange(db - 1.0, db + 1.0)])
+    gain = P.Gain()
+    gain.ranges = [P.ParamRange(db - 1.0, db + 1.0)]
     return gain.apply(x, Tensor(np.array([0.5], dtype=np.float32)))
 
 
