@@ -171,6 +171,9 @@ def load_manifest(path) -> RunManifest:
     if not isinstance(doc, dict) or "sample_rate" not in doc \
             or "entries" not in doc:
         raise ValueError("manifest needs sample_rate and entries")
+    if type(doc["sample_rate"]) not in (int, float) or doc["sample_rate"] <= 0:
+        raise ValueError(f"sample_rate must be a number > 0, "
+                         f"got {doc['sample_rate']!r}")
     if not isinstance(doc["entries"], list):
         raise ValueError(f"entries must be a list, got {doc['entries']!r}")
     root = os.path.dirname(os.path.abspath(path))
@@ -179,9 +182,10 @@ def load_manifest(path) -> RunManifest:
         if not isinstance(e, dict):
             raise ValueError(f"entry {i}: expected an object, got {e!r}")
         controls = e.get("controls", [])
-        if not isinstance(controls, list):
-            raise ValueError(f"entry {i}: controls must be a list, "
-                             f"got {controls!r}")
+        if not isinstance(controls, list) or any(
+                not isinstance(v, (int, float, str)) for v in controls):
+            raise ValueError(f"entry {i}: controls must be a list of "
+                             f"numbers, got {controls!r}")
         if any(not (0.0 <= float(v) <= 1.0) for v in controls):
             raise ValueError(f"entry {i}: controls must lie in [0, 1]")
         pair = []

@@ -401,8 +401,7 @@ class Processor(nn.Module):
     def _phys(self, g01: Tensor):
         """Denormalize each control column to physical units."""
         self._check(g01)
-        return [self.ranges[i].denormalize(g01[i] if g01.data.ndim == 1
-                                           else g01[:, i])
+        return [self.ranges[i].denormalize(g01[..., i])
                 for i in range(self.num_params)]
 
 

@@ -268,6 +268,14 @@ def _with_controls(*controls):
      "/data/manifest: entry 0: expected an object, got 'a'"),
     ("train", lambda m: json.dumps(dict(m, entries=[{"input": 5}])), {}, [],
      "/data/manifest: entry 0: input must be a path, got 5"),
+    ("train", _with_controls([None]), {}, [],
+     "/data/manifest: entry 0: controls must be a list of numbers, "
+     "got [None]"),
+    ("train", lambda m: json.dumps(dict(m, sample_rate=None)), {}, [],
+     "/data/manifest: sample_rate must be a number > 0, got None"),
+    ("train", lambda m: json.dumps(dict(m, entries=[
+        dict(m["entries"][0], target="gone.wav")])), {}, [],
+     "/data/manifest: entry 0: "),
 ])
 def test_cli_rejects_bad_inputs_read_after_load_exit2(
         tmp_path, capsys, command, edit, data, argv, message):

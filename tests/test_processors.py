@@ -1,5 +1,7 @@
 """DSP processor checks against independent numpy/scipy references."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,87 @@ def test_cascade_constant_per_block_coefficients_equal_static(dtype):
             with T.Tape():
                 outs.append(T.biquad(Tensor(x0), ct, blk).data)
         assert np.array_equal(*outs)
+
+
+def _cookbook(kind, f0, q, gain, fs):
+    """One section's (b0, b1, b2, a0, a1, a2) from scalar or [nb] tape
+    ops, formula by formula."""
+    def c(v):
+        return Tensor(np.asarray(v, dtype=f0.data.dtype))
+    one, two, m2 = c(1.0), c(2.0), c(-2.0)
+    w0 = T.mul(f0, c(2.0 * math.pi / fs))
+    cosw, sinw = T.cos(w0), T.sin(w0)
+    alpha = T.div(sinw, T.mul(q, two))
+    if kind in ("lowpass", "highpass"):
+        low = kind == "lowpass"
+        cc = T.sub(one, cosw) if low else T.add(one, cosw)
+        b0 = T.div(cc, two)
+        return (b0, cc if low else T.neg(cc), b0, T.add(one, alpha),
+                T.mul(m2, cosw), T.sub(one, alpha))
+    A = T.exp(T.mul(gain, c(math.log(10.0) / 40.0)))
+    if kind == "peak":
+        aA, adA, m2c = T.mul(alpha, A), T.div(alpha, A), T.mul(m2, cosw)
+        return (T.add(one, aA), m2c, T.sub(one, aA), T.add(one, adA), m2c,
+                T.sub(one, adA))
+    ap1, am1 = T.add(A, one), T.sub(A, one)
+    s = T.mul(T.mul(two, T.sqrt(A)), alpha)
+    ap1c, am1c = T.mul(ap1, cosw), T.mul(am1, cosw)
+    if kind == "lowshelf":
+        return (T.mul(A, T.add(T.sub(ap1, am1c), s)),
+                T.mul(T.mul(two, A), T.sub(am1, ap1c)),
+                T.mul(A, T.sub(T.sub(ap1, am1c), s)),
+                T.add(T.add(ap1, am1c), s), T.mul(m2, T.add(am1, ap1c)),
+                T.sub(T.add(ap1, am1c), s))
+    return (T.mul(A, T.add(T.add(ap1, am1c), s)),
+            T.mul(T.mul(m2, A), T.add(am1, ap1c)),
+            T.mul(A, T.sub(T.add(ap1, am1c), s)),
+            T.add(T.sub(ap1, am1c), s), T.mul(two, T.sub(am1, ap1c)),
+            T.sub(T.sub(ap1, am1c), s))
+
+
+def _per_section_eq(eq, x, g01, block):
+    """The EQ composed one section at a time: each control column
+    denormalized alone, the section's cookbook formulas, five divisions by
+    a0 and a one-section biquad node."""
+    u = [eq.ranges[i].denormalize(g01[..., i]) for i in range(eq.num_params)]
+    i = 0
+    for kind, has_gain in eq.layout:
+        f0, g, q = u[i:i + 3] if has_gain else (u[i], None, u[i + 1])
+        i += 2 + has_gain
+        b0, b1, b2, a0, a1, a2 = _cookbook(kind, f0, q, g, eq.fs)
+        cols = [T.div(c, a0) for c in (b0, b1, b2, a1, a2)]
+        op = T.concat([T.reshape(c, c.data.shape + (1, 1)) for c in cols],
+                      axis=-1)
+        x = T.biquad(x, op, block)
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", [None, 128])
+@pytest.mark.parametrize("cls", [P.ParametricEQ, P.ShelvingEQ])
+def test_eq_design_matches_per_section_composition_bitwise(cls, block, dtype):
+    # the section-axis design and cascade node against the EQ composed one
+    # section at a time: output and the gradients of signal and controls
+    # bit for bit
+    rng = np.random.default_rng(43)
+    n, eq = 1000, cls(FS)
+    shape = (eq.num_params,) if block is None else (-(-n // block),
+                                                    eq.num_params)
+    g0 = rng.uniform(0.05, 0.95, shape).astype(dtype)
+    x0 = (rng.standard_normal(n) * 0.5).astype(dtype)
+    w = Tensor(rng.standard_normal(n).astype(dtype))
+    runs = []
+    for apply in (lambda x, g: eq.apply(x, g, block),
+                  lambda x, g: _per_section_eq(eq, x, g, block)):
+        x, g = Tensor(x0.copy(), requires_grad=True), Tensor(g0.copy(),
+                                                             requires_grad=True)
+        with T.Tape() as tape:
+            y = apply(x, g)
+            loss = T.sum_(T.mul(y, w))
+        grads = tape.backward(loss)
+        runs.append((y.data, grads[x].data, grads[g].data))
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 def test_eq_design_is_one_division_and_one_filter_node():
