@@ -203,7 +203,7 @@ def _stage_report(out_dir: Path, i: int, proc, ctrl, c, sweep) -> Path:
     vals = out.values
     if proc.name in ("parametric_eq", "shelving_eq"):
         freqs = sweep.frequencies
-        h = P.frequency_response(proc.sections(vals), freqs, proc.fs)
+        h = P.frequency_response(proc.design(vals).data, freqs, proc.fs)
         curve = A.ResponseCurve(freqs, 20.0 * np.log10(np.abs(h)),
                                 np.unwrap(np.angle(h)))
         A.emit_plot_data(curve, path)
@@ -248,7 +248,10 @@ def cmd_analyze(cfg, args) -> int:
 
 
 def cmd_render(cfg, args) -> int:
-    x, fs = D.load_wav(args.input)
+    try:
+        x, fs = D.load_wav(args.input)
+    except (ValueError, OSError) as e:
+        raise ConfigError([f"--input: {e}"])
     if fs != cfg.model_spec.sample_rate:
         raise ConfigError([f"/: input rate {fs} != model rate "
                            f"{cfg.model_spec.sample_rate:g}"])

@@ -11,18 +11,11 @@ import os
 from pathlib import Path
 
 from .analysis import SweepConfig
-from .models import _COUNT, ModelSpec, _number
+from .models import _COUNT, _NATURAL, _POSITIVE, ModelSpec, _number
 from .training import EVAL_COLUMNS, TrainConfig
 
 OUTPUT_ROOT_ENV = "GRADFX_OUTPUT_ROOT"
 
-
-def _integer(lo: int):
-    return lambda v: type(v) is int and v >= lo
-
-
-_NATURAL = (_integer(0), "a nonnegative integer")
-_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
 _NONNEGATIVE = (lambda v: _number(v) and v >= 0, "a number >= 0")
 _UNIT = (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)")
 
@@ -60,7 +53,7 @@ _RULES = {
     "analysis": {
         "fs": _POSITIVE, "f1": _POSITIVE,
         "f2": (lambda v: v is None or _POSITIVE[0](v), "a number > 0 or null"),
-        "steps": (_integer(2), "an integer >= 2"),
+        "steps": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
         "T": _POSITIVE, "amplitude": _POSITIVE, "warmup": _NONNEGATIVE,
     },
 }

@@ -36,11 +36,10 @@ def atomic_open(path, mode: str = "w"):
 _FMT_PCM = 1
 _FMT_FLOAT = 3
 _FMT_EXTENSIBLE = 0xFFFE
+_ENCODINGS = ((_FMT_PCM, 16), (_FMT_PCM, 24), (_FMT_FLOAT, 32))
 
 
 def _walk_chunks(buf: bytes):
-    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
-        raise ValueError("not a RIFF/WAVE file")
     pos = 12
     while pos + 8 <= len(buf):
         cid, size = struct.unpack_from("<4sI", buf, pos)
@@ -58,26 +57,28 @@ def _parse_fmt(body: bytes):
     return fmt, channels, fs, bits
 
 
-def _decode(data: bytes, fmt: int, bits: int) -> np.ndarray:
-    if fmt == _FMT_FLOAT and bits == 32:
+def _decode(data: bytes, bits: int) -> np.ndarray:
+    """Samples of one of _ENCODINGS, told apart by their width."""
+    if bits == 32:
         return np.frombuffer(data, dtype="<f4").copy()
-    if fmt == _FMT_PCM and bits == 16:
+    if bits == 16:
         raw = np.frombuffer(data, dtype="<i2")
         return (raw.astype(np.float32) / 32768.0)
-    if fmt == _FMT_PCM and bits == 24:
-        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
-        val = (b[:, 0].astype(np.int32)
-               | (b[:, 1].astype(np.int32) << 8)
-               | (b[:, 2].astype(np.int32) << 16))
-        val = np.where(val & 0x800000, val - 0x1000000, val)
-        return (val.astype(np.float32) / 8388608.0)
-    raise ValueError(f"unsupported WAV encoding: format {fmt}, {bits}-bit")
+    b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+    val = (b[:, 0].astype(np.int32)
+           | (b[:, 1].astype(np.int32) << 8)
+           | (b[:, 2].astype(np.int32) << 16))
+    val = np.where(val & 0x800000, val - 0x1000000, val)
+    return (val.astype(np.float32) / 8388608.0)
 
 
 def _read_wav(path):
-    """((format, sample rate, bits), payload bytes) of a mono WAV file."""
+    """((sample rate, bits), payload bytes) of a mono WAV file in one of
+    _ENCODINGS whose payload holds a whole number of samples."""
     with open(path, "rb") as f:
         buf = f.read()
+    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
     fmt = None
     data = None
     for cid, body in _walk_chunks(buf):
@@ -90,18 +91,24 @@ def _read_wav(path):
     kind, channels, fs, bits = fmt
     if channels != 1:
         raise ValueError(f"{path}: {channels} channels, only mono is supported")
-    return (kind, fs, bits), data
+    if (kind, bits) not in _ENCODINGS:
+        raise ValueError(f"{path}: unsupported WAV encoding: format {kind}, "
+                         f"{bits}-bit")
+    if len(data) % (bits // 8):
+        raise ValueError(f"{path}: data chunk of {len(data)} bytes is not a "
+                         f"whole number of {bits}-bit samples")
+    return (fs, bits), data
 
 
 def load_wav(path) -> tuple[np.ndarray, int]:
     """Mono WAV -> (float32 samples in [-1, 1], sample rate)."""
-    (kind, fs, bits), data = _read_wav(path)
-    return _decode(data, kind, bits), fs
+    (fs, bits), data = _read_wav(path)
+    return _decode(data, bits), fs
 
 
 def wav_info(path) -> tuple[int, int]:
     """(sample_rate, num_samples) without decoding the payload."""
-    (_kind, fs, bits), data = _read_wav(path)
+    (fs, bits), data = _read_wav(path)
     return fs, len(data) // (bits // 8)
 
 

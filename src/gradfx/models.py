@@ -34,7 +34,24 @@ def _number(v) -> bool:
     return type(v) is int or type(v) is float and math.isfinite(v)
 
 
+# JSON-value rules: (check on the value, what it must hold)
 _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_NATURAL = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
+
+
+def _check(rule, name: str, v) -> None:
+    if not rule[0](v):
+        raise ValueError(f"{name} must be {rule[1]}, got {v!r}")
+
+
+def _check_keys(name: str, d, known) -> None:
+    """Raise unless d is an object whose every key is in known."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} section must be an object, got {d!r}")
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown {name} field {key!r}")
 
 
 def receptive_field(blocks: int, kernel: int, growth: int) -> int:
@@ -56,8 +73,8 @@ def _check_lstm(num_controls: int, cfg: dict) -> None:
                 raise ValueError("conditioned model needs num_controls >= 1")
         elif key not in ("hidden", "block_size", "tvcond_latent"):
             raise ValueError(f"unknown lstm field {key!r}")
-        elif not _COUNT[0](v):
-            raise ValueError(f"lstm {key} must be {_COUNT[1]}, got {v!r}")
+        else:
+            _check(_COUNT, f"lstm {key}", v)
 
 
 class LSTMModel(nn.Module):
@@ -115,8 +132,7 @@ class TCNConfig:
         for key, v in (("blocks", blocks), ("kernel", kernel),
                        ("dilation_growth", dilation_growth),
                        ("channels", channels)):
-            if not _COUNT[0](v):
-                raise ValueError(f"{key} must be {_COUNT[1]}, got {v!r}")
+            _check(_COUNT, key, v)
         if cond not in COND_MODES:
             raise ValueError(f"cond must be one of {COND_MODES}")
         if type(batchnorm) is not bool:
@@ -235,7 +251,7 @@ class GCN(nn.Module):
 # kind: option -> (check on the JSON value, what it must hold)
 _STAGE_OPTS = {
     "fir": {"num_taps": _COUNT, "width": _COUNT, "depth": _COUNT,
-            "w0": (lambda v: _number(v) and v > 0, "a number > 0")},
+            "w0": _POSITIVE},
     "rational": {"coeffs": (
         lambda v: type(v) is dict and set(v) == {"numerator", "denominator"}
         and all(type(v[k]) is list and len(v[k]) == n and all(map(_number, v[k]))
@@ -252,9 +268,7 @@ def _check_opts(kind: str, field: str, opts) -> dict:
     for key, v in opts.items():
         if key not in rules:
             raise ValueError(f"{kind} {field}: unknown option {key!r}")
-        if not rules[key][0](v):
-            raise ValueError(f"{kind} {field} {key} must be {rules[key][1]}, "
-                             f"got {v!r}")
+        _check(rules[key], f"{kind} {field} {key}", v)
     return dict(opts)
 
 
@@ -282,6 +296,8 @@ class StageSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageSpec":
+        _check_keys("stage", d, ("processor", "controller", "processor_opts",
+                                 "controller_opts"))
         return cls(d["processor"], d.get("controller", "static"),
                    d.get("processor_opts"), d.get("controller_opts"))
 
@@ -295,6 +311,10 @@ class GrayBoxSpec:
             raise ValueError("a chain needs at least one stage")
         self.stages = [s if isinstance(s, StageSpec) else StageSpec.from_dict(s)
                        for s in stages]
+        for key, v, rule in (("sample_rate", sample_rate, _POSITIVE),
+                             ("num_controls", num_controls, _NATURAL),
+                             ("block_size", block_size, _COUNT)):
+            _check(rule, f"graybox {key}", v)
         self.sample_rate = float(sample_rate)
         self.num_controls = num_controls
         self.block_size = block_size
@@ -306,9 +326,14 @@ class GrayBoxSpec:
                 "block_size": self.block_size}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GrayBoxSpec":
-        return cls(d["stages"], d.get("sample_rate", 48000.0),
-                   d.get("num_controls", 0), d.get("block_size", 128))
+    def from_dict(cls, d: dict, sample_rate: float = 48000.0,
+                  num_controls: int = 0) -> "GrayBoxSpec":
+        """The section d; sample_rate and num_controls where d has none."""
+        _check_keys("graybox", d, ("stages", "sample_rate", "num_controls",
+                                   "block_size"))
+        return cls(d["stages"], d.get("sample_rate", sample_rate),
+                   d.get("num_controls", num_controls),
+                   d.get("block_size", 128))
 
 
 def _build_processor(st: StageSpec, spec: GrayBoxSpec, rng) -> proc.Processor:
@@ -390,6 +415,8 @@ class ModelSpec:
         if len(chosen) != 1:
             raise ValueError(f"exactly one model variant required, got {chosen}")
         self.kind = chosen[0]
+        _check(_POSITIVE, "sample_rate", sample_rate)
+        _check(_NATURAL, "num_controls", num_controls)
         self.sample_rate = float(sample_rate)
         self.num_controls = num_controls
         v = given[self.kind]
@@ -398,9 +425,13 @@ class ModelSpec:
             if self.config.cond in ("film", "tfilm", "ttfilm") and num_controls < 1:
                 raise ValueError(f"cond {self.config.cond!r} needs num_controls >= 1")
         elif self.kind == "graybox":
-            if isinstance(v, dict):
-                v = GrayBoxSpec.from_dict({"sample_rate": sample_rate,
-                                           "num_controls": num_controls, **v})
+            if not isinstance(v, GrayBoxSpec):
+                v = GrayBoxSpec.from_dict(v, sample_rate, num_controls)
+            for key in ("sample_rate", "num_controls"):
+                if getattr(v, key) != getattr(self, key):
+                    raise ValueError(f"graybox {key} {getattr(v, key)!r} "
+                                     f"differs from the model's "
+                                     f"{getattr(self, key)!r}")
             self.config = v
         else:
             self.config = dict(v)
@@ -419,6 +450,7 @@ class ModelSpec:
         kind = d["kind"]
         if kind not in cls.KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
+        _check_keys("model", d, ("kind", "sample_rate", "num_controls", kind))
         return cls(sample_rate=d.get("sample_rate", 48000.0),
                    num_controls=d.get("num_controls", 0),
                    **{kind: d[kind]})

@@ -10,6 +10,11 @@ cookbook formula runs once per group of kinds that share it, and one
 division normalizes by a0. The filter is differentiable in (f0, gain, Q)
 through those formulas, which stay on the tape.
 
+An EQ is a layout, a tuple of section kinds. `eq_design` turns its
+parameters into one [..., S, 6] design (b0, b1, b2, a1, a2, a0 per
+section), which feeds both the filter (`apply_eq`) and the analysis-side
+`frequency_response`.
+
 Controlled processors expose `num_params` physical parameters, each with
 a ParamRange mapping a controller's [0,1] output to physical units.
 """
@@ -99,35 +104,6 @@ def offset_range() -> ParamRange:
 GAIN_KINDS = ("lowshelf", "highshelf", "peak")
 
 
-class FilterParams:
-    """One filter's physical parameters. Values may be floats or Tensors."""
-
-    KINDS = ("lowpass", "highpass", "lowshelf", "highshelf", "peak")
-
-    def __init__(self, kind: str, f0, q, gain_db=None, fs: float = 48000.0):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown filter kind {kind!r}")
-        if kind in GAIN_KINDS and gain_db is None:
-            raise ValueError(f"{kind} requires gain_db")
-        self.kind = kind
-        self.f0 = f0
-        self.q = q
-        self.gain_db = gain_db
-        self.fs = float(fs)
-
-
-class BiquadSection:
-    """Six coefficient tensors; scalar or per-block [nb]."""
-
-    def __init__(self, b0, b1, b2, a0, a1, a2):
-        self.b0, self.b1, self.b2 = b0, b1, b2
-        self.a0, self.a1, self.a2 = a0, a1, a2
-
-    def coeff_arrays(self):
-        return (self.b0.data, self.b1.data, self.b2.data,
-                self.a0.data, self.a1.data, self.a2.data)
-
-
 # b1 sign of each kind: lowpass and highpass differ only in it and the sign
 # of cos w0 in 1 -/+ cos w0, and so do the low and high shelf
 _SIGN = {"lowpass": 1.0, "highpass": -1.0, "lowshelf": 1.0, "highshelf": -1.0}
@@ -184,6 +160,9 @@ def _design(kinds, f0: Tensor, gain, q: Tensor, fs: float) -> Tensor:
     constant. Returns [..., S, 6]: b0, b1, b2, a1, a2, a0 per section.
     Differentiable w.r.t. f0 / gain / Q.
     """
+    unknown = set(kinds).difference(*(group for group, _ in _GROUPS))
+    if unknown:
+        raise ValueError(f"unknown filter kind {sorted(unknown)[0]!r}")
     if np.any(f0.data <= 0.0) or np.any(f0.data >= fs / 2.0):
         raise ValueError(f"filter frequency must lie in (0, fs/2), got {f0.data}")
     if np.any(q.data <= 0.0):
@@ -220,60 +199,30 @@ def _normalize(raw: Tensor) -> Tensor:
     return T.div(raw[..., 4::-1], raw[..., 5:])[..., ::-1]
 
 
-def _views(raw: Tensor) -> list:
-    """One BiquadSection per section of a [..., S, 6] design."""
-    return [BiquadSection(*(raw[..., s, k] for k in (0, 1, 2, 5, 3, 4)))
-            for s in range(raw.data.shape[-2])]
+def frequency_response(design, freqs, fs: float) -> np.ndarray:
+    """Cascade response H(e^{jw}) of a static [S, 6] design (b0, b1, b2,
+    a1, a2, a0 per section) at the given frequencies (numpy, complex).
 
-
-def biquad_coefficients(p: FilterParams) -> BiquadSection:
-    """Cookbook coefficients for one second-order section.
-
-    Differentiable w.r.t. f0 / gain_db / Q when those are tensors.
+    This is the analysis-side view of the filter, separate from the
+    differentiable signal path.
     """
-    def col(v):
-        t = _as_tensor(v)
-        return T.reshape(t, t.data.shape + (1,))
-    gain = col(p.gain_db) if p.kind in GAIN_KINDS else None
-    return _views(_design((p.kind,), col(p.f0), gain, col(p.q), p.fs))[0]
-
-
-def frequency_response(sections, freqs, fs: float) -> np.ndarray:
-    """Cascade response H(e^{jw}) at the given frequencies (numpy, complex).
-
-    Static sections only; this is the analysis-side view of the filter,
-    separate from the differentiable signal path.
-    """
-    if not sections:
-        raise ValueError("need at least one section")
+    design = np.asarray(design)
+    if design.ndim != 2 or design.shape[1] != 6 or not len(design):
+        raise ValueError(f"frequency_response expects a static [S, 6] "
+                         f"design with S >= 1, got shape {design.shape}")
     freqs = np.asarray(freqs, dtype=np.float64)
     z1 = np.exp(-1j * 2.0 * np.pi * freqs / fs)
     z2 = z1 * z1
     h = np.ones_like(z1)
-    for s in sections:
-        if s.b0.data.ndim:
-            raise ValueError("frequency_response expects static sections")
-        b0, b1, b2, a0, a1, a2 = (float(c) for c in s.coeff_arrays())
+    for row in design:
+        b0, b1, b2, a1, a2, a0 = (float(c) for c in row)
         h = h * (b0 + b1 * z1 + b2 * z2) / (a0 + a1 * z1 + a2 * z2)
     return h
 
 
-def apply_filter(x: Tensor, sections, block_size: int | None = None) -> Tensor:
-    """Biquad cascade over a 1-D signal, by exact direct-form-I recursion:
-    the sections' coefficients stacked into one `T.biquad` node. Per-block
-    sections ([nb] coefficients) hold one coefficient set per `block_size`
-    samples, applied to the history carried across blocks.
-    """
-    cols = [T.reshape(c, c.data.shape + (1,)) for s in sections
-            for c in (s.b0, s.b1, s.b2, s.a1, s.a2, s.a0)]
-    flat = T.concat(cols, axis=-1)
-    raw = T.reshape(flat, flat.data.shape[:-1] + (len(sections), 6))
-    return T.biquad(x, _normalize(raw), block_size)
-
-
 def _eq_size(layout) -> int:
-    """Parameter count of a (kind, has_gain) layout: 3 with gain, else 2."""
-    return sum(3 if has_gain else 2 for _, has_gain in layout)
+    """Parameter count of a layout of kinds: 3 per GAIN_KINDS kind, else 2."""
+    return sum(3 if kind in GAIN_KINDS else 2 for kind in layout)
 
 
 def _eq_columns(params: Tensor, layout) -> list:
@@ -283,48 +232,44 @@ def _eq_columns(params: Tensor, layout) -> list:
         raise ValueError(f"expected {_eq_size(layout)} parameters, "
                          f"got {params.data.shape[-1]}")
     cols, i = ([], [], []), 0
-    for _kind, has_gain in layout:
+    for kind in layout:
+        gained = kind in GAIN_KINDS
         cols[0].append(i)
-        if has_gain:
+        if gained:
             cols[1].append(i + 1)
-        cols[2].append(i + 1 + has_gain)
-        i += 2 + has_gain
+        cols[2].append(i + 1 + gained)
+        i += 2 + gained
     return [T.take(params, (Ellipsis, np.array(c))) if c else None
             for c in cols]
 
 
-def _eq_design(params: Tensor, layout, fs: float, ranges=None) -> Tensor:
-    """[..., S, 6] design of a layout over params [P] or [nb, P]: physical
-    values, or controls in [0, 1] that `ranges` (one per kind of column:
-    f0, gain, Q) denormalize, each kind once."""
+def eq_design(params: Tensor, layout, fs: float, ranges=None) -> Tensor:
+    """[..., S, 6] design of a layout over params [P] or [nb, P]: each
+    section's f0, then its gain if its kind is in GAIN_KINDS, then its Q.
+    The params are physical values, or controls in [0, 1] that `ranges`
+    (one per kind of column: f0, gain, Q) denormalize, each kind once."""
     cols = _eq_columns(params, layout)
     if ranges is not None:
         cols = [c if c is None else r.denormalize(c)
                 for c, r in zip(cols, ranges)]
-    return _design([k for k, _ in layout], *cols, fs)
-
-
-def _eq_sections(params: Tensor, layout, fs: float) -> list:
-    """Sections of a layout over physical params, as BiquadSection views."""
-    return _views(_eq_design(params, layout, fs))
+    return _design(layout, *cols, fs)
 
 
 # low shelf + three peaks + high shelf; (f0, gain_dB, Q) per section
-PARAMETRIC_EQ_LAYOUT = (("lowshelf", True), ("peak", True), ("peak", True),
-                        ("peak", True), ("highshelf", True))
+PARAMETRIC_EQ_LAYOUT = ("lowshelf", "peak", "peak", "peak", "highshelf")
 # hp(f0, Q), low shelf(f0, gain_dB, Q), high shelf(f0, gain_dB, Q), lp(f0, Q)
-SHELVING_EQ_LAYOUT = (("highpass", False), ("lowshelf", True),
-                      ("highshelf", True), ("lowpass", False))
+SHELVING_EQ_LAYOUT = ("highpass", "lowshelf", "highshelf", "lowpass")
 
 
 def apply_eq(x: Tensor, params: Tensor, layout, fs: float,
-             block_size: int | None = None) -> Tensor:
-    """Biquad cascade described by `layout`, one cascade application.
-
-    params: the layout's physical values in order, [P] or [nb, P]
-    (per-block).
+             block_size: int | None = None, ranges=None) -> Tensor:
+    """Biquad cascade of `eq_design(params, layout, fs, ranges)` over a 1-D
+    signal, by exact direct-form-I recursion in one `T.biquad` node.
+    Per-block params [nb, P] hold one coefficient set per `block_size`
+    samples, applied to the history carried across blocks.
     """
-    return T.biquad(x, _normalize(_eq_design(params, layout, fs)), block_size)
+    return T.biquad(x, _normalize(eq_design(params, layout, fs, ranges)),
+                    block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +396,17 @@ class ParametricEQ(Processor):
         self.fs = float(fs)
         # one range per kind of column (f0, gain, Q), and each column's
         self.kind_ranges = (freq_range(fs), filter_gain_range(), q_range())
-        self.ranges = [self.kind_ranges[j] for _, has_gain in self.layout
-                       for j in ((0, 1, 2) if has_gain else (0, 2))]
+        self.ranges = [self.kind_ranges[j] for kind in self.layout
+                       for j in ((0, 1, 2) if kind in GAIN_KINDS else (0, 2))]
 
-    def _design(self, g01):
-        return _eq_design(self._check(g01), self.layout, self.fs,
-                          self.kind_ranges)
+    def design(self, g01):
+        """[..., S, 6] design of the controls g01."""
+        return eq_design(self._check(g01), self.layout, self.fs,
+                         self.kind_ranges)
 
     def apply(self, x, g01=None, block_size=None):
-        return T.biquad(x, _normalize(self._design(g01)), block_size)
-
-    def sections(self, g01=None):
-        return _views(self._design(g01))
+        return apply_eq(x, self._check(g01), self.layout, self.fs,
+                        block_size, self.kind_ranges)
 
 
 class ShelvingEQ(ParametricEQ):

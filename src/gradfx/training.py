@@ -84,11 +84,6 @@ class Adam:
             p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
         return True
 
-    def state_dict(self) -> dict:
-        return {"t": self.t, "skipped": self.skipped,
-                "m": [a.copy() for a in self.m],
-                "v": [a.copy() for a in self.v]}
-
     def load_state_dict(self, state: dict) -> None:
         if len(state["m"]) != len(self.params):
             raise ValueError("optimizer state does not match parameter list")

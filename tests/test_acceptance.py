@@ -368,11 +368,11 @@ def test_02_frequency_sampling_matches_time_domain():
                 q = float(np.exp(rng.uniform(np.log(0.3), np.log(10.0))))
                 g = (float(rng.uniform(-24.0, 24.0))
                      if kind in ("peak", "lowshelf", "highshelf") else None)
-                sec = P.biquad_coefficients(
-                    P.FilterParams(kind, f0, q, gain_db=g, fs=float(FS)))
-                y = P.apply_filter(xt, [sec]).data
-                b0, b1, b2, a0, a1, a2 = (float(v) for v in
-                                          sec.coeff_arrays())
+                params = Tensor(np.array([f0, q] if g is None
+                                         else [f0, g, q]))
+                y = P.apply_eq(xt, params, (kind,), float(FS)).data
+                b0, b1, b2, a1, a2, a0 = (float(v) for v in P.eq_design(
+                    params, (kind,), float(FS)).data[0])
                 ref = lfilter([b0 / a0, b1 / a0, b2 / a0],
                               [1.0, a1 / a0, a2 / a0], x)
                 rel = _rel_l2(y, ref)
@@ -405,9 +405,9 @@ def test_03_identity_settings_pass_audio_through():
         for kind in ("peak", "lowshelf", "highshelf"):
             f0 = float(np.exp(rng.uniform(np.log(40.0), np.log(10000.0))))
             q = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
-            sec = P.biquad_coefficients(
-                P.FilterParams(kind, f0, q, gain_db=0.0, fs=float(FS)))
-            rels[kind] = _rel_l2(P.apply_filter(x, [sec]).data, x.data)
+            params = Tensor(np.array([f0, 0.0, q]))
+            rels[kind] = _rel_l2(
+                P.apply_eq(x, params, (kind,), float(FS)).data, x.data)
 
         c = Tensor(rng.uniform(0.0, 1.0, 2))
         h = Tensor(rng.standard_normal((8, 256)))
@@ -667,12 +667,12 @@ class _GainIntoLowpass:
 
     def __init__(self):
         self.scale = 10.0 ** (-6.02 / 20.0)
-        self.section = P.biquad_coefficients(
-            P.FilterParams("lowpass", 1000.0, 1.0 / np.sqrt(2.0),
-                           fs=float(FS)))
+        self.params = Tensor(np.array([1000.0, 1.0 / np.sqrt(2.0)],
+                                      dtype=T.default_dtype()))
 
     def forward(self, x, c=None, state=None):
-        y = P.apply_filter(Tensor(x.data * self.scale), [self.section])
+        y = P.apply_eq(Tensor(x.data * self.scale), self.params,
+                       ("lowpass",), float(FS))
         return y, None
 
 
@@ -682,8 +682,9 @@ def test_09_stepped_sine_matches_analytic_response():
         cfg = A.SweepConfig()
         chain = _GainIntoLowpass()
         curve = A.stepped_sine_response(chain, cfg)
-        href = chain.scale * P.frequency_response([chain.section],
-                                                  curve.freqs, float(FS))
+        design = P.eq_design(chain.params, ("lowpass",), float(FS)).data
+        href = chain.scale * P.frequency_response(design, curve.freqs,
+                                                  float(FS))
         mag_err = float(np.max(np.abs(
             curve.magnitude_db - 20.0 * np.log10(np.abs(href)))))
         # compare phases on the circle; the curve itself is unwrapped

@@ -25,13 +25,13 @@ class _ScaleModel:
 class _LTIModel:
     """Fixed gain -> biquad cascade rendered by the filter path."""
 
-    def __init__(self, sections, gain_lin=1.0):
-        self.sections = sections
+    def __init__(self, params, layout, fs, gain_lin=1.0):
+        self.params, self.layout, self.fs = params, layout, fs
         self.g = gain_lin
 
     def forward(self, x, c=None, state=None):
         y = T.mul(x, Tensor(np.asarray(self.g, dtype=x.data.dtype)))
-        y = P.apply_filter(y, self.sections)
+        y = P.apply_eq(y, self.params, self.layout, self.fs)
         return y, state
 
 
@@ -73,13 +73,14 @@ def test_phase_inversion_measurement():
 
 def test_lti_chain_matches_analytic_response():
     fs = 48000.0
-    sections = [P.biquad_coefficients(
-        P.FilterParams("lowpass", 1000.0, 0.707, fs=fs))]
+    params = Tensor(np.array([1000.0, 0.707], dtype=T.default_dtype()))
     gain = 10 ** (-6.02 / 20.0)
     cfg = A.SweepConfig(fs=fs, f1=20.0, steps=15, T=1.0, warmup=0.2)
-    curve = A.stepped_sine_response(_LTIModel(sections, gain), cfg)
+    curve = A.stepped_sine_response(_LTIModel(params, ("lowpass",), fs, gain),
+                                    cfg)
 
-    h = P.frequency_response(sections, curve.freqs, fs) * gain
+    design = P.eq_design(params, ("lowpass",), fs).data
+    h = P.frequency_response(design, curve.freqs, fs) * gain
     mag_ref = 20 * np.log10(np.abs(h))
     ph_ref = np.unwrap(np.angle(h))
     assert np.max(np.abs(curve.magnitude_db - mag_ref)) < 0.05

@@ -1,6 +1,7 @@
 import inspect
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from gradfx import analysis as A
 from gradfx import cli
 from gradfx import data as D
+from gradfx import tensor as T
 from gradfx import training as tr
 from gradfx.config import _RULES, ConfigError, load_config
 from gradfx.models import ModelSpec, load_checkpoint, save_checkpoint
 from gradfx.tensor import Tensor
+from oracles import freqz_cascade, rbj_coeffs
 
 
 def _write_dataset(root, n_files=5, length=8192, gain=0.5, fs=48000,
@@ -406,6 +409,61 @@ def test_cli_rejects_bad_stage_options_exit2(tmp_path, capsys, model,
     assert not (tmp_path / "out" / "run_log.csv").exists()
 
 
+def _gain_model_with(graybox=None, stage=None, **model):
+    """The one-gain-stage model with edits to /model, its graybox section
+    and its stage."""
+    doc = dict(_gain_model_doc(), **model)
+    doc["graybox"] = dict(doc["graybox"], **(graybox or {}))
+    doc["graybox"]["stages"] = [dict(doc["graybox"]["stages"][0],
+                                     **(stage or {}))]
+    return doc
+
+
+@pytest.mark.parametrize("model, message", [
+    (_gain_model_with({"block_size": 0}),
+     "/model: graybox block_size must be an integer >= 1, got 0"),
+    (_gain_model_with({"block_size": 2.5}),
+     "/model: graybox block_size must be an integer >= 1, got 2.5"),
+    (_gain_model_with(num_controls=1.5),
+     "/model: num_controls must be a nonnegative integer, got 1.5"),
+    (_gain_model_with(num_controls=True),
+     "/model: num_controls must be a nonnegative integer, got True"),
+    (_gain_model_with(num_controls=-1),
+     "/model: num_controls must be a nonnegative integer, got -1"),
+    (_gain_model_with({"foo": 1}), "/model: unknown graybox field 'foo'"),
+    (_gain_model_with(stage={"bar": 2}), "/model: unknown stage field 'bar'"),
+    (_gain_model_with({"sample_rate": 8000}),
+     "/model: graybox sample_rate 8000.0 differs from the model's 48000.0"),
+    (_gain_model_with({"num_controls": 1}),
+     "/model: graybox num_controls 1 differs from the model's 0"),
+    (_gain_model_with({"num_controls": 1.5}),
+     "/model: graybox num_controls must be a nonnegative integer, got 1.5"),
+    (_gain_model_with(sample_rate=0),
+     "/model: sample_rate must be a number > 0, got 0"),
+    (_gain_model_with(lstm={"hidden": 4}), "/model: unknown model field 'lstm'"),
+    (dict(_gain_model_doc(), graybox=[1]),
+     "/model: graybox section must be an object, got [1]"),
+    (dict(_gain_model_doc(), graybox={"stages": [5]}),
+     "/model: stage section must be an object, got 5"),
+])
+def test_cli_rejects_bad_model_fields_exit2(tmp_path, capsys, model, message):
+    cfg_path = _write_config(tmp_path / "exp.json", model=model,
+                             with_data=False)
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_config_accepts_graybox_copies_of_model_fields(tmp_path):
+    # checkpoints store the model's rate and control count in both places
+    model = _gain_model_with({"sample_rate": 48000, "num_controls": 0})
+    cfg = load_config(_write_config(tmp_path / "exp.json", model=model,
+                                    with_data=False))
+    want = ModelSpec.from_dict(_gain_model_doc()).to_dict()
+    assert cfg.model_spec.to_dict() == want
+    assert ModelSpec.from_dict(want).to_dict() == want
+
+
 @pytest.mark.parametrize("model", [
     _gain_model_doc(),
     {"kind": "tcn", "sample_rate": 48000.0, "num_controls": 0,
@@ -490,6 +548,47 @@ def test_cli_analyze_graybox_stage_files(tmp_path):
     eq_text = (out / "stage_0_parametric_eq.csv").read_text()
     assert eq_text.splitlines()[0] == "freq_hz,mag_db,phase_rad"
     assert len(eq_text.splitlines()) == 1 + 6
+
+
+def test_cli_analyze_eq_stage_reports_match_the_oracle(tmp_path):
+    # static EQ stages at random controller biases: each stage file is the
+    # cookbook cascade's response at the stage's denormalized values
+    model = {"kind": "graybox", "sample_rate": 48000.0, "num_controls": 0,
+             "graybox": {"stages": [{"processor": "parametric_eq"},
+                                    {"processor": "shelving_eq"}],
+                         "block_size": 128}}
+    cfg_path = _write_config(tmp_path / "exp.json", model=model,
+                             with_data=False)
+    spec = ModelSpec.from_dict(model)
+    T.set_default_dtype(np.float64)
+    try:
+        chain = spec.build(np.random.default_rng(0))
+        rng = np.random.default_rng(45)
+        for k in chain.controllers:
+            k.b.data = rng.uniform(-2.5, 2.5, k.num_params)
+        save_checkpoint(tmp_path / "ckpt.json", chain, spec)
+        assert cli.main(["analyze", "--config", str(cfg_path), "--checkpoint",
+                         str(tmp_path / "ckpt.json"), "--precision",
+                         "f64"]) == 0
+        freqs = load_config(cfg_path).sweep_cfg.frequencies
+        for i, (proc, k) in enumerate(zip(chain.processors,
+                                          chain.controllers)):
+            u = k()[0].values.data
+            phys = [r.denormalize(Tensor(u[j])).item()
+                    for j, r in enumerate(proc.ranges)]
+            coeffs = []
+            for kind in proc.layout:  # f0, the gain if it has one, Q
+                f0 = phys.pop(0)
+                gain = phys.pop(0) if kind in ("lowshelf", "highshelf",
+                                               "peak") else 0.0
+                coeffs.append(rbj_coeffs(kind, f0, phys.pop(0), gain, 48000.0))
+            h = freqz_cascade(coeffs, freqs, 48000.0)
+            got = np.loadtxt(tmp_path / "out" / f"stage_{i}_{proc.name}.csv",
+                             delimiter=",", skiprows=1)
+            assert np.max(np.abs(got[:, 1] - 20 * np.log10(np.abs(h)))) < 1e-9
+            assert np.max(np.abs(got[:, 2] - np.unwrap(np.angle(h)))) < 1e-9
+    finally:
+        T.set_default_dtype(np.float32)
 
 
 def test_cli_analyze_blackbox_whole_model_only(tmp_path):
@@ -621,6 +720,55 @@ def test_cli_render_control_errors(tmp_path):
                    "--input", str(tmp_path / "probe.wav"),
                    "--controls", "0.7"])
     assert rc == 0
+
+
+def _fmt_field(offset, value):
+    """An edit of one 16-bit fmt field of a file save_wav wrote: the
+    channel count at byte 22, bits per sample at byte 34."""
+    def edit(path):
+        b = bytearray(path.read_bytes())
+        struct.pack_into("<H", b, offset, value)
+        path.write_bytes(bytes(b))
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.write_bytes(b"not a wave file at all"),
+     "not a RIFF/WAVE file"),
+    (_fmt_field(22, 2), "2 channels, only mono is supported"),
+    (_fmt_field(34, 24), "data chunk of 4096 bytes is not a whole number of "
+                         "24-bit samples"),
+    (_fmt_field(34, 0), "unsupported WAV encoding: format 1, 0-bit"),
+], ids=["not_riff", "stereo", "partial_sample", "zero_bits"])
+def test_cli_render_rejects_bad_input_files_exit2(tmp_path, capsys, edit,
+                                                  message):
+    cfg_path = _write_config(tmp_path / "exp.json", with_data=False)
+    probe = tmp_path / "probe.wav"
+    D.save_wav(probe, np.zeros(2048, dtype=np.float32), 48000, bitdepth=16)
+    edit(probe)
+    rc = cli.main(["render", "--config", str(cfg_path),
+                   "--input", str(probe)])
+    assert rc == 2
+    assert f"--input: {probe}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rendered.wav").exists()
+
+
+def test_cli_render_rejects_an_unreadable_input_exit2(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path / "exp.json", with_data=False)
+    for path in (tmp_path / "gone.wav", tmp_path):  # missing, a directory
+        assert cli.main(["render", "--config", str(cfg_path),
+                         "--input", str(path)]) == 2
+        assert "--input: [Errno" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_zero_bit_manifest_entry_exit2(tmp_path, capsys):
+    man = _write_dataset(tmp_path)
+    _fmt_field(34, 0)(tmp_path / "in_2.wav")
+    cfg_path = _write_config(tmp_path / "exp.json")
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert (f"/data/manifest: {man.parent / 'in_2.wav'}: unsupported WAV "
+            f"encoding: format 3, 0-bit" in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "run_log.csv").exists()
 
 
 def test_cli_render_rate_mismatch(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """WAV round trips (cross-checked against scipy), manifests, segmentation."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,33 @@ def test_stereo_and_unsupported_rejected(tmp_path):
     r.write_bytes(b"not a wave file at all")
     with pytest.raises(ValueError):
         D.load_wav(r)
+
+
+def _declare_bits(path, bits):
+    """Rewrite the bits-per-sample field of a file save_wav wrote."""
+    b = bytearray(path.read_bytes())
+    struct.pack_into("<H", b, 34, bits)
+    path.write_bytes(bytes(b))
+    return path
+
+
+@pytest.mark.parametrize("samples, depth, bits, message", [
+    (100, 16, 0, "unsupported WAV encoding: format 1, 0-bit"),
+    (3, 24, 16, "data chunk of 9 bytes is not a whole number of 16-bit "
+                "samples"),
+    (100, 16, 24, "data chunk of 200 bytes is not a whole number of 24-bit "
+                  "samples"),
+    (100, "float32", 64, "unsupported WAV encoding: format 3, 64-bit"),
+])
+def test_wav_rejects_bad_encodings_and_partial_samples(tmp_path, samples,
+                                                       depth, bits, message):
+    p = tmp_path / "bad.wav"
+    D.save_wav(p, np.zeros(samples, dtype=np.float32), 48000, bitdepth=depth)
+    _declare_bits(p, bits)
+    for read in (D.load_wav, D.wav_info):
+        with pytest.raises(ValueError) as e:
+            read(p)
+        assert str(e.value) == f"{p}: {message}"
 
 
 def test_wav_info(tmp_path):

@@ -19,26 +19,35 @@ def t64(a):
     return Tensor(np.asarray(a, dtype=np.float64))
 
 
+def t32(a):
+    return Tensor(np.asarray(a, dtype=np.float32))
+
+
 # ---------------------------------------------------------------------------
 # coefficient formulas
 
+def _params(kind, d):
+    """A one-section layout's params from drawn f0 / gain_db / Q."""
+    return [d["f0"], d["gain_db"], d["q"]] if kind in P.GAIN_KINDS \
+        else [d["f0"], d["q"]]
+
+
 def test_lowpass_hand_evaluated_anchor():
     # f0 = fs/4: cos w0 = 0, sin w0 = 1, alpha = 1/(2Q) = sqrt(2)/2
-    s = P.biquad_coefficients(P.FilterParams("lowpass", FS / 4, 1 / np.sqrt(2), fs=FS))
-    b0, b1, b2, a0, a1, a2 = (float(c) for c in s.coeff_arrays())
+    row = P.eq_design(t32([FS / 4, 1 / np.sqrt(2)]), ("lowpass",), FS).data[0]
+    b0, b1, b2, a1, a2, a0 = (float(c) for c in row)
     assert (b0, b1, b2) == pytest.approx((0.5, 1.0, 0.5), abs=1e-4)
     assert (a0, a1, a2) == pytest.approx((1.7071, 0.0, 0.2929), abs=1e-4)
 
 
 def test_peak_zero_gain_is_identity_section():
-    s = P.biquad_coefficients(P.FilterParams("peak", 800.0, 2.0, gain_db=0.0, fs=FS))
-    b0, b1, b2, a0, a1, a2 = s.coeff_arrays()
+    b0, b1, b2, a1, a2, a0 = P.eq_design(t32([800.0, 0.0, 2.0]), ("peak",),
+                                         FS).data[0]
     assert np.array_equal(b0, a0) and np.array_equal(b1, a1) and np.array_equal(b2, a2)
 
 
 def test_highpass_blocks_dc():
-    s = P.biquad_coefficients(P.FilterParams("highpass", 500.0, 0.9, fs=FS))
-    b0, b1, b2, *_ = s.coeff_arrays()
+    b0, b1, b2, *_ = P.eq_design(t32([500.0, 0.9]), ("highpass",), FS).data[0]
     assert b0 + b1 + b2 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -47,10 +56,8 @@ def test_coefficients_match_reference_transcription(kind):
     rng = np.random.default_rng(hash(kind) % 2**32)
     for _ in range(10):
         d = draw_filter_params(rng, kind, FS)
-        fp = P.FilterParams(kind, t64(d["f0"]), t64(d["q"]),
-                            gain_db=t64(d["gain_db"]) if "gain_db" in d else None, fs=FS)
-        s = P.biquad_coefficients(fp)
-        got = np.array([float(c) for c in s.coeff_arrays()])
+        row = P.eq_design(t64(_params(kind, d)), (kind,), FS).data[0]
+        got = np.array([float(row[k]) for k in (0, 1, 2, 5, 3, 4)])
         b, a = rbj_coeffs(kind, d["f0"], d["q"], d.get("gain_db", 0.0), FS)
         ref = np.concatenate([b, a])
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12), kind
@@ -58,47 +65,46 @@ def test_coefficients_match_reference_transcription(kind):
 
 def test_invalid_filter_params_raise():
     with pytest.raises(ValueError):
-        P.biquad_coefficients(P.FilterParams("lowpass", FS / 2, 1.0, fs=FS))
+        P.eq_design(t32([FS / 2, 1.0]), ("lowpass",), FS)
     with pytest.raises(ValueError):
-        P.biquad_coefficients(P.FilterParams("lowpass", -10.0, 1.0, fs=FS))
+        P.eq_design(t32([-10.0, 1.0]), ("lowpass",), FS)
     with pytest.raises(ValueError):
-        P.biquad_coefficients(P.FilterParams("peak", 100.0, 0.0, gain_db=3.0, fs=FS))
+        P.eq_design(t32([100.0, 3.0, 0.0]), ("peak",), FS)
     with pytest.raises(ValueError):
-        P.FilterParams("peak", 100.0, 1.0, fs=FS)  # gain required
+        P.eq_design(t32([100.0, 1.0]), ("peak",), FS)  # gain required
     with pytest.raises(ValueError):
-        P.FilterParams("bandstop", 100.0, 1.0, fs=FS)
+        P.eq_design(t32([100.0, 1.0]), ("bandstop",), FS)
 
 
 # ---------------------------------------------------------------------------
 # frequency response
 
 def test_identity_section_response_is_one():
-    s = P.biquad_coefficients(P.FilterParams("peak", 1000.0, 1.0, gain_db=0.0, fs=FS))
-    h = P.frequency_response([s], [10.0, 100.0, 1000.0, 20000.0], FS)
+    design = P.eq_design(t32([1000.0, 0.0, 1.0]), ("peak",), FS).data
+    h = P.frequency_response(design, [10.0, 100.0, 1000.0, 20000.0], FS)
     assert np.allclose(h, 1.0 + 0j, atol=1e-15)
 
 
 def test_lowpass_unity_at_dc():
-    s = P.biquad_coefficients(P.FilterParams("lowpass", t64(FS / 4), t64(1 / np.sqrt(2)), fs=FS))
-    h = P.frequency_response([s], [0.0], FS)
+    design = P.eq_design(t64([FS / 4, 1 / np.sqrt(2)]), ("lowpass",), FS).data
+    h = P.frequency_response(design, [0.0], FS)
     assert abs(h[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cascade_is_product_of_sections():
     rng = np.random.default_rng(21)
     freqs = np.geomspace(20, 20000, 64)
-    sections = []
+    designs = []
     for kind in ("lowshelf", "peak", "highshelf"):
         d = draw_filter_params(rng, kind, FS)
-        sections.append(P.biquad_coefficients(
-            P.FilterParams(kind, d["f0"], d["q"], gain_db=d["gain_db"], fs=FS)))
-    combined = P.frequency_response(sections, freqs, FS)
+        designs.append(P.eq_design(t32(_params(kind, d)), (kind,), FS).data)
+    combined = P.frequency_response(np.concatenate(designs), freqs, FS)
     product = np.ones_like(combined)
-    for s in sections:
-        product = product * P.frequency_response([s], freqs, FS)
+    for s in designs:
+        product = product * P.frequency_response(s, freqs, FS)
     assert np.max(np.abs(combined - product)) < 1e-9
-    two = P.frequency_response([sections[0], sections[0]], freqs, FS)
-    single = P.frequency_response([sections[0]], freqs, FS)
+    two = P.frequency_response(np.concatenate([designs[0]] * 2), freqs, FS)
+    single = P.frequency_response(designs[0], freqs, FS)
     assert np.allclose(two, single**2, atol=1e-12)
 
 
@@ -106,13 +112,13 @@ def test_frequency_response_matches_scipy():
     rng = np.random.default_rng(22)
     freqs = np.geomspace(10, 23000, 200)
     coeffs = []
-    sections = []
+    rows = []
     for kind in ("lowpass", "peak", "highshelf"):
         d = draw_filter_params(rng, kind, FS)
         b, a = rbj_coeffs(kind, d["f0"], d["q"], d.get("gain_db", 0.0), FS)
         coeffs.append((b, a))
-        sections.append(P.BiquadSection(*[t64(v) for v in np.concatenate([b, a])]))
-    got = P.frequency_response(sections, freqs, FS)
+        rows.append([b[0], b[1], b[2], a[1], a[2], a[0]])
+    got = P.frequency_response(np.array(rows), freqs, FS)
     ref = freqz_cascade(coeffs, freqs, FS)
     assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -123,8 +129,7 @@ def test_frequency_response_matches_scipy():
 def test_apply_filter_identity_section():
     rng = np.random.default_rng(24)
     x = Tensor(rng.standard_normal(1000).astype(np.float32))
-    s = P.biquad_coefficients(P.FilterParams("peak", 440.0, 3.0, gain_db=0.0, fs=FS))
-    y = P.apply_filter(x, [s])
+    y = P.apply_eq(x, t32([440.0, 0.0, 3.0]), ("peak",), FS)
     assert rel_l2(y.data, x.data) < 1e-6
 
 
@@ -135,41 +140,36 @@ def test_apply_filter_matches_recursion(kind):
     x = rng.standard_normal(n)
     for _ in range(4):
         d = draw_filter_params(rng, kind, FS)
-        fp = P.FilterParams(kind, t64(d["f0"]), t64(d["q"]),
-                            gain_db=t64(d["gain_db"]) if "gain_db" in d else None, fs=FS)
-        s = P.biquad_coefficients(fp)
-        y = P.apply_filter(t64(x), [s]).data
-        b0, b1, b2, a0, a1, a2 = s.coeff_arrays()
+        params = t64(_params(kind, d))
+        y = P.apply_eq(t64(x), params, (kind,), FS).data
+        b0, b1, b2, a1, a2, a0 = P.eq_design(params, (kind,), FS).data[0]
         ref = lfilter_cascade(x, [((b0, b1, b2), (a0, a1, a2))])
         assert rel_l2(y, ref) < 1e-3, (kind, d)
 
 
 def test_apply_filter_argument_errors():
     x = Tensor(np.zeros(100, dtype=np.float32))
-    s = P.biquad_coefficients(P.FilterParams("lowpass", 1000.0, 1.0, fs=FS))
+    params = t32([1000.0, 1.0])
     with pytest.raises(ValueError):
-        P.apply_filter(Tensor(np.zeros((2, 50))), [s])  # not 1-D
-    per_block = P.biquad_coefficients(P.FilterParams(
-        "lowpass", Tensor(np.full(4, 1000.0)), Tensor(np.ones(4)), fs=FS))
+        P.apply_eq(Tensor(np.zeros((2, 50))), params, ("lowpass",), FS)  # not 1-D
+    per_block = Tensor(np.tile([1000.0, 1.0], (4, 1)))
     with pytest.raises(ValueError):
-        P.apply_filter(x, [per_block])                  # no block size
+        P.apply_eq(x, per_block, ("lowpass",), FS)                 # no block size
     with pytest.raises(ValueError):
-        P.apply_filter(x, [per_block], block_size=50)   # 2 blocks, not 4
+        P.apply_eq(x, per_block, ("lowpass",), FS, block_size=50)  # 2 blocks, not 4
 
 
 def test_apply_filter_gradients():
     rng = np.random.default_rng(25)
     x = t64(rng.standard_normal(32))
-    f0, q, g = t64(900.0), t64(1.3), t64(4.5)
+    params = t64([900.0, 4.5, 1.3])  # f0, gain_db, Q
     w = rng.standard_normal(32)
 
     def f(ts):
-        sec = P.biquad_coefficients(
-            P.FilterParams("lowshelf", ts[1], ts[2], gain_db=ts[3], fs=FS))
-        y = P.apply_filter(ts[0], [sec])
+        y = P.apply_eq(ts[0], ts[1], ("lowshelf",), FS)
         return T.sum_(T.mul(y, Tensor(w)))
 
-    assert grad_check(f, [x, f0, q, g]) < 1e-4
+    assert grad_check(f, [x, params]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +194,12 @@ def test_parametric_eq_zero_gain_is_identity():
 
 def test_parametric_eq_flat_response_at_zero_gain():
     rng = np.random.default_rng(27)
-    sections = []
+    params = []
     for _ in range(5):
         d = draw_filter_params(rng, "peak", FS)
-        sections.append(P.biquad_coefficients(
-            P.FilterParams("peak", d["f0"], d["q"], gain_db=0.0, fs=FS)))
-    h = P.frequency_response(sections, np.geomspace(20, 22000, 128), FS)
+        params += [d["f0"], 0.0, d["q"]]
+    design = P.eq_design(t32(params), ("peak",) * 5, FS).data
+    h = P.frequency_response(design, np.geomspace(20, 22000, 128), FS)
     assert np.max(np.abs(20 * np.log10(np.abs(h)))) < 1e-6
 
 
@@ -265,10 +265,11 @@ def test_time_varying_blocks_use_their_own_params():
     assert np.abs(second).mean() > 1.5  # boosted well above unity
 
 
-def _normalized(sections):
+def _normalized(design):
     """Each section's a0-normalized (b0, b1, b2, a1, a2) as float64 arrays."""
-    return [[np.atleast_1d(T.div(c, s.a0).data).astype(np.float64)
-             for c in (s.b0, s.b1, s.b2, s.a1, s.a2)] for s in sections]
+    d = design.data
+    return [[np.atleast_1d(d[..., s, k] / d[..., s, 5]).astype(np.float64)
+             for k in range(5)] for s in range(d.shape[-2])]
 
 
 @pytest.mark.parametrize("block", [128, 256, 100, 1])
@@ -286,8 +287,8 @@ def test_per_block_filter_matches_carried_state_recursion(block):
             params[k, 3 * i:3 * i + 3] = d["f0"], d["gain_db"], d["q"]
     y = P.apply_eq(t64(x), t64(params), P.PARAMETRIC_EQ_LAYOUT, FS,
                    block_size=block).data
-    sections = P._eq_sections(t64(params), P.PARAMETRIC_EQ_LAYOUT, FS)
-    ref = df1_blocks(x, _normalized(sections), block)
+    design = P.eq_design(t64(params), P.PARAMETRIC_EQ_LAYOUT, FS)
+    ref = df1_blocks(x, _normalized(design), block)
     assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
 
 
@@ -335,9 +336,9 @@ def test_f32_resonant_cascade_matches_sosfilt():
     x = Tensor((rng.standard_normal(48000) * 0.25).astype(np.float32))
     y = P.apply_eq(x, Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS).data
     assert y.dtype == np.float32
-    sections = P._eq_sections(Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
+    design = P.eq_design(Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
     sos = np.array([[b0[0], b1[0], b2[0], 1.0, a1[0], a2[0]]
-                    for b0, b1, b2, a1, a2 in _normalized(sections)])
+                    for b0, b1, b2, a1, a2 in _normalized(design)])
     ref = sosfilt(sos, x.data.astype(np.float64))
     assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-5
 
@@ -440,7 +441,8 @@ def _per_section_eq(eq, x, g01, block):
     a0 and a one-section biquad node."""
     u = [eq.ranges[i].denormalize(g01[..., i]) for i in range(eq.num_params)]
     i = 0
-    for kind, has_gain in eq.layout:
+    for kind in eq.layout:
+        has_gain = kind in P.GAIN_KINDS
         f0, g, q = u[i:i + 3] if has_gain else (u[i], None, u[i + 1])
         i += 2 + has_gain
         b0, b1, b2, a0, a1, a2 = _cookbook(kind, f0, q, g, eq.fs)
