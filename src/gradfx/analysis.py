@@ -136,7 +136,8 @@ def stepped_sine_response(model, cfg: SweepConfig,
                           c: Tensor | None = None) -> ResponseCurve:
     """Measure magnitude/phase at exponentially spaced frequencies.
 
-    Each tone runs through a warm-up that settles the state,
+    Each tone runs through a warm-up that settles the state (rounded up
+    to whole `stream_unit`s, so the split does not change the output),
     phase-continuous, and then the measured render. An `LSTMModel`, whose
     cost is per call and step, renders all frequencies at once as a batch:
     warm-up and measurement form one signal, fed in time chunks that hold
@@ -148,14 +149,12 @@ def stepped_sine_response(model, cfg: SweepConfig,
     if tail > n_meas:
         raise ValueError(f"analysis tail {tail} exceeds rendered "
                          f"length {n_meas}")
-    n_warm = int(round(cfg.warmup * cfg.fs))
+    n_warm = -(-int(round(cfg.warmup * cfg.fs)) // model.stream_unit) \
+        * model.stream_unit
     freqs, n = cfg.frequencies, n_warm + n_meas
     if isinstance(model, LSTMModel):
-        # f32 GEMV rows round alike when chunk edges sit on multiples of
-        # 16; a time-varying conditioner also needs whole control blocks
-        unit = 64
-        if model.cond_mode == "tvcond":
-            unit = math.lcm(unit, model.generator.block_size)
+        # f32 GEMV rows round alike when chunk edges sit on multiples of 16
+        unit = math.lcm(64, model.stream_unit)
         chunk = max(unit, n // len(freqs) // unit * unit)
         x_tail, y_tail = _render(model, cfg, freqs, [*range(0, n, chunk), n],
                                  c, tail, batched=True)
@@ -174,7 +173,7 @@ def amplitude_response(processor, points: int = 200,
                        lo: float = -1.0, hi: float = 1.0) -> AmplitudeCurve:
     """Static transfer curve of a memoryless stage, with tanh alongside."""
     grid = np.linspace(lo, hi, points)
-    y = processor.apply(Tensor(grid.astype(T.default_dtype())))
+    y, _ = processor.apply(Tensor(grid.astype(T.default_dtype())))
     return AmplitudeCurve(grid, np.asarray(y.data, dtype=np.float64),
                           np.tanh(grid))
 

@@ -18,7 +18,7 @@ from . import processors as P
 from . import tensor as T
 from . import training as tr
 from .config import ConfigError, load_config
-from .models import GrayBoxChain, load_checkpoint
+from .models import GrayBoxChain, load_checkpoint, render
 from .tensor import Tensor
 
 EXIT_OK = 0
@@ -265,12 +265,11 @@ def cmd_render(cfg, args) -> int:
     model.eval()
     c = Tensor(np.asarray(controls, dtype=T.default_dtype())) \
         if controls else None
-    y, _ = model.forward(Tensor(x.astype(T.default_dtype())), c)
+    y = render(model, x, c, np.empty(len(x)))
     out_path = cfg.output_dir / args.output
     out_path.parent.mkdir(parents=True, exist_ok=True)
     depth = args.bitdepth if args.bitdepth == "float32" else int(args.bitdepth)
-    D.save_wav(out_path, np.asarray(y.data, dtype=np.float64), fs,
-               bitdepth=depth)
+    D.save_wav(out_path, y, fs, bitdepth=depth)
     print(out_path)
     return EXIT_OK
 

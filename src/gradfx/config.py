@@ -129,6 +129,22 @@ def _check_lengths(data: dict | None, tc: TrainConfig, problems) -> None:
                         f"/data/segment_len {seg}")
 
 
+def _check_tbptt(spec: ModelSpec, tc: TrainConfig, problems) -> None:
+    """Truncated BPTT trains an lstm model on pieces split at warmup_len and
+    every chunk_len, which must be whole units of its stream: a piece
+    that ends inside a control block changes the output."""
+    if spec.kind != "lstm":
+        problems.append(f"/train/tbptt: truncated BPTT trains lstm models "
+                        f"only, not a {spec.kind} model")
+        return
+    unit = spec.build().stream_unit
+    for key in ("warmup_len", "chunk_len"):
+        v = getattr(tc, key)
+        if v % unit:
+            problems.append(f"/train/{key}: {v} is not a multiple of the "
+                            f"model's control block of {unit} samples")
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError with every
     offending field's pointer, never a partial object."""
@@ -153,7 +169,9 @@ def load_config(path) -> ExperimentConfig:
     else:
         try:
             model_spec = ModelSpec.from_dict(doc["model"])
-        except (ValueError, KeyError, TypeError) as e:
+        except KeyError as e:
+            problems.append(f"/model/{e.args[0]}: required field missing")
+        except (ValueError, TypeError) as e:
             problems.append(f"/model: {e}")
 
     data = None
@@ -169,11 +187,8 @@ def load_config(path) -> ExperimentConfig:
             problems.append(f"/train: {e}")
         else:
             _check_lengths(data, train_cfg, problems)
-            if train_cfg.tbptt and model_spec is not None \
-                    and model_spec.kind != "lstm":
-                problems.append(f"/train/tbptt: a {model_spec.kind} model "
-                                f"carries no state across chunks; truncated "
-                                f"BPTT needs an lstm model")
+            if train_cfg.tbptt and model_spec is not None:
+                _check_tbptt(model_spec, train_cfg, problems)
 
     sweep_cfg = None
     adoc = doc.get("analysis", {})

@@ -7,7 +7,14 @@ chains of DSP processors, each stage driven by a controller that emits
 its normalized parameters.
 
 Every model exposes forward(x, c, state) -> (y, state) over 1-D float
-signals so the training loop does not care which family it holds.
+signals so the training loop does not care which family it holds. The
+state holds everything a model remembers of the signal (recurrent
+states, conv inputs, filter histories); None is the zero state. Pieces
+of a signal fed in order with the state carried give the output of one
+call when every split point is a multiple of the model's `stream_unit`
+(its control block, 1 when it has none); bit for bit when the split
+points are also multiples of RENDER_ALIGN, the blocks the kernels work
+in. `render` streams a whole file that way.
 """
 
 from __future__ import annotations
@@ -104,6 +111,10 @@ class LSTMModel(nn.Module):
         self.lstm = nn.LSTM(input_dim, hidden, rng)
         self.out = nn.Linear(hidden, 1, rng)
 
+    @property
+    def stream_unit(self) -> int:
+        return self.generator.block_size if self.cond_mode == "tvcond" else 1
+
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
         """x [T], or B signals [B, T] sharing the controls c (inference
         only) -> (y of x's shape, state)."""
@@ -169,7 +180,8 @@ class _ConvStack(nn.Module):
     Each block runs shortcut (first block only), conv, norm, activation
     (gated tanh * sigmoid before the modulation for GCN, tanh after it
     for TCN), modulation and the residual add. The conditioner, if any,
-    computes its context z once per call and modulates every block.
+    computes its context z once per call and modulates every block. The
+    state is (conditioner state, each conv's last context_len inputs).
     """
 
     def __init__(self, cfg: TCNConfig, num_controls: int, rng, gate: bool):
@@ -192,17 +204,25 @@ class _ConvStack(nn.Module):
         self.conditioner = (make(num_controls, ch, cfg.blocks, rng)
                             if make is not None else None)
 
+    @property
+    def stream_unit(self) -> int:
+        return getattr(self.conditioner, "block_size", 1)
+
     def forward(self, x: Tensor, c: Tensor | None, state):
-        """Returns (last block's output, every block's activation, state)."""
+        """Returns (last block's output, every block's activation when
+        gated, else [], state)."""
         ch = self.cfg.channels
         h = T.reshape(x, (1, x.data.shape[-1]))
+        cond_state, contexts = (state if state is not None
+                                else (None, [None] * len(self.convs)))
         conditioner = self.conditioner
         if conditioner is not None:
-            z, state = conditioner.latents(x, c, state)
-        acts = []
+            z, cond_state = conditioner.latents(x, c, cond_state)
+        acts, after = [], []
         for k, conv in enumerate(self.convs):
             residual = self.shortcut(h) if k == 0 else h
-            h = conv(h)
+            after.append(T.last_samples(contexts[k], h.data, conv.context_len))
+            h = conv(h, contexts[k])
             if self.norms is not None:
                 h = self.norms[k](h)
             if self.gate:
@@ -211,9 +231,10 @@ class _ConvStack(nn.Module):
                 h = conditioner.modulate(k, h, z)
             if not self.gate:
                 h = T.tanh(h)
-            acts.append(h)
+            if self.gate:
+                acts.append(h)
             h = T.add(h, residual)
-        return h, acts, state
+        return h, acts, (cond_state, after)
 
 
 class TCN(nn.Module):
@@ -224,6 +245,10 @@ class TCN(nn.Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.stack = _ConvStack(cfg, num_controls, rng, gate=False)
         self.mixer = nn.Conv1d(cfg.channels, 1, 1, rng)
+
+    @property
+    def stream_unit(self) -> int:
+        return self.stack.stream_unit
 
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
         h, _, state = self.stack(x, c, state)
@@ -238,6 +263,10 @@ class GCN(nn.Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.stack = _ConvStack(cfg, num_controls, rng, gate=True)
         self.mixer = nn.Conv1d(cfg.channels * cfg.blocks, 1, 1, rng)
+
+    @property
+    def stream_unit(self) -> int:
+        return self.stack.stream_unit
 
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
         _, skips, state = self.stack(x, c, state)
@@ -309,8 +338,13 @@ class GrayBoxSpec:
                  num_controls: int = 0, block_size: int = 128):
         if not stages:
             raise ValueError("a chain needs at least one stage")
-        self.stages = [s if isinstance(s, StageSpec) else StageSpec.from_dict(s)
-                       for s in stages]
+        self.stages = []
+        for i, s in enumerate(stages):
+            try:
+                self.stages.append(s if isinstance(s, StageSpec)
+                                   else StageSpec.from_dict(s))
+            except KeyError as e:
+                raise KeyError(f"stages/{i}/{e.args[0]}") from None
         for key, v, rule in (("sample_rate", sample_rate, _POSITIVE),
                              ("num_controls", num_controls, _NATURAL),
                              ("block_size", block_size, _COUNT)):
@@ -370,7 +404,8 @@ def _build_controller(st: StageSpec, p: proc.Processor, spec: GrayBoxSpec,
 
 
 class GrayBoxChain(nn.Module):
-    """Processors applied in order, each fed by its controller's output."""
+    """Processors applied in order, each fed by its controller's output.
+    The state is one (controller state, processor state) pair per stage."""
 
     def __init__(self, spec: GrayBoxSpec, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng()
@@ -389,14 +424,20 @@ class GrayBoxChain(nn.Module):
     def num_controlled_params(self) -> int:
         return sum(p.num_params for p in self.processors)
 
+    @property
+    def stream_unit(self) -> int:
+        return math.lcm(*(getattr(k, "block_size", 1)
+                          for k in self.controllers))
+
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
-        states = ([None] * len(self.processors) if state is None
-                  else list(state))
-        h = x
-        for i, (p, k) in enumerate(zip(self.processors, self.controllers)):
-            out, states[i] = k(x=h, c=c, state=states[i])
-            h = p.apply(h, out.values, block_size=out.block_size)
-        return h, states
+        states = ([(None, None)] * len(self.processors) if state is None
+                  else state)
+        h, after = x, []
+        for p, k, (ks, ps) in zip(self.processors, self.controllers, states):
+            out, ks = k(x=h, c=c, state=ks)
+            h, ps = p.apply(h, out.values, out.block_size, ps)
+            after.append((ks, ps))
+        return h, after
 
 
 # -- tagged union + factory --------------------------------------------------
@@ -447,13 +488,19 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        """A missing required field raises KeyError with its path below
+        the model section, e.g. 'kind' or 'graybox/stages'."""
         kind = d["kind"]
         if kind not in cls.KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         _check_keys("model", d, ("kind", "sample_rate", "num_controls", kind))
-        return cls(sample_rate=d.get("sample_rate", 48000.0),
-                   num_controls=d.get("num_controls", 0),
-                   **{kind: d[kind]})
+        section = d[kind]
+        try:
+            return cls(sample_rate=d.get("sample_rate", 48000.0),
+                       num_controls=d.get("num_controls", 0),
+                       **{kind: section})
+        except KeyError as e:
+            raise KeyError(f"{kind}/{e.args[0]}") from None
 
     def build(self, rng: np.random.Generator | None = None) -> nn.Module:
         rng = rng if rng is not None else np.random.default_rng()
@@ -472,6 +519,37 @@ def build_model(spec: ModelSpec | dict,
     if isinstance(spec, dict):
         spec = ModelSpec.from_dict(spec)
     return spec.build(rng)
+
+
+# -- streaming ---------------------------------------------------------------
+
+# Split points that keep every kernel's blocks where one call has them: the
+# conv im2col spans, the biquad solver blocks and the 16-row groups in
+# which BLAS rounds a GEMV
+RENDER_ALIGN = math.lcm(T._CONV_CHUNK, T._BIQUAD_BLOCK, 16)
+# Samples a render chunk holds at least
+RENDER_MIN = 65536
+
+
+def render_chunk(stream_unit: int) -> int:
+    """Samples per render chunk: the smallest multiple of RENDER_ALIGN and
+    stream_unit that holds at least RENDER_MIN samples."""
+    unit = math.lcm(RENDER_ALIGN, stream_unit)
+    return -(-RENDER_MIN // unit) * unit
+
+
+def render(model: nn.Module, x: np.ndarray, c: Tensor | None,
+           out: np.ndarray) -> np.ndarray:
+    """model's output for the signal x, written into out: the forward runs
+    over chunks of `render_chunk(model.stream_unit)` samples with the state
+    carried, so memory is bounded by one chunk and the output equals one
+    call bit for bit."""
+    chunk = render_chunk(model.stream_unit)
+    dt, state = T.default_dtype(), None
+    for a in range(0, len(x), chunk):
+        y, state = model.forward(Tensor(x[a:a + chunk].astype(dt)), c, state)
+        out[a:a + chunk] = y.data
+    return out
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -134,8 +134,15 @@ class Conv1d(Module):
         self.b = Tensor(np.zeros(out_channels, dtype=T.default_dtype()),
                         requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.w, self.b, dilation=self.dilation)
+    @property
+    def context_len(self) -> int:
+        """Inputs before x each call needs: (kernel_size - 1) * dilation."""
+        return (self.w.data.shape[-1] - 1) * self.dilation
+
+    def forward(self, x: Tensor, context=None) -> Tensor:
+        """context: the [C_in, context_len] inputs before x, zeros when None."""
+        return T.conv1d(x, self.w, self.b, dilation=self.dilation,
+                        context=context)
 
 
 class LSTMCell(Module):

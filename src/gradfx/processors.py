@@ -262,14 +262,16 @@ SHELVING_EQ_LAYOUT = ("highpass", "lowshelf", "highshelf", "lowpass")
 
 
 def apply_eq(x: Tensor, params: Tensor, layout, fs: float,
-             block_size: int | None = None, ranges=None) -> Tensor:
+             block_size: int | None = None, ranges=None, history=None):
     """Biquad cascade of `eq_design(params, layout, fs, ranges)` over a 1-D
     signal, by exact direct-form-I recursion in one `T.biquad` node.
     Per-block params [nb, P] hold one coefficient set per `block_size`
-    samples, applied to the history carried across blocks.
+    samples, applied to the history carried across blocks. Returns (y,
+    the [S, 4] filter history after x); `history` is the one before x,
+    zeros when None.
     """
     return T.biquad(x, _normalize(eq_design(params, layout, fs, ranges)),
-                    block_size)
+                    block_size, history)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +292,13 @@ def _expand_param(param: Tensor, n: int, block_size: int | None) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities and FIR
 
-def fir_apply(x: Tensor, taps: Tensor) -> Tensor:
-    """Causal FIR: y[n] = sum_i taps[i] * x[n-i]."""
+def fir_apply(x: Tensor, taps: Tensor, context=None) -> Tensor:
+    """Causal FIR: y[n] = sum_i taps[i] * x[n-i], with the K - 1 inputs
+    before x taken from `context` [1, K - 1] (zeros when None)."""
     k = taps.data.shape[0]
     n = x.data.shape[-1]
     w = T.reshape(taps[::-1], (1, 1, k))
-    y = T.conv1d(T.reshape(x, (1, n)), w)
+    y = T.conv1d(T.reshape(x, (1, n)), w, context=context)
     return T.reshape(y, (n,))
 
 
@@ -325,15 +328,18 @@ def _load_prefit(name: str) -> dict:
 class Processor(nn.Module):
     """A stage in a chain: `num_params` controlled values in [0,1].
 
-    apply(x, g01, block_size): g01 is [num_params] (static) or
-    [nb, num_params] (per-block), or None when num_params == 0.
+    apply(x, g01, block_size, state) -> (y, state): g01 is [num_params]
+    (static) or [nb, num_params] (per-block), or None when num_params ==
+    0; state is what the processor remembers of the signal before x, None
+    for the zero state and always None for a memoryless processor.
     """
 
     name = "processor"
     num_params = 0
     ranges: list = []
 
-    def apply(self, x: Tensor, g01=None, block_size: int | None = None) -> Tensor:
+    def apply(self, x: Tensor, g01=None, block_size: int | None = None,
+              state=None):
         raise NotImplementedError
 
     def _check(self, g01: Tensor) -> Tensor:
@@ -353,8 +359,8 @@ class Processor(nn.Module):
 class PhaseInvert(Processor):
     name = "phase_inv"
 
-    def apply(self, x, g01=None, block_size=None):
-        return T.neg(x)
+    def apply(self, x, g01=None, block_size=None, state=None):
+        return T.neg(x), None
 
 
 class Gain(Processor):
@@ -364,11 +370,12 @@ class Gain(Processor):
     def __init__(self):
         self.ranges = [chain_gain_range()]
 
-    def apply(self, x, g01=None, block_size=None):
+    def apply(self, x, g01=None, block_size=None, state=None):
         """y = x * 10^(gain_dB / 20)."""
         (g_db,) = self._phys(g01)
         g_db = _expand_param(g_db, x.data.shape[-1], block_size)
-        return T.mul(x, T.exp(T.mul(g_db, _const(LN10 / 20.0, g_db.data.dtype))))
+        return T.mul(x, T.exp(T.mul(g_db, _const(LN10 / 20.0,
+                                                 g_db.data.dtype)))), None
 
 
 class DCOffset(Processor):
@@ -378,10 +385,10 @@ class DCOffset(Processor):
     def __init__(self):
         self.ranges = [offset_range()]
 
-    def apply(self, x, g01=None, block_size=None):
+    def apply(self, x, g01=None, block_size=None, state=None):
         """y = x + offset."""
         (off,) = self._phys(g01)
-        return T.add(x, _expand_param(off, x.data.shape[-1], block_size))
+        return T.add(x, _expand_param(off, x.data.shape[-1], block_size)), None
 
 
 class ParametricEQ(Processor):
@@ -404,9 +411,10 @@ class ParametricEQ(Processor):
         return eq_design(self._check(g01), self.layout, self.fs,
                          self.kind_ranges)
 
-    def apply(self, x, g01=None, block_size=None):
+    def apply(self, x, g01=None, block_size=None, state=None):
+        """The state is the cascade's [S, 4] filter history."""
         return apply_eq(x, self._check(g01), self.layout, self.fs,
-                        block_size, self.kind_ranges)
+                        block_size, self.kind_ranges, state)
 
 
 class ShelvingEQ(ParametricEQ):
@@ -437,15 +445,17 @@ class FIRSiren(Processor):
         out = self.net(Tensor(self._buf_positions))
         return T.reshape(out, (self.num_taps,))
 
-    def apply(self, x, g01=None, block_size=None):
-        return fir_apply(x, self.taps())
+    def apply(self, x, g01=None, block_size=None, state=None):
+        """The state is the [1, num_taps - 1] inputs before the next call."""
+        y = fir_apply(x, self.taps(), state)
+        return y, T.last_samples(state, x.data[None], self.num_taps - 1)
 
 
 class TanhNL(Processor):
     name = "tanh"
 
-    def apply(self, x, g01=None, block_size=None):
-        return T.tanh(x)
+    def apply(self, x, g01=None, block_size=None, state=None):
+        return T.tanh(x), None
 
 
 class RationalNL(Processor):
@@ -464,8 +474,8 @@ class RationalNL(Processor):
         self.num = Tensor(np.asarray(coeffs["numerator"], dtype=dt), requires_grad=True)
         self.den = Tensor(np.asarray(coeffs["denominator"], dtype=dt), requires_grad=True)
 
-    def apply(self, x, g01=None, block_size=None):
-        return rational_eval(T.clip(x, -8.0, 8.0), self.num, self.den)
+    def apply(self, x, g01=None, block_size=None, state=None):
+        return rational_eval(T.clip(x, -8.0, 8.0), self.num, self.den), None
 
 
 class MLPNL(Processor):
@@ -487,11 +497,11 @@ class MLPNL(Processor):
             layer.w.data = np.asarray(saved["w"], dtype=dt)
             layer.b.data = np.asarray(saved["b"], dtype=dt)
 
-    def apply(self, x, g01=None, block_size=None):
+    def apply(self, x, g01=None, block_size=None, state=None):
         n = x.data.shape[-1]
         xc = T.clip(x, -4.0, 4.0)
         y = self.net(T.reshape(xc, (n, 1)))
-        return T.reshape(y, (n,))
+        return T.reshape(y, (n,)), None
 
 
 PROCESSOR_KINDS = {

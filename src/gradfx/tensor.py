@@ -652,12 +652,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _CONV_CHUNK = 4096
 
 
-def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
+def last_samples(before, x: np.ndarray, n: int) -> np.ndarray:
+    """The last n samples along the last axis of `before` (zeros when
+    None) followed by x: the history a causal filter carries past x."""
+    t = x.shape[-1]
+    if t >= n:
+        return x[..., t - n:].copy()
+    if before is None:
+        before = np.zeros(x.shape[:-1] + (n,), dtype=x.dtype)
+    return np.concatenate((before, x), axis=-1)[..., t:]
+
+
+def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
+           context: np.ndarray | None = None) -> Tensor:
     """Causal 1-D convolution, stride 1.
 
     x: [C_in, T], w: [C_out, C_in, K], bias: [C_out] or None.
     Left-pads (K-1)*dilation zeros so output sample n depends only on
-    inputs <= n and the length is preserved. Each span of _CONV_CHUNK
+    inputs <= n and the length is preserved; a `context` [C_in,
+    (K-1)*dilation] of the inputs before x takes the zeros' place (a
+    constant: it gets no gradient). Each span of _CONV_CHUNK
     outputs is one GEMM over its [C_in*K, span] columns, which are built
     from the padded input when needed and never kept: the tape saves
     only the padded input.
@@ -670,7 +684,13 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1) 
     if c_in_w != c_in:
         raise ValueError(f"conv1d channel mismatch: x has {c_in}, w expects {c_in_w}")
     pad = (k - 1) * dilation
-    xp = np.pad(xd, ((0, 0), (pad, 0)))
+    if context is None:
+        xp = np.pad(xd, ((0, 0), (pad, 0)))
+    elif context.shape != (c_in, pad):
+        raise ValueError(f"conv1d context must be [{c_in}, {pad}], "
+                         f"got {context.shape}")
+    else:
+        xp = np.concatenate((context, xd), axis=1, dtype=xd.dtype)
     sc, st = xp.strides
     w2 = wd.reshape(c_out, c_in * k)
     spans = [(a, min(a + _CONV_CHUNK, t)) for a in range(0, t, _CONV_CHUNK)]
@@ -867,8 +887,9 @@ def _allpole_taps(a1: np.ndarray, a2: np.ndarray, b: int):
     return g, np.fft.rfft(g[:, 2:], n=2 * b, axis=1)
 
 
-def _allpole_blocks(v, g, G, a1_in, a2_in):
-    """Solve y[t] = v[t] - a1 y[t-1] - a2 y[t-2] over blocks v [nb, b].
+def _allpole_blocks(v, g, G, a1_in, a2_in, p1=0.0, p2=0.0):
+    """Solve y[t] = v[t] - a1 y[t-1] - a2 y[t-2] over blocks v [nb, b],
+    with y[-1] = p1 and y[-2] = p2.
 
     Block k runs on its own taps g, G. Its zero-state part is an exact
     size-2b FFT convolution (b outputs kept, nothing wraps); a scan over
@@ -883,8 +904,7 @@ def _allpole_blocks(v, g, G, a1_in, a2_in):
     g1, g2, g3 = (np.broadcast_to(g[:, t], (nb,)).tolist()
                   for t in (b + 1, b, b - 1))
     a1l, a2l = a1_in.tolist(), a2_in.tolist()
-    u = []  # (u0, u1) per block
-    p1 = p2 = 0.0  # the last two outputs so far
+    u = []  # (u0, u1) per block; p1, p2 are the last two outputs so far
     for k in range(nb):
         c0 = -a1l[k] * p1 - a2l[k] * p2
         c1 = -a2l[k] * p1
@@ -895,25 +915,29 @@ def _allpole_blocks(v, g, G, a1_in, a2_in):
     return zs + u[:, :1] * g[:, 2:] + u[:, 1:] * g[:, 1:b + 1]
 
 
-def _section(xd, cols, b: int, taps, record: bool):
+def _section(xd, cols, b: int, taps, record: bool, hist):
     """One direct-form-I section over xd [n] with coefficient rows cols
-    (b0, b1, b2, a1, a2, each float64 [nb] over solver blocks of b) and
-    all-pole taps (g, G) of one row or one per block. Returns the output in
-    xd's dtype and, when recording, its vjp: output gradient -> (input
-    gradient in xd's dtype, the five coefficient gradients per block)."""
+    (b0, b1, b2, a1, a2, each float64 [nb] over solver blocks of b),
+    all-pole taps (g, G) of one row or one per block and the history hist
+    (x[-2], x[-1], y[-2], y[-1]). Returns the output in xd's dtype, the
+    history after it and, when recording, the vjp: output gradient ->
+    (input gradient in xd's dtype, the five coefficient gradients per
+    block)."""
     cb0, cb1, cb2, ca1, ca2 = cols
     n, nb = xd.shape[0], cb0.shape[0]
     big_n = nb * b
-    xh = np.concatenate([np.zeros(2), xd, np.zeros(big_n - n)])  # zero history, x
+    xh = np.concatenate([hist[:2], xd, np.zeros(big_n - n)])  # history, x
     xs = [xh[2 - k:big_n + 2 - k].reshape(nb, b) for k in range(3)]  # x[t-k]
     v = cb0[:, None] * xs[0] + cb1[:, None] * xs[1] + cb2[:, None] * xs[2]
     g, G = taps
-    y = _allpole_blocks(v, g, G, ca1, ca2)
+    y = _allpole_blocks(v, g, G, ca1, ca2, float(hist[3]), float(hist[2]))
     out = y.reshape(-1)[:n].astype(xd.dtype)
+    after = np.concatenate([xh[n:n + 2],
+                            last_samples(hist[2:], y.reshape(-1)[:n], 2)])
     if not record:
-        return out, None
+        return out, after, None
 
-    yh = np.concatenate([np.zeros(2), y.reshape(-1)])
+    yh = np.concatenate([hist[2:], y.reshape(-1)])
     ys = [yh[2 - k:big_n + 2 - k].reshape(nb, b) for k in (1, 2)]
     # injections at the edges of the reversed blocks weigh the next block;
     # with one-sample blocks, y[t-2]'s weight is two blocks on
@@ -932,10 +956,11 @@ def _section(xd, cols, b: int, taps, record: bool):
         sums = [(w * xs[k]).sum(axis=1) for k in range(3)]
         sums += [-(w * ys[k]).sum(axis=1) for k in range(2)]
         return dx[:n].astype(xd.dtype), sums
-    return out, vjp
+    return out, after, vjp
 
 
-def biquad(x: Tensor, coeffs: Tensor, block: int | None = None) -> Tensor:
+def biquad(x: Tensor, coeffs: Tensor, block: int | None = None,
+           history: np.ndarray | None = None):
     """Cascade of direct-form-I biquads over x [T]. Section s filters the
     output of section s - 1:
     y[t] = b0 x[t] + b1 x[t-1] + b2 x[t-2] - a1 y[t-1] - a2 y[t-2].
@@ -943,7 +968,12 @@ def biquad(x: Tensor, coeffs: Tensor, block: int | None = None) -> Tensor:
     coeffs holds each section's a0-normalized (b0, b1, b2, a1, a2): [S, 5]
     for the whole signal, or [ceil(T / block), S, 5] with one set per block
     of `block` samples acting on the x and y history carried in from the
-    block before. Each section computes in float64 and its output is cast
+    block before. history [S, 4] holds each section's (x[-2], x[-1],
+    y[-2], y[-1]) before x, zeros when None; it is a constant and gets no
+    gradient. Returns (y, the float64 [S, 4] history after x), so a signal
+    filtered piece by piece with the history carried equals one call; the
+    same to the bit where the pieces split at multiples of the solver
+    block. Each section computes in float64 and its output is cast
     to x's dtype. The vjp walks the sections in reverse; each runs the same
     block solver on its reversed output gradient (next block's a1, a2 at
     block edges) for w = dL/dv, then dL/db_k = sum w x[t-k],
@@ -962,6 +992,11 @@ def biquad(x: Tensor, coeffs: Tensor, block: int | None = None) -> Tensor:
         block = _BIQUAD_BLOCK
     elif block is None:
         raise ValueError("per-block coefficients require a block size")
+    if history is None:
+        history = np.zeros((cd.shape[-2], 4))
+    elif history.shape != (cd.shape[-2], 4):
+        raise ValueError(f"history must be [{cd.shape[-2]}, 4], got shape "
+                         f"{history.shape}")
     nbc = -(-n // block)
     if cd.ndim == 3 and cd.shape[0] != nbc:
         raise ValueError(f"coefficients have {cd.shape[0]} blocks, "
@@ -980,11 +1015,11 @@ def biquad(x: Tensor, coeffs: Tensor, block: int | None = None) -> Tensor:
     if record:
         shared = _allpole_taps(cs[:, 3, :rows].reshape(-1),
                                cs[:, 4, :rows].reshape(-1), b)
-    y, backs = xd, []
+    y, backs, after = xd, [], np.empty((cd.shape[-2], 4))
     for s, cols in enumerate(cs):
         taps = (tuple(t[s * rows:(s + 1) * rows] for t in shared) if record
                 else _allpole_taps(cols[3, :rows], cols[4, :rows], b))
-        y, back = _section(y, cols, b, taps, record)
+        y, after[s], back = _section(y, cols, b, taps, record, history[s])
         backs.append(back)
 
     def build():
@@ -998,7 +1033,7 @@ def biquad(x: Tensor, coeffs: Tensor, block: int | None = None) -> Tensor:
             return gout, dc
         return vjp
 
-    return _emit("biquad", y, (x, coeffs), build)
+    return _emit("biquad", y, (x, coeffs), build), after
 
 
 # ---------------------------------------------------------------------------

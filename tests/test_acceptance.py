@@ -165,9 +165,9 @@ def _primitive_items(rng):
 
     bq_static, bq_block = biquad_in(300, 1), biquad_in(700, 3)
     wb1, wb2 = br.standard_normal(300), br.standard_normal(700)
-    it("biquad", lambda ts: _wsum(T.biquad(*ts), wb1), operand(bq_static))
+    it("biquad", lambda ts: _wsum(T.biquad(*ts)[0], wb1), operand(bq_static))
     it("biquad_block",
-       lambda ts: _wsum(T.biquad(*ts, block=256), wb2), operand(bq_block))
+       lambda ts: _wsum(T.biquad(*ts, block=256)[0], wb2), operand(bq_block))
 
     # own generator: three sections, static over three solver blocks and
     # per-block over three coefficient blocks of two solver blocks each
@@ -183,8 +183,8 @@ def _primitive_items(rng):
     cascade = cascade_in(300, (3,)) + cascade_in(700, (3, 3))
     wc1, wc2 = cr.standard_normal(300), cr.standard_normal(700)
     it("biquad_cascade",
-       lambda ts: T.add(_wsum(T.biquad(ts[0], ts[1]), wc1),
-                        _wsum(T.biquad(ts[2], ts[3], block=256), wc2)),
+       lambda ts: T.add(_wsum(T.biquad(ts[0], ts[1])[0], wc1),
+                        _wsum(T.biquad(ts[2], ts[3], block=256)[0], wc2)),
        cascade)
 
     # own generator, so the items after these keep their inputs
@@ -223,35 +223,35 @@ def _processor_items(rng):
     wx = rng.standard_normal(256)
 
     inv = P.PhaseInvert()
-    it("phase_inv", lambda ts: _wsum(inv.apply(ts[0]), wx), [x])
+    it("phase_inv", lambda ts: _wsum(inv.apply(ts[0])[0], wx), [x])
     gain = P.Gain()
     g1 = Tensor(np.array([0.6]))
-    it("gain", lambda ts: _wsum(gain.apply(ts[0], ts[1]), wx), [x, g1])
+    it("gain", lambda ts: _wsum(gain.apply(ts[0], ts[1])[0], wx), [x, g1])
     dc = P.DCOffset()
     g2 = Tensor(np.array([0.45]))
-    it("dc_offset", lambda ts: _wsum(dc.apply(ts[0], ts[1]), wx), [x, g2])
+    it("dc_offset", lambda ts: _wsum(dc.apply(ts[0], ts[1])[0], wx), [x, g2])
 
     peq = P.ParametricEQ(float(FS))
     g15 = Tensor(rng.uniform(0.35, 0.65, 15))
-    it("parametric_eq", lambda ts: _wsum(peq.apply(ts[0], ts[1]), wx),
+    it("parametric_eq", lambda ts: _wsum(peq.apply(ts[0], ts[1])[0], wx),
        [x, g15])
     sheq = P.ShelvingEQ(float(FS))
     g10 = Tensor(rng.uniform(0.35, 0.65, 10))
-    it("shelving_eq", lambda ts: _wsum(sheq.apply(ts[0], ts[1]), wx),
+    it("shelving_eq", lambda ts: _wsum(sheq.apply(ts[0], ts[1])[0], wx),
        [x, g10])
 
     fir = P.FIRSiren(np.random.default_rng(5), num_taps=16, width=8, depth=2)
-    it("fir", lambda ts: _wsum(fir.apply(ts[0]), wx), [x] + fir.parameters())
+    it("fir", lambda ts: _wsum(fir.apply(ts[0])[0], wx), [x] + fir.parameters())
 
     th = P.TanhNL()
-    it("tanh_nl", lambda ts: _wsum(th.apply(ts[0]), wx), [x])
+    it("tanh_nl", lambda ts: _wsum(th.apply(ts[0])[0], wx), [x])
     rat = P.RationalNL()
     xr = Tensor(rng.uniform(-2.0, 2.0, 256))  # inside the clamp region
-    it("rational", lambda ts: _wsum(rat.apply(ts[0]), wx),
+    it("rational", lambda ts: _wsum(rat.apply(ts[0])[0], wx),
        [xr] + rat.parameters())
     mlp = P.MLPNL()
     xm = Tensor(rng.uniform(-2.0, 2.0, 256))
-    it("mlp_nl", lambda ts: _wsum(mlp.apply(ts[0]), wx),
+    it("mlp_nl", lambda ts: _wsum(mlp.apply(ts[0])[0], wx),
        [xm] + mlp.parameters())
     return items
 
@@ -370,7 +370,7 @@ def test_02_frequency_sampling_matches_time_domain():
                      if kind in ("peak", "lowshelf", "highshelf") else None)
                 params = Tensor(np.array([f0, q] if g is None
                                          else [f0, g, q]))
-                y = P.apply_eq(xt, params, (kind,), float(FS)).data
+                y = P.apply_eq(xt, params, (kind,), float(FS))[0].data
                 b0, b1, b2, a1, a2, a0 = (float(v) for v in P.eq_design(
                     params, (kind,), float(FS)).data[0])
                 ref = lfilter([b0 / a0, b1 / a0, b2 / a0],
@@ -394,20 +394,20 @@ def test_03_identity_settings_pass_audio_through():
         x = Tensor(rng.standard_normal(4096) * 0.4)
         rels = {}
         half = Tensor(np.array([0.5]))
-        rels["gain"] = _rel_l2(P.Gain().apply(x, half).data, x.data)
-        rels["dc_offset"] = _rel_l2(P.DCOffset().apply(x, half).data, x.data)
+        rels["gain"] = _rel_l2(P.Gain().apply(x, half)[0].data, x.data)
+        rels["dc_offset"] = _rel_l2(P.DCOffset().apply(x, half)[0].data, x.data)
 
         g15 = rng.uniform(0.1, 0.9, 15)
         g15[[1, 4, 7, 10, 13]] = 0.5  # every section gain at 0 dB
         rels["parametric_eq"] = _rel_l2(
-            P.ParametricEQ(float(FS)).apply(x, Tensor(g15)).data, x.data)
+            P.ParametricEQ(float(FS)).apply(x, Tensor(g15))[0].data, x.data)
 
         for kind in ("peak", "lowshelf", "highshelf"):
             f0 = float(np.exp(rng.uniform(np.log(40.0), np.log(10000.0))))
             q = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
             params = Tensor(np.array([f0, 0.0, q]))
             rels[kind] = _rel_l2(
-                P.apply_eq(x, params, (kind,), float(FS)).data, x.data)
+                P.apply_eq(x, params, (kind,), float(FS))[0].data, x.data)
 
         c = Tensor(rng.uniform(0.0, 1.0, 2))
         h = Tensor(rng.standard_normal((8, 256)))
@@ -665,6 +665,8 @@ def test_08_one_chunk_truncation_matches_plain_step():
 class _GainIntoLowpass:
     """-6.02 dB pad into a 1 kHz lowpass, rendered through the filter path."""
 
+    stream_unit = 1
+
     def __init__(self):
         self.scale = 10.0 ** (-6.02 / 20.0)
         self.params = Tensor(np.array([1000.0, 1.0 / np.sqrt(2.0)],
@@ -672,7 +674,7 @@ class _GainIntoLowpass:
 
     def forward(self, x, c=None, state=None):
         y = P.apply_eq(Tensor(x.data * self.scale), self.params,
-                       ("lowpass",), float(FS))
+                       ("lowpass",), float(FS))[0]
         return y, None
 
 
@@ -707,9 +709,9 @@ def test_10_fitted_nonlinearities_track_tanh():
     with _f64():
         grid = np.linspace(-3.0, 3.0, 601)
         ref = np.tanh(grid)
-        err_r = float(np.max(np.abs(P.RationalNL().apply(Tensor(grid)).data
+        err_r = float(np.max(np.abs(P.RationalNL().apply(Tensor(grid))[0].data
                                     - ref)))
-        err_m = float(np.max(np.abs(P.MLPNL().apply(Tensor(grid)).data
+        err_m = float(np.max(np.abs(P.MLPNL().apply(Tensor(grid))[0].data
                                     - ref)))
     ok = err_r <= 1e-3 and err_m <= 5e-3
     _report(10, ok, f"on [-3, 3]: rational max err {err_r:.2e} (<= 1e-3), "

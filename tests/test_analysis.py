@@ -15,6 +15,8 @@ from gradfx.tensor import Tensor
 
 
 class _ScaleModel:
+    stream_unit = 1
+
     def __init__(self, g):
         self.g = g
 
@@ -25,13 +27,15 @@ class _ScaleModel:
 class _LTIModel:
     """Fixed gain -> biquad cascade rendered by the filter path."""
 
+    stream_unit = 1
+
     def __init__(self, params, layout, fs, gain_lin=1.0):
         self.params, self.layout, self.fs = params, layout, fs
         self.g = gain_lin
 
     def forward(self, x, c=None, state=None):
         y = T.mul(x, Tensor(np.asarray(self.g, dtype=x.data.dtype)))
-        y = P.apply_eq(y, self.params, self.layout, self.fs)
+        y = P.apply_eq(y, self.params, self.layout, self.fs)[0]
         return y, state
 
 

@@ -479,9 +479,64 @@ def test_cli_rejects_tbptt_for_stateless_models_exit2(tmp_path, capsys,
     doc["train"].update(tbptt=True, chunk_len=2048, warmup_len=0)
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["train", "--config", str(cfg_path)]) == 2
-    assert (f"/train/tbptt: a {model['kind']} model carries no state across "
-            f"chunks" in capsys.readouterr().err)
+    assert (f"/train/tbptt: truncated BPTT trains lstm models only, not a "
+            f"{model['kind']} model" in capsys.readouterr().err)
     assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+def _tbptt_doc(tmp_path, warmup_len, chunk_len):
+    """A tvcond lstm (control blocks of 128) under truncated BPTT."""
+    model = {"kind": "lstm", "sample_rate": 48000.0, "num_controls": 1,
+             "lstm": {"hidden": 4, "cond_mode": "tvcond", "block_size": 128}}
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
+    doc = json.loads(cfg_path.read_text())
+    doc["train"].update(tbptt=True, warmup_len=warmup_len,
+                        chunk_len=chunk_len)
+    doc["data"]["segment_len"] = 8192
+    cfg_path.write_text(json.dumps(doc))
+    return cfg_path
+
+
+@pytest.mark.parametrize("warmup_len, chunk_len, message", [
+    (1000, 2048, "/train/warmup_len: 1000 is not a multiple of the model's "
+                 "control block of 128 samples"),
+    (1024, 2100, "/train/chunk_len: 2100 is not a multiple of the model's "
+                 "control block of 128 samples"),
+])
+def test_cli_rejects_tbptt_splits_inside_a_control_block_exit2(
+        tmp_path, capsys, warmup_len, chunk_len, message):
+    # a piece that ends inside a block would change the output
+    _write_dataset(tmp_path, length=16384)
+    cfg_path = _tbptt_doc(tmp_path, warmup_len, chunk_len)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+def test_load_config_accepts_tbptt_splits_on_the_control_blocks(tmp_path):
+    _write_dataset(tmp_path, length=16384)
+    cfg = load_config(_tbptt_doc(tmp_path, 1024, 2048))
+    assert (cfg.train_cfg.warmup_len, cfg.train_cfg.chunk_len) == (1024, 2048)
+    assert cfg.model_spec.build().stream_unit == 128
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"sample_rate": 48000.0, "graybox": {"stages": []}},
+     "/model/kind: required field missing"),
+    ({"kind": "graybox", "graybox": {"block_size": 128}},
+     "/model/graybox/stages: required field missing"),
+    ({"kind": "graybox", "graybox": {"stages": [{"controller": "static"}]}},
+     "/model/graybox/stages/0/processor: required field missing"),
+    ({"kind": "tcn"}, "/model/tcn: required field missing"),
+], ids=["kind", "stages", "processor", "section"])
+def test_cli_reports_missing_required_model_fields_exit2(tmp_path, capsys,
+                                                         model, message):
+    cfg_path = _write_config(tmp_path / "exp.json", model=model,
+                             with_data=False)
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "KeyError" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_test_identity_zero_metrics(tmp_path):

@@ -199,14 +199,22 @@ def test_conv_forward_leaves_the_callers_state_alone(cls, cond):
     x = Tensor(rng.standard_normal(64).astype(np.float32))
     c = Tensor(np.array([0.6], dtype=np.float32))
     _, s = model.forward(x, c)
-    before = [[a.data.copy() for a in st] for st in s]
+    before = [a.copy() for a in _state_arrays(s)]
     y1, s1 = model.forward(x, c, s)
     y2, _ = model.forward(x, c, s)
     assert np.array_equal(y1.data, y2.data)
     assert s1 is not s
-    for st, arrays in zip(s, before):
-        for a, b in zip(st, arrays):
-            assert np.array_equal(a.data, b)
+    after = _state_arrays(s)
+    assert len(after) == len(before) == 2 * 2 + 2  # (h, c) per block, contexts
+    for a, b in zip(after, before):
+        assert np.array_equal(a, b)
+
+
+def _state_arrays(s) -> list:
+    """Every array of a nested model state, in order."""
+    if isinstance(s, (tuple, list)):
+        return [a for v in s for a in _state_arrays(v)]
+    return [] if s is None else [s.data if isinstance(s, Tensor) else s]
 
 
 @pytest.mark.parametrize("make", [

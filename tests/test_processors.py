@@ -129,7 +129,7 @@ def test_frequency_response_matches_scipy():
 def test_apply_filter_identity_section():
     rng = np.random.default_rng(24)
     x = Tensor(rng.standard_normal(1000).astype(np.float32))
-    y = P.apply_eq(x, t32([440.0, 0.0, 3.0]), ("peak",), FS)
+    y = P.apply_eq(x, t32([440.0, 0.0, 3.0]), ("peak",), FS)[0]
     assert rel_l2(y.data, x.data) < 1e-6
 
 
@@ -141,7 +141,7 @@ def test_apply_filter_matches_recursion(kind):
     for _ in range(4):
         d = draw_filter_params(rng, kind, FS)
         params = t64(_params(kind, d))
-        y = P.apply_eq(t64(x), params, (kind,), FS).data
+        y = P.apply_eq(t64(x), params, (kind,), FS)[0].data
         b0, b1, b2, a1, a2, a0 = P.eq_design(params, (kind,), FS).data[0]
         ref = lfilter_cascade(x, [((b0, b1, b2), (a0, a1, a2))])
         assert rel_l2(y, ref) < 1e-3, (kind, d)
@@ -166,7 +166,7 @@ def test_apply_filter_gradients():
     w = rng.standard_normal(32)
 
     def f(ts):
-        y = P.apply_eq(ts[0], ts[1], ("lowshelf",), FS)
+        y = P.apply_eq(ts[0], ts[1], ("lowshelf",), FS)[0]
         return T.sum_(T.mul(y, Tensor(w)))
 
     assert grad_check(f, [x, params]) < 1e-4
@@ -183,12 +183,12 @@ def test_parametric_eq_zero_gain_is_identity():
         d = draw_filter_params(rng, "peak", FS)
         params += [d["f0"], 0.0, d["q"]]
     y = P.apply_eq(x, Tensor(np.array(params, dtype=np.float32)),
-                   P.PARAMETRIC_EQ_LAYOUT, FS)
+                   P.PARAMETRIC_EQ_LAYOUT, FS)[0]
     assert rel_l2(y.data, x.data) < 1e-4
 
     eq = P.ParametricEQ(FS)
     g01 = Tensor(np.full(15, 0.5, dtype=np.float32))
-    y2 = eq.apply(x, g01)
+    y2 = eq.apply(x, g01)[0]
     assert rel_l2(y2.data, x.data) < 1e-4
 
 
@@ -218,7 +218,7 @@ def test_shelving_eq_near_flat_passband():
     lo, hi = 20.0, 0.95 * FS / 2
     params = [lo, 0.707, 200.0, 0.0, 0.707, 2000.0, 0.0, 0.707, hi, 0.707]
     y = P.apply_eq(t64(impulse), t64(np.array(params)), P.SHELVING_EQ_LAYOUT,
-                   FS).data
+                   FS)[0].data
     spec = np.fft.rfft(y, n)
     freqs = np.arange(len(spec)) * FS / n
     band = (freqs >= 100.0) & (freqs <= FS / 4)
@@ -233,7 +233,7 @@ def test_shelving_eq_gradients_all_params():
     w = rng.standard_normal(24)
 
     def f(ts):
-        y = P.apply_eq(x, ts[0], P.SHELVING_EQ_LAYOUT, FS)
+        y = P.apply_eq(x, ts[0], P.SHELVING_EQ_LAYOUT, FS)[0]
         return T.sum_(T.mul(y, Tensor(w)))
 
     assert grad_check(f, [t64(vals)]) < 1e-4
@@ -245,9 +245,9 @@ def test_time_varying_equals_static_at_full_block():
     x = t64(rng.standard_normal(n))
     vals = np.array([150.0, 6.0, 1.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
                      3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8])
-    y_static = P.apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
+    y_static = P.apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0]
     y_tv = P.apply_eq(x, t64(vals[None, :]), P.PARAMETRIC_EQ_LAYOUT, FS,
-                      block_size=n)
+                      block_size=n)[0]
     assert np.array_equal(y_static.data, y_tv.data)
 
 
@@ -259,7 +259,7 @@ def test_time_varying_blocks_use_their_own_params():
     p_identity = [500.0, 0.0, 1.0]
     p_boost = [500.0, 24.0, 1.0]
     params = np.array([p_identity * 5, p_boost * 5])
-    y = P.apply_eq(x, t64(params), P.PARAMETRIC_EQ_LAYOUT, FS, block_size=128)
+    y = P.apply_eq(x, t64(params), P.PARAMETRIC_EQ_LAYOUT, FS, block_size=128)[0]
     first, second = y.data[:128], y.data[128:]
     assert rel_l2(first, np.ones(128)) < 1e-3
     assert np.abs(second).mean() > 1.5  # boosted well above unity
@@ -286,7 +286,7 @@ def test_per_block_filter_matches_carried_state_recursion(block):
             d = draw_filter_params(rng, kind, FS)
             params[k, 3 * i:3 * i + 3] = d["f0"], d["gain_db"], d["q"]
     y = P.apply_eq(t64(x), t64(params), P.PARAMETRIC_EQ_LAYOUT, FS,
-                   block_size=block).data
+                   block_size=block)[0].data
     design = P.eq_design(t64(params), P.PARAMETRIC_EQ_LAYOUT, FS)
     ref = df1_blocks(x, _normalized(design), block)
     assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
@@ -319,10 +319,10 @@ def test_per_block_constant_coefficients_equal_static_path(block):
     x = t64(rng.standard_normal(n))
     vals = np.array([82.0, 19.0, 7.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
                      3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8])
-    y_static = P.apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
+    y_static = P.apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0]
     nb = -(-n // block)
     y_tv = P.apply_eq(x, t64(np.tile(vals, (nb, 1))), P.PARAMETRIC_EQ_LAYOUT,
-                      FS, block_size=block)
+                      FS, block_size=block)[0]
     assert np.array_equal(y_static.data, y_tv.data)
 
 
@@ -334,7 +334,7 @@ def test_f32_resonant_cascade_matches_sosfilt():
     vals = np.array([82.0, 19.0, 7.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
                      3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8], dtype=np.float32)
     x = Tensor((rng.standard_normal(48000) * 0.25).astype(np.float32))
-    y = P.apply_eq(x, Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS).data
+    y = P.apply_eq(x, Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0].data
     assert y.dtype == np.float32
     design = P.eq_design(Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
     sos = np.array([[b0[0], b1[0], b2[0], 1.0, a1[0], a2[0]]
@@ -369,9 +369,9 @@ def test_cascade_node_equals_chain_of_single_sections(dtype, block):
             if chained:
                 y = x
                 for s in range(4):
-                    y = T.biquad(y, c[..., s:s + 1, :], block)
+                    y = T.biquad(y, c[..., s:s + 1, :], block)[0]
             else:
-                y = T.biquad(x, c, block)
+                y = T.biquad(x, c, block)[0]
             loss = T.sum_(T.mul(y, w))
         grads = tape.backward(loss)
         runs.append((y.data, grads[x].data, grads[c].data))
@@ -379,7 +379,7 @@ def test_cascade_node_equals_chain_of_single_sections(dtype, block):
     for one, chain in zip(*runs):
         assert np.array_equal(one, chain)
     # the untaped forward computes its taps per section: same output
-    assert np.array_equal(T.biquad(Tensor(x0), Tensor(coeffs), block).data,
+    assert np.array_equal(T.biquad(Tensor(x0), Tensor(coeffs), block)[0].data,
                           runs[0][0])
 
 
@@ -395,7 +395,7 @@ def test_cascade_constant_per_block_coefficients_equal_static(dtype):
         for c, blk in ((coeffs, None), (tiled, block)):
             ct = Tensor(c, requires_grad=taped)
             with T.Tape():
-                outs.append(T.biquad(Tensor(x0), ct, blk).data)
+                outs.append(T.biquad(Tensor(x0), ct, blk)[0].data)
         assert np.array_equal(*outs)
 
 
@@ -449,7 +449,7 @@ def _per_section_eq(eq, x, g01, block):
         cols = [T.div(c, a0) for c in (b0, b1, b2, a1, a2)]
         op = T.concat([T.reshape(c, c.data.shape + (1, 1)) for c in cols],
                       axis=-1)
-        x = T.biquad(x, op, block)
+        x = T.biquad(x, op, block)[0]
     return x
 
 
@@ -468,7 +468,7 @@ def test_eq_design_matches_per_section_composition_bitwise(cls, block, dtype):
     x0 = (rng.standard_normal(n) * 0.5).astype(dtype)
     w = Tensor(rng.standard_normal(n).astype(dtype))
     runs = []
-    for apply in (lambda x, g: eq.apply(x, g, block),
+    for apply in (lambda x, g: eq.apply(x, g, block)[0],
                   lambda x, g: _per_section_eq(eq, x, g, block)):
         x, g = Tensor(x0.copy(), requires_grad=True), Tensor(g0.copy(),
                                                              requires_grad=True)
@@ -516,7 +516,7 @@ def test_per_block_biquad_gradients_short_blocks(block):
     w = rng.standard_normal(n)
 
     def f(ts):
-        return T.sum_(T.mul(T.biquad(ts[0], ts[1], block=block), Tensor(w)))
+        return T.sum_(T.mul(T.biquad(ts[0], ts[1], block=block)[0], Tensor(w)))
 
     # one section: [nb, 1, 5]
     assert grad_check(f, [x, t64(np.stack(coeffs, axis=-1)[:, None])]) < 1e-4
@@ -526,7 +526,7 @@ def test_per_block_biquad_gradients_short_blocks(block):
 # basic ops
 
 def test_phase_inversion():
-    y = P.PhaseInvert().apply(Tensor(np.array([0.3, -0.2], dtype=np.float32)))
+    y = P.PhaseInvert().apply(Tensor(np.array([0.3, -0.2], dtype=np.float32)))[0]
     assert np.allclose(y.data, [-0.3, 0.2])
 
 
@@ -534,7 +534,7 @@ def _gain_db(x, db):
     # control 0.5 is the midpoint of [db - 1, db + 1], exactly db
     gain = P.Gain()
     gain.ranges = [P.ParamRange(db - 1.0, db + 1.0)]
-    return gain.apply(x, Tensor(np.array([0.5], dtype=np.float32)))
+    return gain.apply(x, Tensor(np.array([0.5], dtype=np.float32)))[0]
 
 
 def test_gain_values():
@@ -549,7 +549,7 @@ def test_dc_offset_and_per_block_broadcast():
     x = Tensor(np.zeros(6, dtype=np.float32))
     off = P.DCOffset()  # offsets in [-1, 1]: controls 1, 0, 0.75 -> 1, -1, 0.5
     y = off.apply(x, Tensor(np.array([[1.0], [0.0], [0.75]], dtype=np.float32)),
-                  block_size=2)
+                  block_size=2)[0]
     assert np.allclose(y.data, [1, 1, -1, -1, 0.5, 0.5])
     with pytest.raises(ValueError):
         off.apply(x, Tensor(np.array([[1.0], [0.5]])))  # no block size
@@ -617,7 +617,7 @@ def test_fir_siren_trains_roundtrip_gradient():
     w = rng.standard_normal(20)
 
     def f(ts):
-        return T.sum_(T.mul(fir.apply(x), Tensor(w)))
+        return T.sum_(T.mul(fir.apply(x)[0], Tensor(w)))
 
     assert grad_check(f, fir.parameters()) < 1e-4
 
@@ -628,7 +628,7 @@ def test_fir_siren_trains_roundtrip_gradient():
 def test_rational_prefit_matches_tanh():
     nl = P.RationalNL()
     xs = np.linspace(-3, 3, 4001)
-    y = nl.apply(Tensor(xs)).data
+    y = nl.apply(Tensor(xs))[0].data
     assert np.max(np.abs(y - np.tanh(xs))) <= 1e-3
     assert abs(float(nl.num.data[0])) < 1e-4  # odd function: a0 ~ 0
 
@@ -637,13 +637,13 @@ def test_rational_identity_coeffs():
     coeffs = {"numerator": [0, 1, 0, 0, 0, 0, 0], "denominator": [0, 0, 0, 0, 0]}
     nl = P.RationalNL(coeffs)
     xs = np.linspace(-2, 2, 11).astype(np.float32)
-    assert np.allclose(nl.apply(Tensor(xs)).data, xs, atol=1e-7)
+    assert np.allclose(nl.apply(Tensor(xs))[0].data, xs, atol=1e-7)
 
 
 def test_rational_clamps_outside_fit_domain():
     nl = P.RationalNL()
-    big = nl.apply(Tensor(np.array([50.0], dtype=np.float32))).data[0]
-    at8 = nl.apply(Tensor(np.array([8.0], dtype=np.float32))).data[0]
+    big = nl.apply(Tensor(np.array([50.0], dtype=np.float32)))[0].data[0]
+    at8 = nl.apply(Tensor(np.array([8.0], dtype=np.float32)))[0].data[0]
     assert big == at8
 
 
@@ -666,9 +666,9 @@ def test_rational_gradients():
 def test_mlp_nonlinearity_prefit():
     nl = P.MLPNL()
     xs = np.linspace(-3, 3, 2001)
-    y = nl.apply(Tensor(xs)).data
+    y = nl.apply(Tensor(xs))[0].data
     assert np.max(np.abs(y - np.tanh(xs))) <= 5e-3
-    v = [nl.apply(Tensor(np.array([xv], dtype=np.float32))).data[0]
+    v = [nl.apply(Tensor(np.array([xv], dtype=np.float32)))[0].data[0]
          for xv in (-1.0, 0.0, 1.0)]
     assert v[0] < v[1] < v[2]
 
@@ -684,7 +684,7 @@ def test_mlp_nonlinearity_weight_gradients():
     w = rng.standard_normal(12)
 
     def f(ts):
-        return T.sum_(T.mul(nl.apply(x), Tensor(w)))
+        return T.sum_(T.mul(nl.apply(x)[0], Tensor(w)))
 
     assert grad_check(f, nl.net.parameters()) < 1e-4
 
