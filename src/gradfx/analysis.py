@@ -149,12 +149,12 @@ def stepped_sine_response(model, cfg: SweepConfig,
     if tail > n_meas:
         raise ValueError(f"analysis tail {tail} exceeds rendered "
                          f"length {n_meas}")
-    n_warm = -(-int(round(cfg.warmup * cfg.fs)) // model.stream_unit) \
-        * model.stream_unit
+    unit = model.stream_unit
+    n_warm = -(-int(round(cfg.warmup * cfg.fs)) // unit) * unit
     freqs, n = cfg.frequencies, n_warm + n_meas
     if isinstance(model, LSTMModel):
         # f32 GEMV rows round alike when chunk edges sit on multiples of 16
-        unit = math.lcm(64, model.stream_unit)
+        unit = math.lcm(64, unit)
         chunk = max(unit, n // len(freqs) // unit * unit)
         x_tail, y_tail = _render(model, cfg, freqs, [*range(0, n, chunk), n],
                                  c, tail, batched=True)
