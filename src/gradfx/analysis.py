@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import atomic_open
-from .models import LSTMModel
+from .models import RENDER_ALIGN, LSTMModel
 from .tensor import Tensor
 
 
@@ -112,9 +112,13 @@ def _project(signal: np.ndarray, freq: float, fs: float) -> complex:
 def _render(model, cfg: SweepConfig, freqs, edges, c, tail: int,
             batched: bool):
     """Tones at `freqs` through the model over the pieces between
-    consecutive `edges`, state carried; their last `tail` samples, input
-    and output, one row per frequency. Batched, the model takes all rows
-    in one call per piece; otherwise `freqs` holds one frequency."""
+    consecutive `edges`, from zero state at edges[0], state carried;
+    their last `tail` samples, input and output, one row per frequency.
+    A tone's sample i is the same whatever edges[0], so the tail is too
+    when edges[0] leaves the model's `receptive_field - 1` samples before
+    it and keeps the kernels' blocks where they were. Batched, the model
+    takes all rows in one call per piece; otherwise `freqs` holds one
+    frequency."""
     dt = T.default_dtype()
     start = edges[-1] - tail
     x_tail = np.empty((len(freqs), tail))
@@ -142,7 +146,13 @@ def stepped_sine_response(model, cfg: SweepConfig,
     cost is per call and step, renders all frequencies at once as a batch:
     warm-up and measurement form one signal, fed in time chunks that hold
     no more samples in all than one frequency's render. Any other model,
-    whose cost is per sample, renders one frequency after another.
+    whose cost is per sample, renders one frequency after another: over
+    the warm-up and then the measurement, or, when the model bounds its
+    `receptive_field`, from zero state over [s, n] alone. s is the latest
+    point with s <= n - tail - (receptive_field - 1) on the grid
+    n_warm + k * lcm(RENDER_ALIGN, stream_unit), k >= 0, on which the
+    measured call's im2col spans already lie, so the tail is the same bit
+    for bit; without such a point the tone runs whole.
     """
     tail = cfg.tail_length
     n_meas = int(round(cfg.T * cfg.fs))
@@ -160,6 +170,12 @@ def stepped_sine_response(model, cfg: SweepConfig,
                                  c, tail, batched=True)
     else:
         edges = [0, n_warm, n] if n_warm else [0, n]
+        rf = model.receptive_field
+        if rf is not None:
+            step = math.lcm(RENDER_ALIGN, unit)
+            k = (n - tail - (rf - 1) - n_warm) // step
+            if k >= 0:
+                edges = [n_warm + k * step, n]
         tails = [_render(model, cfg, freqs[i:i + 1], edges, c, tail,
                          batched=False) for i in range(len(freqs))]
         x_tail, y_tail = (np.concatenate(p) for p in zip(*tails))

@@ -193,8 +193,13 @@ def load_config(path) -> ExperimentConfig:
     sweep_cfg = None
     adoc = doc.get("analysis", {})
     if _check_fields("analysis", adoc, problems):
-        if "fs" not in adoc and model_spec is not None:
-            adoc = dict(adoc, fs=model_spec.sample_rate)
+        if model_spec is not None:
+            # the tones are labelled in Hz at fs; the model runs at its rate
+            rate = model_spec.sample_rate
+            if adoc.get("fs", rate) != rate:
+                problems.append(f"/analysis/fs: {adoc['fs']:g} != model "
+                                f"sample_rate {rate:g}")
+            adoc = dict(adoc, fs=rate)
         try:
             sweep_cfg = SweepConfig(**adoc)
         except ValueError as e:

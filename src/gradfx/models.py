@@ -14,7 +14,10 @@ of a signal fed in order with the state carried give the output of one
 call when every split point is a multiple of the model's `stream_unit`
 (its control block, 1 when it has none); bit for bit when the split
 points are also multiples of RENDER_ALIGN, the blocks the kernels work
-in. `render` streams a whole file that way.
+in. `render` streams a whole file that way. Beside `stream_unit`, each
+model has a `receptive_field`: how many past input samples, the current
+one included, one output sample can depend on in eval mode, or None when
+that is unbounded (recurrent states, IIR filters, temporal conditioners).
 """
 
 from __future__ import annotations
@@ -91,6 +94,8 @@ class LSTMModel(nn.Module):
     "tvcond" appends a learned time-varying sequence derived from the
     input signal and controls.
     """
+
+    receptive_field = None
 
     def __init__(self, num_controls: int = 0, hidden: int = 32,
                  cond_mode: str = "none", rng: np.random.Generator | None = None,
@@ -208,6 +213,15 @@ class _ConvStack(nn.Module):
     def stream_unit(self) -> int:
         return getattr(self.conditioner, "block_size", 1)
 
+    @property
+    def receptive_field(self) -> int | None:
+        """The convolutions' receptive field, unless a temporal conditioner
+        or training-mode batch norm lets each output see the whole call."""
+        if (self.cfg.cond not in ("none", "film")
+                or self.norms is not None and self.training):
+            return None
+        return self.cfg.receptive_field
+
     def forward(self, x: Tensor, c: Tensor | None, state):
         """Returns (last block's output, every block's activation when
         gated, else [], state)."""
@@ -250,6 +264,10 @@ class TCN(nn.Module):
     def stream_unit(self) -> int:
         return self.stack.stream_unit
 
+    @property
+    def receptive_field(self) -> int | None:
+        return self.stack.receptive_field
+
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
         h, _, state = self.stack(x, c, state)
         return T.reshape(self.mixer(h), (x.data.shape[-1],)), state
@@ -267,6 +285,10 @@ class GCN(nn.Module):
     @property
     def stream_unit(self) -> int:
         return self.stack.stream_unit
+
+    @property
+    def receptive_field(self) -> int | None:
+        return self.stack.receptive_field
 
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
         _, skips, state = self.stack(x, c, state)
@@ -406,6 +428,8 @@ def _build_controller(st: StageSpec, p: proc.Processor, spec: GrayBoxSpec,
 class GrayBoxChain(nn.Module):
     """Processors applied in order, each fed by its controller's output.
     The state is one (controller state, processor state) pair per stage."""
+
+    receptive_field = None  # recursive EQs and recurrent controllers
 
     def __init__(self, spec: GrayBoxSpec, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng()

@@ -666,6 +666,7 @@ class _GainIntoLowpass:
     """-6.02 dB pad into a 1 kHz lowpass, rendered through the filter path."""
 
     stream_unit = 1
+    receptive_field = None
 
     def __init__(self):
         self.scale = 10.0 ** (-6.02 / 20.0)

@@ -1,5 +1,6 @@
 """Stepped-sine analyzer against analytic responses; plot emission."""
 
+import math
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -16,6 +17,7 @@ from gradfx.tensor import Tensor
 
 class _ScaleModel:
     stream_unit = 1
+    receptive_field = 1
 
     def __init__(self, g):
         self.g = g
@@ -28,6 +30,7 @@ class _LTIModel:
     """Fixed gain -> biquad cascade rendered by the filter path."""
 
     stream_unit = 1
+    receptive_field = None
 
     def __init__(self, params, layout, fs, gain_lin=1.0):
         self.params, self.layout, self.fs = params, layout, fs
@@ -153,6 +156,104 @@ def test_batched_lstm_sweep_holds_no_more_than_one_frequency():
     single = _traced_peak(lambda: _per_frequency_sweep(model, cfg,
                                                        freqs=[cfg.f1]))
     assert batched <= 1.25 * single, batched / single
+
+
+class _Recorder:
+    """A model seen through its forward calls, which it records by length;
+    unbounded, it hides the model's receptive field from the sweep."""
+
+    def __init__(self, model, unbounded=False):
+        self.model, self.calls = model, []
+        self.stream_unit = model.stream_unit
+        self.receptive_field = None if unbounded else model.receptive_field
+
+    def forward(self, x, c=None, state=None):
+        self.calls.append(x.data.shape[-1])
+        return self.model.forward(x, c, state)
+
+
+def _conv_model(kind, cond="none", batchnorm=False, blocks=3, kernel=5,
+                growth=3, seed=0):
+    """A conv model with every parameter moved off its initial value (the
+    identity FiLM heads included), in eval mode."""
+    rng = np.random.default_rng(seed)
+    model = M.build_model(
+        {"kind": kind, "sample_rate": 8000.0, "num_controls": 2,
+         kind: {"blocks": blocks, "kernel": kernel, "dilation_growth": growth,
+                "channels": 10, "cond": cond, "batchnorm": batchnorm}}, rng)
+    for p in model.parameters():
+        p.data = p.data + (0.2 * rng.standard_normal(p.data.shape)).astype(
+            p.data.dtype)
+    if batchnorm:  # running statistics away from their start
+        for _ in range(3):
+            model.forward(Tensor((0.5 * rng.standard_normal(4096) + 0.2)
+                                 .astype(np.float32)))
+    return model.eval()
+
+
+_CONTROLS = Tensor(np.array([0.3, 0.8], dtype=np.float32))
+
+
+def _sweep_both_ways(model, cfg):
+    """The sweep's rows with the model's receptive field and without, and
+    the forward-call lengths of each."""
+    bounded, whole = _Recorder(model), _Recorder(model, unbounded=True)
+    rows = [A.stepped_sine_response(m, cfg, _CONTROLS).rows()
+            for m in (bounded, whole)]
+    return rows, bounded.calls, whole.calls
+
+
+# (fs, warm-up): the measured call starts one alignment step past the
+# warm-up, or past 0 without one, or right at the warm-up's end (k = 0)
+@pytest.mark.parametrize("fs, warmup", [(8000.0, 0.0), (8000.0, 0.1),
+                                        (4000.0, 0.1)])
+@pytest.mark.parametrize("kind, cond, batchnorm", [
+    ("tcn", "none", False), ("tcn", "film", False), ("gcn", "none", False),
+    ("gcn", "film", False), ("tcn", "none", True)])
+def test_bounded_sweep_equals_whole_tones(kind, cond, batchnorm, fs, warmup):
+    model = _conv_model(kind, cond, batchnorm)
+    rf = model.receptive_field
+    assert rf == 53  # 1 + 4 * (1 + 3 + 9)
+    cfg = A.SweepConfig(fs=fs, f1=100.0, f2=0.4 * fs, steps=4, T=1.0,
+                        warmup=warmup)
+    (got, want), bounded, whole = _sweep_both_ways(model, cfg)
+    assert np.array_equal(got, want)
+    n_warm = round(warmup * fs)
+    n = n_warm + round(cfg.T * fs)
+    assert whole == ([n_warm, n - n_warm] if n_warm else [n]) * cfg.steps
+    # one call per frequency, no longer than the tail needs plus one step
+    step = math.lcm(M.RENDER_ALIGN, model.stream_unit)
+    assert len(bounded) == cfg.steps
+    assert max(bounded) <= min(n - n_warm, cfg.tail_length + rf - 1 + step)
+
+
+@pytest.mark.parametrize("warmup", [0.0, 2.0])
+def test_sweep_too_short_for_the_receptive_field_renders_whole_tones(warmup):
+    # 3 s of tone hold tail + receptive field, but not after a 2 s warm-up
+    model = _conv_model("tcn", "film", blocks=5, kernel=7, growth=4)
+    assert model.receptive_field == 2047
+    cfg = A.SweepConfig(fs=1000.0, f1=10.0, f2=400.0, steps=3, T=1.0,
+                        warmup=warmup)
+    (got, want), bounded, whole = _sweep_both_ways(model, cfg)
+    assert np.array_equal(got, want)
+    assert bounded == whole == ([2000, 1000] if warmup else [1000]) * 3
+
+
+def test_receptive_field_is_bounded_only_for_stateless_conv_models():
+    bounded = {(kind, cond): _conv_model(kind, cond).receptive_field
+               for kind in ("tcn", "gcn")
+               for cond in ("none", "film", "tfilm", "ttfilm", "tvfilm")}
+    assert bounded == {(kind, cond): 53 if cond in ("none", "film") else None
+                       for kind, cond in bounded}
+    # training-mode batch norm normalizes by the whole call's statistics
+    assert _conv_model("tcn", batchnorm=True).train().receptive_field is None
+    for mode in ("none", "concat", "tvcond"):
+        assert _lstm_model(mode).receptive_field is None
+    chain = M.build_model({"kind": "graybox", "sample_rate": 8000.0,
+                           "graybox": {"stages": [
+                               {"processor": "gain", "controller": "static"},
+                               {"processor": "parametric_eq"}]}})
+    assert chain.receptive_field is None
 
 
 def test_amplitude_response_tanh_and_rational():

@@ -71,6 +71,14 @@ def test_load_config_valid(tmp_path):
     assert cfg.data["manifest"] == tmp_path / "manifest.json"
 
 
+def test_load_config_accepts_an_analysis_fs_equal_to_the_model_rate(tmp_path):
+    cfg_path = _write_config(tmp_path / "exp.json",
+                             extra={"analysis": {"fs": 48000, "f1": 100.0,
+                                                 "steps": 6, "T": 1.0}},
+                             with_data=False)
+    assert load_config(cfg_path).sweep_cfg.fs == 48000.0
+
+
 def test_load_config_env_output_root(tmp_path, monkeypatch):
     _write_dataset(tmp_path)
     cfg_path = _write_config(tmp_path / "exp.json")
@@ -707,6 +715,8 @@ def test_cli_analyze_rejects_a_tail_without_a_period_exit2(tmp_path, capsys):
     ({"T": True}, "/analysis/T: expected a number > 0, got True"),
     ({"amplitude": -1}, "/analysis/amplitude: expected a number > 0, got -1"),
     ({"warmup": -1}, "/analysis/warmup: expected a number >= 0, got -1"),
+    # the tones would be labelled with frequencies the model never saw
+    ({"fs": 44100}, "/analysis/fs: 44100 != model sample_rate 48000"),
 ])
 def test_cli_analyze_rejects_bad_values_exit2(tmp_path, capsys, analysis,
                                               message):

@@ -139,6 +139,9 @@ def test_untaped_lstm_forward_keeps_no_per_step_gates():
 # -- causality ---------------------------------------------------------------
 
 def _perturb_tail_invariance(model, n=96, cut=48, c=None):
+    """x[cut:] moves y[cut:] and nothing before; with a bounded
+    receptive_field r, x[cut] alone moves y[cut + r - 1] and nothing
+    from y[cut + r] on."""
     rng = np.random.default_rng(85)
     x = rng.standard_normal(n).astype(np.float32)
     x2 = x.copy()
@@ -147,6 +150,13 @@ def _perturb_tail_invariance(model, n=96, cut=48, c=None):
     y2, _ = model.forward(Tensor(x2), c)
     assert np.array_equal(y1.data[:cut], y2.data[:cut])
     assert not np.allclose(y1.data[cut:], y2.data[cut:])
+    r = model.receptive_field
+    if r is not None:
+        x3 = x.copy()
+        x3[cut] += 1.0
+        y3, _ = model.forward(Tensor(x3), c)
+        assert np.array_equal(y1.data[cut + r:], y3.data[cut + r:])
+        assert y1.data[cut + r - 1] != y3.data[cut + r - 1]
 
 
 def test_models_are_causal():
@@ -156,20 +166,26 @@ def test_models_are_causal():
     _perturb_tail_invariance(M.GCN(small_cfg(), rng=rng))
     c = Tensor(np.array([0.4, 0.9], dtype=np.float32))
     _perturb_tail_invariance(M.TCN(small_cfg(cond="film"), 2, rng), c=c)
+    _perturb_tail_invariance(M.GCN(small_cfg(cond="film"), 2, rng), c=c)
 
 
 def test_tcn_receptive_field_bound_is_tight():
+    # the bound the stepped-sine sweep trusts, read off each model
     rng = np.random.default_rng(87)
-    cfg = small_cfg()  # RF = 1 + 2*(1+2) = 7
-    model = M.TCN(cfg, rng=rng)
-    x = rng.standard_normal(64).astype(np.float32)
-    x2 = x.copy()
-    x2[0] += 1.0
-    y1, _ = model.forward(Tensor(x))
-    y2, _ = model.forward(Tensor(x2))
-    rf = cfg.receptive_field
-    assert np.array_equal(y1.data[rf:], y2.data[rf:])
-    assert abs(y1.data[rf - 1] - y2.data[rf - 1]) > 0
+    c = Tensor(np.array([0.4, 0.9], dtype=np.float32))
+    for cls in (M.TCN, M.GCN):
+        for cond in ("none", "film"):
+            cfg = small_cfg(cond=cond)  # RF = 1 + 2*(1+2) = 7
+            model = cls(cfg, 2, rng)
+            rf = model.receptive_field
+            assert rf == cfg.receptive_field == 7
+            x = rng.standard_normal(64).astype(np.float32)
+            x2 = x.copy()
+            x2[0] += 1.0
+            y1, _ = model.forward(Tensor(x), c)
+            y2, _ = model.forward(Tensor(x2), c)
+            assert np.array_equal(y1.data[rf:], y2.data[rf:]), (cls, cond)
+            assert abs(y1.data[rf - 1] - y2.data[rf - 1]) > 0, (cls, cond)
 
 
 def test_conv_models_preserve_length():
