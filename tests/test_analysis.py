@@ -229,7 +229,8 @@ def test_bounded_sweep_equals_whole_tones(kind, cond, batchnorm, fs, warmup):
 
 @pytest.mark.parametrize("warmup", [0.0, 2.0])
 def test_sweep_too_short_for_the_receptive_field_renders_whole_tones(warmup):
-    # 3 s of tone hold tail + receptive field, but not after a 2 s warm-up
+    # tail + receptive field is 2,146 samples: more than the 1,000-sample
+    # measurement, and with a 2 s warm-up it fits from 0 but not after it
     model = _conv_model("tcn", "film", blocks=5, kernel=7, growth=4)
     assert model.receptive_field == 2047
     cfg = A.SweepConfig(fs=1000.0, f1=10.0, f2=400.0, steps=3, T=1.0,
