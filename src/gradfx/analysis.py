@@ -216,11 +216,24 @@ def time_trace(processor, controller, x, c: Tensor | None = None,
 # -- emission ----------------------------------------------------------------
 
 def _emit_csv(obj, path) -> None:
-    rows = obj.rows()
+    """Header, then one line per row, each value written f"{v:.12g}".
+
+    Each column formats each of its distinct values once, and every row
+    that holds the value reuses the string: a dynamic stage's trace holds
+    one value per control block, repeated over the block's samples.
+    Values are told apart by their float64 bit pattern, so -0.0 and 0.0
+    stay "-0" and "0", and NaN and +-inf still read "nan" and "inf".
+    """
+    cols = np.ascontiguousarray(np.asarray(obj.rows(), np.float64).T)
+    text = []
+    for col in cols:
+        bits, where = np.unique(col.view(np.int64), return_inverse=True)
+        fmt = np.array([f"{v:.12g}" for v in bits.view(np.float64).tolist()],
+                       dtype=object)
+        text.append(fmt[where])
     with atomic_open(path) as f:
         f.write(",".join(obj.columns) + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
 def _polyline(xs, ys, x0, x1, y0, y1, width, height, pad=50):

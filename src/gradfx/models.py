@@ -224,18 +224,25 @@ class _ConvStack(nn.Module):
 
     def forward(self, x: Tensor, c: Tensor | None, state):
         """Returns (last block's output, every block's activation when
-        gated, else [], state)."""
+        gated, else [], state). Under a tape the state keeps no conv
+        contexts, which no taped caller carries (truncated BPTT trains
+        LSTM models only), and cannot be passed back in."""
         ch = self.cfg.channels
         h = T.reshape(x, (1, x.data.shape[-1]))
         cond_state, contexts = (state if state is not None
                                 else (None, [None] * len(self.convs)))
+        if contexts is None:
+            raise ValueError("a taped forward's state keeps no conv contexts")
         conditioner = self.conditioner
         if conditioner is not None:
             z, cond_state = conditioner.latents(x, c, cond_state)
-        acts, after = [], []
+        acts = []
+        after = [] if T.active_tape() is None else None
         for k, conv in enumerate(self.convs):
             residual = self.shortcut(h) if k == 0 else h
-            after.append(T.last_samples(contexts[k], h.data, conv.context_len))
+            if after is not None:
+                after.append(T.last_samples(contexts[k], h.data,
+                                            conv.context_len))
             h = conv(h, contexts[k])
             if self.norms is not None:
                 h = self.norms[k](h)

@@ -166,3 +166,12 @@ def stft_mag_composed(x, window, fft_size, hop, floor, g):
     gx = np.zeros_like(x)
     np.add.at(gx, idx, gp[:, :win] * window)
     return mag, gx
+
+
+def plot_csv(obj):
+    """A plot CSV as the per-value writer wrote it: header, then every
+    value of every row formatted on its own."""
+    lines = [",".join(obj.columns) + "\n"]
+    for row in obj.rows():
+        lines.append(",".join(f"{v:.12g}" for v in row) + "\n")
+    return "".join(lines)

@@ -1,5 +1,6 @@
 """Stepped-sine analyzer against analytic responses; plot emission."""
 
+import json
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -9,10 +10,12 @@ import pytest
 
 import gradfx.tensor as T
 from gradfx import analysis as A
+from gradfx import cli
 from gradfx import controllers as C
 from gradfx import models as M
 from gradfx import processors as P
 from gradfx.tensor import Tensor
+from oracles import plot_csv
 
 
 class _ScaleModel:
@@ -286,13 +289,102 @@ def test_emit_csv_roundtrip(tmp_path):
     curve = A.ResponseCurve([10.0, 100.0, 1000.0],
                             [-1.234567890123, 0.5, 3.25],
                             [0.1, -0.2, 0.3])
-    p = tmp_path / "curve.csv"
-    A.emit_plot_data(curve, p, format="csv")
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == "freq_hz,mag_db,phase_rad"
-    assert len(lines) == 4
-    back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.max(np.abs(back - curve.rows())) < 1e-9
+    amp = A.amplitude_response(P.TanhNL(), points=33)
+    ctrl = C.DynamicController(15, np.random.default_rng(150), block_size=16)
+    trace = A.time_trace(P.ParametricEQ(48000.0), ctrl,
+                         np.random.default_rng(151).standard_normal(200) * 0.1)
+    params = ",".join(f"param_{j}" for j in range(15))
+    for obj, header, n in ((curve, "freq_hz,mag_db,phase_rad", 3),
+                           (amp, "input,output,reference", 33),
+                           (trace, "input," + params, 200)):
+        p = tmp_path / "curve.csv"
+        A.emit_plot_data(obj, p, format="csv")
+        lines = p.read_text().strip().split("\n")
+        assert lines[0] == header
+        assert len(lines) == 1 + n
+        back = np.array([[float(v) for v in ln.split(",")]
+                         for ln in lines[1:]])
+        assert np.max(np.abs(back - obj.rows())) < 1e-9
+
+
+def _assert_csv_matches_the_oracle(obj, path):
+    A.emit_plot_data(obj, path)
+    assert path.read_bytes() == plot_csv(obj).encode()
+
+
+def test_emit_csv_special_values_match_the_oracle(tmp_path):
+    neg_nan = -np.float64(np.nan)
+    assert np.signbit(neg_nan)  # a second NaN bit pattern
+    special = np.array([-0.0, 0.0, np.nan, neg_nan, np.inf, -np.inf,
+                        5e-324, -2.5e-310, 1e300, -1e300, 1.0, -1.0])
+    rng = np.random.default_rng(152)
+    n = 3000
+    # every special value, shuffled and in long runs, among plain ones
+    mixed = np.concatenate([np.repeat(special, 100),
+                            rng.standard_normal(n - 100 * len(special))])
+    runs = np.repeat(rng.choice(special, 30), n // 30)
+    obj = A.AmplitudeCurve(rng.permutation(mixed), runs, np.zeros(n))
+    _assert_csv_matches_the_oracle(obj, tmp_path / "special.csv")
+    text = (tmp_path / "special.csv").read_text()
+    for s in ("-0", "0", "nan", "inf", "-inf", "4.94065645841e-324",
+              "1e+300"):
+        assert f",{s}," in text or f"\n{s}," in text
+
+
+def test_emit_csv_curves_match_the_oracle(tmp_path):
+    rng = np.random.default_rng(153)
+    curve = A.stepped_sine_response(
+        _ScaleModel(0.5), A.SweepConfig(fs=8000.0, f1=100.0, steps=7, T=2.0,
+                                        warmup=0.0))
+    amp = A.amplitude_response(P.TanhNL(), points=200)
+    ctrl = C.DynamicController(15, rng, block_size=96)  # 8192 = 85 * 96 + 32
+    for p in ctrl.parameters():
+        p.data = p.data + rng.normal(0.0, 0.5, p.data.shape).astype(p.data.dtype)
+    proc = P.ParametricEQ(48000.0)
+    probe = rng.standard_normal(8192) * 0.1
+    trace = A.time_trace(proc, ctrl, probe)
+    assert trace.params.shape == (8192, 15)
+    for i, obj in enumerate((curve, amp, trace)):
+        _assert_csv_matches_the_oracle(obj, tmp_path / f"curve_{i}.csv")
+
+
+def test_cli_analyze_graybox_files_match_the_oracle(tmp_path, monkeypatch):
+    model = {"kind": "graybox", "sample_rate": 48000.0, "num_controls": 0,
+             "graybox": {"stages": [
+                 {"processor": "parametric_eq", "controller": "static"},
+                 {"processor": "rational", "controller": "dummy"},
+                 {"processor": "parametric_eq", "controller": "dynamic"},
+             ], "block_size": 100}}
+    doc = {"model": model, "train": {"max_steps": 1, "seed": 0},
+           "analysis": {"f1": 100.0, "steps": 6, "T": 1.0, "warmup": 0.05},
+           "output_dir": "out"}
+    (tmp_path / "exp.json").write_text(json.dumps(doc))
+    spec = M.ModelSpec.from_dict(model)
+    chain = spec.build(np.random.default_rng(0))
+    rng = np.random.default_rng(154)
+    for p in chain.parameters():
+        p.data = p.data + rng.normal(0.0, 0.3, p.data.shape).astype(p.data.dtype)
+    M.save_checkpoint(tmp_path / "ckpt.json", chain, spec)
+    written = {}
+    emit = A.emit_plot_data
+
+    def record(obj, path, format="csv"):
+        if format == "csv":
+            written[path.name] = obj
+        emit(obj, path, format)
+
+    monkeypatch.setattr(A, "emit_plot_data", record)
+    assert cli.main(["analyze", "--config", str(tmp_path / "exp.json"),
+                     "--checkpoint", str(tmp_path / "ckpt.json")]) == 0
+    out = tmp_path / "out"
+    names = sorted(p.name for p in out.glob("*.csv"))
+    assert names == ["response_model.csv", "stage_0_parametric_eq.csv",
+                     "stage_1_rational.csv", "stage_2_parametric_eq.csv"]
+    assert sorted(written) == names
+    trace = written["stage_2_parametric_eq.csv"]
+    assert trace.params.shape == (8192, 15)  # 8192 = 81 * 100 + 92
+    for name in names:
+        assert (out / name).read_bytes() == plot_csv(written[name]).encode()
 
 
 def test_emit_svg_parses(tmp_path):

@@ -226,6 +226,23 @@ def test_conv_forward_leaves_the_callers_state_alone(cls, cond):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("cls", [M.TCN, M.GCN])
+@pytest.mark.parametrize("cond", ["none", "tfilm"])
+def test_taped_conv_forward_keeps_no_contexts(cls, cond):
+    rng = np.random.default_rng(92)
+    model = cls(small_cfg(cond=cond), num_controls=1, rng=rng)
+    x = Tensor(rng.standard_normal(64).astype(np.float32))
+    c = Tensor(np.array([0.6], dtype=np.float32))
+    y0, s0 = model.forward(x, c)
+    with T.Tape():
+        y1, s1 = model.forward(x, c)
+    assert np.array_equal(y0.data, y1.data)
+    assert len(s0[1]) == 2 and s1[1] is None
+    assert (s1[0] is None) == (cond == "none")  # the conditioner's is kept
+    with pytest.raises(ValueError, match="keeps no conv contexts"):
+        model.forward(x, c, s1)
+
+
 def _state_arrays(s) -> list:
     """Every array of a nested model state, in order."""
     if isinstance(s, (tuple, list)):
