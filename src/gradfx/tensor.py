@@ -2,8 +2,11 @@
 
 Operations execute eagerly on numpy and, when a Tape is active, record
 one node per primitive application. Tape.backward walks the node list in
-reverse and accumulates vector-Jacobian products. Without an active tape
-every op is just a numpy call, so inference costs no bookkeeping.
+reverse and accumulates vector-Jacobian products. It frees as it goes:
+each node's gradient is dropped once its vjp has run, and so is the vjp
+closure with the forward arrays it saved. Only the leaves' gradients are
+kept, and a tape runs backward once. Without an active tape every op is
+just a numpy call, so inference costs no bookkeeping.
 
 Precision: tensors default to float32 (training); gradient verification
 is expected to run at float64 (finite differences are unreliable at 32
@@ -78,65 +81,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    # Arithmetic operators delegate to the primitive functions below.
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, n):
-        return powi(self, n)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-
-def _wrap(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 class Node:
@@ -151,16 +100,22 @@ class Node:
 
 
 class Grads:
-    """Result of a backward pass: node id -> gradient array."""
+    """Result of a backward pass: leaf node id -> gradient array."""
 
     def __init__(self, tape: "Tape", by_node: dict):
         self._tape = tape
         self._by_node = by_node
 
     def get(self, t: Tensor):
-        """Gradient of the root w.r.t. t, or None if t is off this tape."""
+        """Gradient of the root w.r.t. the leaf t (zeros if the root does
+        not depend on it), or None if t is off this tape. Raises KeyError
+        for an intermediate result: its gradient was freed in backward."""
         if t._tape is not self._tape or t._node_id is None:
             return None
+        op = self._tape.nodes[t._node_id].op
+        if op != "leaf":
+            raise KeyError(f"gradient requested for a {op!r} node; backward "
+                           f"keeps leaf gradients only")
         g = self._by_node.get(t._node_id)
         if g is None:
             return Tensor(np.zeros_like(t.data))
@@ -177,11 +132,14 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Nodes are appended in execution order, so every node's operands
-    precede it; backward visits each node exactly once in reverse.
+    precede it; backward visits each node exactly once in reverse. It
+    releases each node's vjp closure once it has run, so a tape runs
+    backward once; the nodes themselves stay.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._backward_ran = False
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -217,30 +175,34 @@ class Tape:
         out._node_id = nid
 
     def backward(self, root: Tensor) -> Grads:
-        """Accumulate d(root)/d(node) for every node reachable from root.
+        """Gradients of root w.r.t. every leaf it depends on.
 
-        root must be scalar (size 1) and recorded on this tape.
+        root must be scalar (size 1) and recorded on this tape. A node's
+        gradient is popped before its vjp runs and the vjp is released
+        after, so memory falls as the walk goes. A second call raises
+        RuntimeError.
         """
         if root.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
         if root._tape is not self or root._node_id is None:
             raise ValueError("root is not recorded on this tape")
+        if self._backward_ran:
+            raise RuntimeError("backward already ran on this tape and released "
+                               "its vjps; record the forward again")
+        self._backward_ran = True
         grads: dict[int, np.ndarray] = {
             root._node_id: np.ones_like(root.data)
         }
         for nid in range(root._node_id, -1, -1):
-            g = grads.get(nid)
-            if g is None:
-                continue
             node = self.nodes[nid]
-            if node.vjp is None:
+            # a leaf has no vjp and keeps its gradient
+            if node.vjp is None or nid not in grads:
                 continue
-            parent_grads = node.vjp(g)
+            parent_grads = node.vjp(grads.pop(nid))
+            node.vjp = None
             for pid, pg in zip(node.parents, parent_grads):
-                if pid is None or pg is None:
-                    continue
-                acc = grads.get(pid)
-                grads[pid] = pg if acc is None else acc + pg
+                if pid is not None and pg is not None:
+                    grads[pid] = grads[pid] + pg if pid in grads else pg
         return Grads(self, grads)
 
 
