@@ -9,7 +9,6 @@ from .tensor import (
     Tensor,
     Tape,
     Grads,
-    suspend_tape,
     set_default_dtype,
     default_dtype,
     grad_check,
@@ -21,7 +20,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "Grads",
-    "suspend_tape",
     "set_default_dtype",
     "default_dtype",
     "grad_check",

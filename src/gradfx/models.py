@@ -452,10 +452,6 @@ class GrayBoxChain(nn.Module):
             self.controllers.append(k)
 
     @property
-    def num_controlled_params(self) -> int:
-        return sum(p.num_params for p in self.processors)
-
-    @property
     def stream_unit(self) -> int:
         return math.lcm(*(getattr(k, "block_size", 1)
                           for k in self.controllers))
@@ -543,13 +539,6 @@ class ModelSpec:
         if self.kind == "gcn":
             return GCN(self.config, self.num_controls, rng)
         return GrayBoxChain(self.config, rng)
-
-
-def build_model(spec: ModelSpec | dict,
-                rng: np.random.Generator | None = None) -> nn.Module:
-    if isinstance(spec, dict):
-        spec = ModelSpec.from_dict(spec)
-    return spec.build(rng)
 
 
 # -- streaming ---------------------------------------------------------------

@@ -49,9 +49,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def param_count(self) -> int:
-        return int(sum(p.data.size for p in self.parameters()))
-
     def modules(self):
         yield self
         for _, v in self._walk():

@@ -210,21 +210,6 @@ def active_tape():
     return _ACTIVE_TAPE
 
 
-class suspend_tape:
-    """Context manager: run a region without recording (e.g. state warmup)."""
-
-    def __enter__(self):
-        global _ACTIVE_TAPE
-        self._saved = _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
-        return self
-
-    def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._saved
-        return False
-
-
 def records(parents) -> bool:
     """Whether an op over these parents records a node: a tape is active
     and some parent requires grad or is already on it."""

@@ -133,70 +133,68 @@ def _update(tape: Tape, tot: Tensor, optimizer: Adam) -> tuple:
     return loss_val, optimizer.step(tape.backward(tot))
 
 
+def _step(model, segs, optimizer: Adam, cfg: TrainConfig, warmup: int,
+          chunk: int | None) -> tuple:
+    """Warm each segment up untaped over its first `warmup` samples, then
+    make one update per `chunk` samples (None: the rest of the segment) on
+    the mean loss over `segs`, each segment's state carried detached from
+    the tape. Returns (mean losses over the updates, updates applied)."""
+    if not segs:
+        raise ValueError("empty batch")
+    xs = [np.asarray(s.x) for s in segs]
+    ys = [np.asarray(s.y) for s in segs]
+    n = min(len(x) for x in xs)
+    if chunk is not None and chunk > n:
+        raise ValueError(f"chunk_len {chunk} exceeds sequence length {n}")
+    starts = [warmup] if chunk is None else range(warmup, n - chunk + 1, chunk)
+    if not starts:
+        raise ValueError("warmup consumed the whole sequence")
+    model.train()
+    cs = [_controls(s) for s in segs]
+    states = [None] * len(segs)
+    if warmup:
+        for i, x in enumerate(xs):
+            warm = Tensor(np.asarray(x[:warmup], dtype=T.default_dtype()))
+            states[i] = detach_state(model.forward(warm, cs[i], None)[1])
+    tots, l1s, mrs = [], [], []
+    updates = 0
+    for a in starts:
+        b = None if chunk is None else a + chunk
+        with Tape() as tape:
+            tot = None
+            l1_val = mr_val = 0.0
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                xt = Tensor(np.asarray(x[a:b], dtype=T.default_dtype()))
+                y_hat, states[i] = model.forward(xt, cs[i], states[i])
+                t, p1, p2 = _loss(y[a:b], y_hat, cfg)
+                l1_val += p1
+                mr_val += p2
+                tot = t if tot is None else T.add(tot, t)
+            if len(segs) > 1:
+                tot = T.mul(tot, Tensor(np.asarray(1.0 / len(segs),
+                                                   dtype=tot.data.dtype)))
+            loss_val, applied = _update(tape, tot, optimizer)
+        updates += applied
+        states = [detach_state(s) for s in states]
+        tots.append(loss_val)
+        l1s.append(l1_val / len(segs))
+        mrs.append(mr_val / len(segs))
+    return {"loss_tot": float(np.mean(tots)), "loss_l1": float(np.mean(l1s)),
+            "loss_mrstft": float(np.mean(mrs))}, updates
+
+
 def train_step(model, batch, optimizer: Adam, cfg: TrainConfig) -> dict:
     """One forward/backward/update over a batch of segments."""
-    if not batch:
-        raise ValueError("empty batch")
-    model.train()
-    with Tape() as tape:
-        tot = None
-        l1_val = 0.0
-        mr_val = 0.0
-        for seg in batch:
-            x, y, c = _seg_tensors(seg)
-            y_hat, _ = model.forward(x, c, None)
-            t, p1, p2 = _loss(y, y_hat, cfg)
-            l1_val += p1
-            mr_val += p2
-            tot = t if tot is None else T.add(tot, t)
-        if len(batch) > 1:
-            tot = T.mul(tot, Tensor(np.asarray(1.0 / len(batch),
-                                               dtype=tot.data.dtype)))
-        loss_val, applied = _update(tape, tot, optimizer)
-    return {"loss_tot": loss_val, "loss_l1": l1_val / len(batch),
-            "loss_mrstft": mr_val / len(batch), "applied": applied}
+    losses, updates = _step(model, batch, optimizer, cfg, 0, None)
+    return {**losses, "applied": updates == 1}
 
 
 def tbptt_train_step(model, seg, optimizer: Adam, cfg: TrainConfig) -> dict:
     """Chunked recurrent training: warm up without gradient, then update
     once per chunk with the carried state detached from the tape."""
-    x_all = np.asarray(seg.x)
-    y_all = np.asarray(seg.y)
-    n = len(x_all)
-    if cfg.chunk_len > n:
-        raise ValueError(f"chunk_len {cfg.chunk_len} exceeds sequence "
-                         f"length {n}")
-    model.train()
-    c = _controls(seg)
-    state = None
-    if cfg.warmup_len:
-        warm = Tensor(np.asarray(x_all[:cfg.warmup_len],
-                                 dtype=T.default_dtype()))
-        _, state = model.forward(warm, c, None)  # no tape: nothing recorded
-        state = detach_state(state)
-    tots = []
-    l1s = []
-    mrs = []
-    updates = 0
-    start = cfg.warmup_len
-    while start + cfg.chunk_len <= n:
-        xc = Tensor(np.asarray(x_all[start:start + cfg.chunk_len],
-                               dtype=T.default_dtype()))
-        yc = y_all[start:start + cfg.chunk_len]
-        with Tape() as tape:
-            y_hat, new_state = model.forward(xc, c, state)
-            tot, p1, p2 = _loss(yc, y_hat, cfg)
-            loss_val, applied = _update(tape, tot, optimizer)
-            updates += applied
-        state = detach_state(new_state)
-        tots.append(loss_val)
-        l1s.append(p1)
-        mrs.append(p2)
-        start += cfg.chunk_len
-    if not tots:
-        raise ValueError("warmup consumed the whole sequence")
-    return {"loss_tot": float(np.mean(tots)), "loss_l1": float(np.mean(l1s)),
-            "loss_mrstft": float(np.mean(mrs)), "updates": updates}
+    losses, updates = _step(model, [seg], optimizer, cfg, cfg.warmup_len,
+                            cfg.chunk_len)
+    return {**losses, "updates": updates}
 
 
 # -- evaluation --------------------------------------------------------------
@@ -299,17 +297,6 @@ class RunLog:
                         else float(cell)
                 log.rows.append(row)
         return log
-
-    def matches(self, other: "RunLog", ignore=("wall_clock",)) -> bool:
-        """Exact equality of all logged values outside `ignore` columns."""
-        if len(self.rows) != len(other.rows):
-            return False
-        for a, b in zip(self.rows, other.rows):
-            keys = (set(a) | set(b)) - set(ignore)
-            for k in keys:
-                if a.get(k) != b.get(k):
-                    return False
-        return True
 
 
 # -- training loop -----------------------------------------------------------

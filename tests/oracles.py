@@ -175,3 +175,14 @@ def plot_csv(obj):
     for row in obj.rows():
         lines.append(",".join(f"{v:.12g}" for v in row) + "\n")
     return "".join(lines)
+
+
+def logs_match(a, b) -> bool:
+    """Exact equality of every value two run logs hold, wall clock aside."""
+    if len(a.rows) != len(b.rows):
+        return False
+    for ra, rb in zip(a.rows, b.rows):
+        for k in (set(ra) | set(rb)) - {"wall_clock"}:
+            if ra.get(k) != rb.get(k):
+                return False
+    return True

@@ -180,10 +180,11 @@ def _conv_model(kind, cond="none", batchnorm=False, blocks=3, kernel=5,
     """A conv model with every parameter moved off its initial value (the
     identity FiLM heads included), in eval mode."""
     rng = np.random.default_rng(seed)
-    model = M.build_model(
+    model = M.ModelSpec.from_dict(
         {"kind": kind, "sample_rate": 8000.0, "num_controls": 2,
          kind: {"blocks": blocks, "kernel": kernel, "dilation_growth": growth,
-                "channels": 10, "cond": cond, "batchnorm": batchnorm}}, rng)
+                "channels": 10, "cond": cond, "batchnorm": batchnorm}}
+    ).build(rng)
     for p in model.parameters():
         p.data = p.data + (0.2 * rng.standard_normal(p.data.shape)).astype(
             p.data.dtype)
@@ -253,10 +254,12 @@ def test_receptive_field_is_bounded_only_for_stateless_conv_models():
     assert _conv_model("tcn", batchnorm=True).train().receptive_field is None
     for mode in ("none", "concat", "tvcond"):
         assert _lstm_model(mode).receptive_field is None
-    chain = M.build_model({"kind": "graybox", "sample_rate": 8000.0,
-                           "graybox": {"stages": [
-                               {"processor": "gain", "controller": "static"},
-                               {"processor": "parametric_eq"}]}})
+    chain = M.ModelSpec.from_dict({"kind": "graybox", "sample_rate": 8000.0,
+                                   "graybox": {"stages": [
+                                       {"processor": "gain",
+                                        "controller": "static"},
+                                       {"processor": "parametric_eq"}]}}
+                                  ).build()
     assert chain.receptive_field is None
 
 

@@ -14,7 +14,7 @@ from gradfx import training as tr
 from gradfx.config import _RULES, ConfigError, load_config
 from gradfx.models import ModelSpec, load_checkpoint, save_checkpoint
 from gradfx.tensor import Tensor
-from oracles import freqz_cascade, rbj_coeffs
+from oracles import freqz_cascade, logs_match, rbj_coeffs
 
 
 def _write_dataset(root, n_files=5, length=8192, gain=0.5, fs=48000,
@@ -139,7 +139,7 @@ def test_cli_seed_override_changes_log(tmp_path):
                        "--seed", str(seed), "--output-dir", str(out)])
         assert rc == 0
         logs.append(tr.RunLog.from_csv(out / "run_log.csv"))
-    assert not logs[0].matches(logs[1])
+    assert not logs_match(logs[0], logs[1])
 
 
 def test_cli_missing_manifest_exit2(tmp_path, capsys):

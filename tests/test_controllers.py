@@ -18,7 +18,7 @@ def test_dummy_controller_is_empty():
     assert ctrl.num_params == 0
     assert out.values is None
     assert state is None
-    assert ctrl.param_count() == 0
+    assert sum(p.data.size for p in ctrl.parameters()) == 0
 
 
 def test_static_controller_midpoint_and_bounds():

@@ -51,7 +51,8 @@ def test_tcn_param_counts_within_bands():
     for mode in ("film", "tfilm", "ttfilm", "tvfilm"):
         cfg = M.TCNConfig(blocks=5, kernel=7, dilation_growth=4, channels=16,
                           cond=mode)
-        counts[mode] = M.TCN(cfg, num_controls=2, rng=rng).param_count()
+        model = M.TCN(cfg, num_controls=2, rng=rng)
+        counts[mode] = sum(p.data.size for p in model.parameters())
     bands = {"film": 15000, "tfilm": 42000, "ttfilm": 17300, "tvfilm": 17700}
     for mode, target in bands.items():
         assert abs(counts[mode] - target) <= 0.15 * target, (mode, counts[mode])
@@ -61,7 +62,7 @@ def test_tcn_param_counts_within_bands():
 def test_trivial_linear_param_count():
     from gradfx import nn
     lin = nn.Linear(4, 2, np.random.default_rng(0))
-    assert lin.param_count() == 10
+    assert sum(p.data.size for p in lin.parameters()) == 10
 
 
 # -- LSTM backbone -----------------------------------------------------------
@@ -287,7 +288,7 @@ def test_graybox_fuzz_chain_structure():
     ]
     spec = M.GrayBoxSpec(stages, num_controls=2, block_size=128)
     chain = M.GrayBoxChain(spec, np.random.default_rng(91))
-    assert chain.num_controlled_params == 33
+    assert sum(p.num_params for p in chain.processors) == 33
     x = Tensor(np.random.default_rng(3).standard_normal(512).astype(np.float32))
     c = Tensor(np.array([0.2, 0.7], dtype=np.float32))
     y, states = chain.forward(x, c)
@@ -411,7 +412,7 @@ def test_model_spec_exactly_one_variant():
 def test_build_model_from_dict():
     d = {"kind": "lstm", "sample_rate": 44100.0, "num_controls": 1,
          "lstm": {"hidden": 6, "cond_mode": "concat"}}
-    model = M.build_model(d, np.random.default_rng(99))
+    model = M.ModelSpec.from_dict(d).build(np.random.default_rng(99))
     y, _ = model.forward(Tensor(np.zeros(8, dtype=np.float32)),
                          Tensor(np.array([0.5], dtype=np.float32)))
     assert y.data.shape == (8,)

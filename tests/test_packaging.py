@@ -32,3 +32,9 @@ def _declared_dependencies() -> set:
 
 def test_runtime_dependencies_match_imports():
     assert _declared_dependencies() == _third_party_imports()
+
+
+def test_every_export_resolves():
+    import gradfx
+    for name in gradfx.__all__:
+        assert hasattr(gradfx, name), name

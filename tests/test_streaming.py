@@ -81,7 +81,7 @@ def _model(doc, seed=0):
     """The model of doc with every parameter moved off its initial value,
     in eval mode."""
     rng = np.random.default_rng(seed)
-    model = M.build_model(doc, rng)
+    model = M.ModelSpec.from_dict(doc).build(rng)
     scale = 0.02 if doc["kind"] == "graybox" else 0.2
     for p in model.parameters():
         p.data = p.data + (scale * rng.standard_normal(p.data.shape)).astype(

@@ -10,6 +10,7 @@ from gradfx import training as tr
 from gradfx.data import Segment
 from gradfx.models import GrayBoxSpec, ModelSpec, StageSpec
 from gradfx.tensor import Tape, Tensor
+from oracles import logs_match
 
 
 def _gain_spec():
@@ -187,10 +188,10 @@ def test_tbptt_single_chunk_matches_plain_step_lstm():
         else:
             outs[mode] = tr.tbptt_train_step(model, seg, opt, cfg)
         models[mode] = model
-    assert abs(outs["plain"]["loss_tot"] - outs["tbptt"]["loss_tot"]) < 1e-6
+    assert outs["plain"]["loss_tot"] == outs["tbptt"]["loss_tot"]
     for a, b in zip(models["plain"].parameters(),
                     models["tbptt"].parameters()):
-        assert np.allclose(a.data, b.data, atol=1e-7)
+        assert np.array_equal(a.data, b.data)
 
 
 def test_tbptt_single_chunk_matches_plain_step_graybox_dynamic():
@@ -209,7 +210,22 @@ def test_tbptt_single_chunk_matches_plain_step_graybox_dynamic():
         else:
             losses[mode] = tr.tbptt_train_step(model, seg, opt,
                                                cfg)["loss_tot"]
-    assert abs(losses["plain"] - losses["tbptt"]) < 1e-6
+    assert losses["plain"] == losses["tbptt"]
+
+
+def test_step_entry_points_return_their_key_sets():
+    # perfbench's step span tells the two apart by "updates" in the result
+    losses = {"loss_tot", "loss_l1", "loss_mrstft"}
+    seg = _segments(1, n=2048 + 500, seed=6)[0]
+    model = _lstm_spec().build(np.random.default_rng(2))
+    cfg = tr.TrainConfig(chunk_len=2048, warmup_len=500)
+    opt = tr.Adam(model.parameters(), cfg.lr)
+    plain = tr.train_step(model, [seg], opt, cfg)
+    assert set(plain) == losses | {"applied"}
+    assert plain["applied"] is True
+    tbptt = tr.tbptt_train_step(model, seg, opt, cfg)
+    assert set(tbptt) == losses | {"updates"}
+    assert tbptt["updates"] == 1
 
 
 def test_tbptt_update_count_and_errors():
@@ -307,15 +323,15 @@ def test_runlog_roundtrip_and_monotonicity(tmp_path):
     path = tmp_path / "run.csv"
     log.to_csv(path)
     back = tr.RunLog.from_csv(path)
-    assert log.matches(back)
+    assert logs_match(log, back)
     assert back.rows[0].get("val_tot") is None
     assert back.rows[1]["val_esr"] == 0.1
 
     back.rows[1]["loss_tot"] = 99.0
-    assert not log.matches(back)
+    assert not logs_match(log, back)
     back.rows[1]["loss_tot"] = 0.4
     back.rows[1]["wall_clock"] = 123.0  # timing differences are ignored
-    assert log.matches(back)
+    assert logs_match(log, back)
 
 
 def test_batch_indices_deterministic():
@@ -336,7 +352,7 @@ def test_fit_is_deterministic():
         cfg = tr.TrainConfig(max_steps=8, validate_every=4, batch_size=2,
                              seed=12)
         logs.append(tr.fit(model, spec, segs, cfg, val_segments=segs[:1]))
-    assert logs[0].matches(logs[1])
+    assert logs_match(logs[0], logs[1])
     assert len(logs[0].rows) == 8
     assert "val_tot" in logs[0].rows[3]
     assert "val_tot" not in logs[0].rows[0]
