@@ -3,7 +3,8 @@
 The stepped-sine analyzer drives a model with one sinusoid per grid
 frequency and reads magnitude and phase off the final segment of the
 render, so transients and recurrent warm-up never contaminate the
-estimate. Curves can be written to CSV or a small self-contained SVG.
+estimate. `stage_report` picks the plot that describes one gray-box
+stage. Plots can be written to CSV or a small self-contained SVG.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 
+from . import controllers as C
+from . import processors as P
 from . import tensor as T
 from .data import atomic_open
 from .models import RENDER_ALIGN, LSTMModel
@@ -89,11 +92,28 @@ class TimeTrace:
     def __init__(self, x, params, names):
         self.x = np.asarray(x, dtype=np.float64)
         self.params = np.asarray(params, dtype=np.float64)
-        self.names = list(names)
-        self.columns = ("input",) + tuple(self.names)
+        self.columns = ("input", *names)
 
     def rows(self):
         return np.concatenate([self.x[:, None], self.params], axis=1)
+
+
+class ParamValues:
+    """A static stage's parameters in physical units: one named column
+    each, one row."""
+
+    def __init__(self, names, values):
+        self.columns = tuple(names)
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def rows(self):
+        return self.values[None]
+
+
+def _response(freqs, h, floor: float = 0.0) -> ResponseCurve:
+    """Magnitude (dB of |h| + floor) and unwrapped phase of h."""
+    return ResponseCurve(freqs, 20.0 * np.log10(np.abs(h) + floor),
+                         np.unwrap(np.angle(h)))
 
 
 def _project(signal: np.ndarray, freq: float, fs: float) -> complex:
@@ -181,8 +201,7 @@ def stepped_sine_response(model, cfg: SweepConfig,
         x_tail, y_tail = (np.concatenate(p) for p in zip(*tails))
     h = np.array([_project(y, f, cfg.fs) / _project(x, f, cfg.fs)
                   for x, y, f in zip(x_tail, y_tail, freqs)])
-    return ResponseCurve(freqs, 20.0 * np.log10(np.abs(h)),
-                         np.unwrap(np.angle(h)))
+    return _response(freqs, h)
 
 
 def amplitude_response(processor, points: int = 200,
@@ -203,14 +222,36 @@ def time_trace(processor, controller, x, c: Tensor | None = None,
     if not out.is_dynamic:
         raise ValueError("stage parameters are static; read them from the "
                          "controller directly instead of tracing")
-    vals = np.asarray(out.values.data, dtype=np.float64)  # [nb, P]
-    phys = np.empty_like(vals)
-    for j in range(vals.shape[1]):
-        phys[:, j] = processor.ranges[j].denormalize(
-            Tensor(vals[:, j])).data
+    vals = Tensor(np.asarray(out.values.data, dtype=np.float64))  # [nb, P]
+    phys = np.stack([p.data for p in processor.physical(vals)], axis=1)
     held = np.repeat(phys, out.block_size, axis=0)[:len(x)]
-    names = [f"param_{j}" for j in range(vals.shape[1])]
-    return TimeTrace(x, held, names)
+    return TimeTrace(x, held, processor.param_names)
+
+
+def stage_report(processor, controller, c: Tensor | None,
+                 sweep: SweepConfig):
+    """The plot that describes a chain stage best: a waveshaper's transfer
+    curve, a dynamic stage's trace over a fixed noise probe, a static EQ's
+    or the FIR's response on the sweep grid, or else the stage's
+    parameter values."""
+    if processor.name in ("tanh", "rational", "mlp", "phase_inv"):
+        return amplitude_response(processor)
+    if isinstance(controller, C.DynamicController):
+        probe = np.random.default_rng(0).standard_normal(8192) * 0.1
+        return time_trace(processor, controller, probe, c)
+    out, _ = controller(c=c)
+    freqs = sweep.frequencies
+    if isinstance(processor, P.ParametricEQ):
+        design = processor.design(out.values).data
+        return _response(freqs, P.frequency_response(design, freqs,
+                                                     processor.fs))
+    if isinstance(processor, P.FIRSiren):
+        k = np.arange(processor.num_taps)
+        taps = np.asarray(processor.taps().data, dtype=np.float64)
+        h = np.exp(-2j * np.pi * np.outer(freqs / sweep.fs, k)) @ taps
+        return _response(freqs, h, floor=1e-12)
+    phys = processor.physical(Tensor(out.values.data.astype(np.float64)))
+    return ParamValues(processor.param_names, [p.item() for p in phys])
 
 
 # -- emission ----------------------------------------------------------------
@@ -262,8 +303,8 @@ def _emit_svg(obj, path) -> None:
     else:
         xs = np.arange(len(obj.x), dtype=np.float64)
         series = [("#999999", obj.x, "input")]
-        for j in range(obj.params.shape[1]):
-            series.append(("#d62728", obj.params[:, j], obj.names[j]))
+        for j, name in enumerate(obj.columns[1:]):
+            series.append(("#d62728", obj.params[:, j], name))
         xlabel = "sample"
     x0, x1 = float(xs.min()), float(xs.max())
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '

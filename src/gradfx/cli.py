@@ -12,9 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as A
-from . import controllers as C
 from . import data as D
-from . import processors as P
 from . import tensor as T
 from . import training as tr
 from .config import ConfigError, load_config
@@ -188,43 +186,6 @@ def cmd_test(cfg, args) -> int:
     return EXIT_OK
 
 
-def _stage_report(out_dir: Path, i: int, proc, ctrl, c, sweep) -> Path:
-    """One file per stage: response curve, transfer curve, trace, or the
-    plain parameter values, whichever describes the stage best."""
-    path = out_dir / f"stage_{i}_{proc.name}.csv"
-    if proc.name in ("tanh", "rational", "mlp", "phase_inv"):
-        A.emit_plot_data(A.amplitude_response(proc), path)
-        return path
-    if isinstance(ctrl, C.DynamicController):
-        probe = np.random.default_rng(0).standard_normal(8192) * 0.1
-        A.emit_plot_data(A.time_trace(proc, ctrl, probe, c), path)
-        return path
-    out, _ = ctrl(c=c)
-    vals = out.values
-    if proc.name in ("parametric_eq", "shelving_eq"):
-        freqs = sweep.frequencies
-        h = P.frequency_response(proc.design(vals).data, freqs, proc.fs)
-        curve = A.ResponseCurve(freqs, 20.0 * np.log10(np.abs(h)),
-                                np.unwrap(np.angle(h)))
-        A.emit_plot_data(curve, path)
-        return path
-    if proc.name == "fir":
-        freqs = sweep.frequencies
-        k = np.arange(proc.num_taps)
-        taps = np.asarray(proc.taps().data, dtype=np.float64)
-        h = np.exp(-2j * np.pi * np.outer(freqs / sweep.fs, k)) @ taps
-        curve = A.ResponseCurve(freqs, 20.0 * np.log10(np.abs(h) + 1e-12),
-                                np.unwrap(np.angle(h)))
-        A.emit_plot_data(curve, path)
-        return path
-    with D.atomic_open(path) as f:
-        f.write("param,value\n")
-        for j in range(proc.num_params):
-            u = Tensor(np.asarray(vals.data[j], dtype=np.float64))
-            f.write(f"param_{j},{proc.ranges[j].denormalize(u).item():.10g}\n")
-    return path
-
-
 def cmd_analyze(cfg, args) -> int:
     model = _model(cfg, args.checkpoint)
     model.eval()
@@ -240,8 +201,10 @@ def cmd_analyze(cfg, args) -> int:
     if isinstance(model, GrayBoxChain):
         for i, (proc, ctrl) in enumerate(zip(model.processors,
                                              model.controllers)):
-            written.append(_stage_report(cfg.output_dir, i, proc, ctrl, c,
-                                         cfg.sweep_cfg))
+            path = cfg.output_dir / f"stage_{i}_{proc.name}.csv"
+            A.emit_plot_data(A.stage_report(proc, ctrl, c, cfg.sweep_cfg),
+                             path)
+            written.append(path)
     for p in written:
         print(p)
     return EXIT_OK

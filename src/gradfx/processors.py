@@ -16,7 +16,8 @@ section), which feeds both the filter (`apply_eq`) and the analysis-side
 `frequency_response`.
 
 Controlled processors expose `num_params` physical parameters, each with
-a ParamRange mapping a controller's [0,1] output to physical units.
+a name and a ParamRange mapping a controller's [0,1] output to physical
+units.
 """
 
 from __future__ import annotations
@@ -336,7 +337,8 @@ class Processor(nn.Module):
 
     name = "processor"
     num_params = 0
-    ranges: list = []
+    ranges: tuple = ()
+    param_names: tuple = ()
 
     def apply(self, x: Tensor, g01=None, block_size: int | None = None,
               state=None):
@@ -349,8 +351,8 @@ class Processor(nn.Module):
                              f"got {got}")
         return g01
 
-    def _phys(self, g01: Tensor):
-        """Denormalize each control column to physical units."""
+    def physical(self, g01: Tensor):
+        """Each control column of g01 in physical units."""
         self._check(g01)
         return [self.ranges[i].denormalize(g01[..., i])
                 for i in range(self.num_params)]
@@ -366,13 +368,12 @@ class PhaseInvert(Processor):
 class Gain(Processor):
     name = "gain"
     num_params = 1
-
-    def __init__(self):
-        self.ranges = [chain_gain_range()]
+    ranges = (chain_gain_range(),)
+    param_names = ("gain_db",)
 
     def apply(self, x, g01=None, block_size=None, state=None):
         """y = x * 10^(gain_dB / 20)."""
-        (g_db,) = self._phys(g01)
+        (g_db,) = self.physical(g01)
         g_db = _expand_param(g_db, x.data.shape[-1], block_size)
         return T.mul(x, T.exp(T.mul(g_db, _const(LN10 / 20.0,
                                                  g_db.data.dtype)))), None
@@ -381,19 +382,20 @@ class Gain(Processor):
 class DCOffset(Processor):
     name = "dc_offset"
     num_params = 1
-
-    def __init__(self):
-        self.ranges = [offset_range()]
+    ranges = (offset_range(),)
+    param_names = ("offset",)
 
     def apply(self, x, g01=None, block_size=None, state=None):
         """y = x + offset."""
-        (off,) = self._phys(g01)
+        (off,) = self.physical(g01)
         return T.add(x, _expand_param(off, x.data.shape[-1], block_size)), None
 
 
 class ParametricEQ(Processor):
     """Biquad-cascade EQ over `layout`: low shelf + three peaks + high
-    shelf, 15 controlled params, (f0, gain, Q) per section."""
+    shelf, 15 controlled params, (f0, gain, Q) per section. A parameter is
+    named after its section, and a kind the layout repeats is numbered
+    from 1: lowshelf_f0_hz, ..., peak1_q, ..."""
 
     name = "parametric_eq"
     layout = PARAMETRIC_EQ_LAYOUT
@@ -403,8 +405,14 @@ class ParametricEQ(Processor):
         self.fs = float(fs)
         # one range per kind of column (f0, gain, Q), and each column's
         self.kind_ranges = (freq_range(fs), filter_gain_range(), q_range())
-        self.ranges = [self.kind_ranges[j] for kind in self.layout
-                       for j in ((0, 1, 2) if kind in GAIN_KINDS else (0, 2))]
+        sections = [f"{kind}{self.layout[:i].count(kind) + 1}"
+                    if self.layout.count(kind) > 1 else kind
+                    for i, kind in enumerate(self.layout)]
+        self.param_names, self.ranges = zip(*[
+            (f"{section}_{unit}", self.kind_ranges[j])
+            for section, kind in zip(sections, self.layout)
+            for j, unit in ((0, "f0_hz"), (1, "gain_db"), (2, "q"))
+            if j != 1 or kind in GAIN_KINDS])
 
     def design(self, g01):
         """[..., S, 6] design of the controls g01."""

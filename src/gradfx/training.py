@@ -112,11 +112,6 @@ def _controls(seg):
     return None
 
 
-def _seg_tensors(seg):
-    x = Tensor(np.asarray(seg.x, dtype=T.default_dtype()))
-    return x, np.asarray(seg.y, dtype=np.float64), _controls(seg)
-
-
 def _loss(y, y_hat, cfg: TrainConfig):
     """(taped total, l1 value, mrstft value) against a numpy target."""
     yt = Tensor(np.asarray(y, dtype=y_hat.data.dtype))
@@ -212,9 +207,9 @@ def evaluate(model, segments, weights: L.LossWeights | None = None,
     model.eval()
     sums = {k: 0.0 for k in EVAL_COLUMNS}
     for seg in segments:
-        x, y, c = _seg_tensors(seg)
-        y_hat, _ = model.forward(x, c, None)
-        yt = Tensor(np.asarray(y, dtype=y_hat.data.dtype))
+        x = Tensor(np.asarray(seg.x, dtype=T.default_dtype()))
+        y_hat, _ = model.forward(x, _controls(seg), None)
+        yt = Tensor(np.asarray(seg.y, dtype=y_hat.data.dtype))
         row = {
             "l1": L.l1(yt, y_hat).item(),
             "mrstft": L.mrstft(yt, y_hat, mrstft_cfg).item(),

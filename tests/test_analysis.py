@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import scipy.signal
 
 import gradfx.tensor as T
 from gradfx import analysis as A
@@ -288,6 +289,18 @@ def test_time_trace_static_rejected_and_dynamic_shape():
     assert tail.max() - tail.min() < 1e-3
 
 
+def test_stage_report_of_a_fir_stage_is_its_tap_spectrum():
+    fir = P.FIRSiren(np.random.default_rng(131), num_taps=16)
+    sweep = A.SweepConfig(fs=8000.0, f1=100.0, steps=7, T=2.0, warmup=0.0)
+    curve = A.stage_report(fir, C.DummyController(), None, sweep)
+    taps = np.asarray(fir.taps().data, dtype=np.float64)
+    _, h = scipy.signal.freqz(taps, worN=sweep.frequencies, fs=sweep.fs)
+    assert np.array_equal(curve.freqs, sweep.frequencies)
+    assert np.max(np.abs(curve.magnitude_db
+                         - 20 * np.log10(np.abs(h) + 1e-12))) < 1e-9
+    assert np.max(np.abs(curve.phase_rad - np.unwrap(np.angle(h)))) < 1e-9
+
+
 def test_emit_csv_roundtrip(tmp_path):
     curve = A.ResponseCurve([10.0, 100.0, 1000.0],
                             [-1.234567890123, 0.5, 3.25],
@@ -296,7 +309,10 @@ def test_emit_csv_roundtrip(tmp_path):
     ctrl = C.DynamicController(15, np.random.default_rng(150), block_size=16)
     trace = A.time_trace(P.ParametricEQ(48000.0), ctrl,
                          np.random.default_rng(151).standard_normal(200) * 0.1)
-    params = ",".join(f"param_{j}" for j in range(15))
+    params = ("lowshelf_f0_hz,lowshelf_gain_db,lowshelf_q,"
+              + "".join(f"peak{k}_f0_hz,peak{k}_gain_db,peak{k}_q,"
+                        for k in (1, 2, 3))
+              + "highshelf_f0_hz,highshelf_gain_db,highshelf_q")
     for obj, header, n in ((curve, "freq_hz,mag_db,phase_rad", 3),
                            (amp, "input,output,reference", 33),
                            (trace, "input," + params, 200)):
@@ -357,6 +373,8 @@ def test_cli_analyze_graybox_files_match_the_oracle(tmp_path, monkeypatch):
                  {"processor": "parametric_eq", "controller": "static"},
                  {"processor": "rational", "controller": "dummy"},
                  {"processor": "parametric_eq", "controller": "dynamic"},
+                 {"processor": "gain", "controller": "static"},
+                 {"processor": "dc_offset", "controller": "static"},
              ], "block_size": 100}}
     doc = {"model": model, "train": {"max_steps": 1, "seed": 0},
            "analysis": {"f1": 100.0, "steps": 6, "T": 1.0, "warmup": 0.05},
@@ -382,7 +400,8 @@ def test_cli_analyze_graybox_files_match_the_oracle(tmp_path, monkeypatch):
     out = tmp_path / "out"
     names = sorted(p.name for p in out.glob("*.csv"))
     assert names == ["response_model.csv", "stage_0_parametric_eq.csv",
-                     "stage_1_rational.csv", "stage_2_parametric_eq.csv"]
+                     "stage_1_rational.csv", "stage_2_parametric_eq.csv",
+                     "stage_3_gain.csv", "stage_4_dc_offset.csv"]
     assert sorted(written) == names
     trace = written["stage_2_parametric_eq.csv"]
     assert trace.params.shape == (8192, 15)  # 8192 = 81 * 100 + 92

@@ -604,9 +604,9 @@ def test_cli_analyze_graybox_stage_files(tmp_path):
     assert (out / "response_model.csv").exists()
     assert (out / "response_model.svg").exists()
     # fresh gain stages sit mid-range: exactly 0 dB
-    gain_text = (out / "stage_1_gain.csv").read_text()
-    assert gain_text.splitlines()[0] == "param,value"
-    assert float(gain_text.splitlines()[1].split(",")[1]) == 0.0
+    gain_lines = (out / "stage_1_gain.csv").read_text().splitlines()
+    assert gain_lines[0] == "gain_db"
+    assert len(gain_lines) == 2 and float(gain_lines[1]) == 0.0
     # EQ stages report a frequency response on the sweep grid
     eq_text = (out / "stage_0_parametric_eq.csv").read_text()
     assert eq_text.splitlines()[0] == "freq_hz,mag_db,phase_rad"

@@ -705,3 +705,22 @@ def test_processor_registry_and_param_counts():
         assert proc.num_params == 0
     fir = P.FIRSiren(rng, num_taps=16)
     assert fir.num_params == 0 and sum(p.data.size for p in fir.parameters()) > 0
+    procs = [eq, sh, fir] + [P.PROCESSOR_KINDS[name]() for name in (
+        "gain", "dc_offset", "phase_inv", "tanh", "rational", "mlp")]
+    assert sorted(p.name for p in procs) == sorted(P.PROCESSOR_KINDS)
+    for proc in procs:
+        assert len(proc.param_names) == proc.num_params
+        assert len(set(proc.param_names)) == proc.num_params
+    assert P.Gain().param_names == ("gain_db",)
+    assert P.DCOffset().param_names == ("offset",)
+    assert eq.param_names == (
+        "lowshelf_f0_hz", "lowshelf_gain_db", "lowshelf_q",
+        "peak1_f0_hz", "peak1_gain_db", "peak1_q",
+        "peak2_f0_hz", "peak2_gain_db", "peak2_q",
+        "peak3_f0_hz", "peak3_gain_db", "peak3_q",
+        "highshelf_f0_hz", "highshelf_gain_db", "highshelf_q")
+    assert sh.param_names == (
+        "highpass_f0_hz", "highpass_q",
+        "lowshelf_f0_hz", "lowshelf_gain_db", "lowshelf_q",
+        "highshelf_f0_hz", "highshelf_gain_db", "highshelf_q",
+        "lowpass_f0_hz", "lowpass_q")
