@@ -300,12 +300,14 @@ def _emit_svg(obj, path) -> None:
         series = [("#d62728", obj.y, "output"),
                   ("#999999", obj.reference, "tanh")]
         xlabel = "input"
-    else:
+    elif isinstance(obj, TimeTrace):
         xs = np.arange(len(obj.x), dtype=np.float64)
         series = [("#999999", obj.x, "input")]
         for j, name in enumerate(obj.columns[1:]):
             series.append(("#d62728", obj.params[:, j], name))
         xlabel = "sample"
+    else:
+        raise TypeError(f"no SVG plot for a {type(obj).__name__}")
     x0, x1 = float(xs.min()), float(xs.max())
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
              f'height="{h}" viewBox="0 0 {w} {h}">',

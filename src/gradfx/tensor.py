@@ -4,8 +4,9 @@ Operations execute eagerly on numpy and, when a Tape is active, record
 one node per primitive application. Tape.backward walks the node list in
 reverse and accumulates vector-Jacobian products. It frees as it goes:
 each node's gradient is dropped once its vjp has run, and so is the vjp
-closure with the forward arrays it saved. Only the leaves' gradients are
-kept, and a tape runs backward once. Without an active tape every op is
+closure with the forward arrays it saved; the closures of nodes the root
+does not reach are dropped unrun. Only the leaves' gradients are kept,
+and a tape runs backward once. Without an active tape every op is
 just a numpy call, so inference costs no bookkeeping.
 
 Precision: tensors default to float32 (training); gradient verification
@@ -117,8 +118,8 @@ class Tape:
 
     Nodes are appended in execution order, so every node's operands
     precede it; backward visits each node exactly once in reverse. It
-    releases each node's vjp closure once it has run, so a tape runs
-    backward once; the nodes themselves stay.
+    releases every node's vjp closure, so a tape runs backward once; the
+    nodes themselves stay.
     """
 
     def __init__(self):
@@ -163,7 +164,8 @@ class Tape:
 
         root must be scalar (size 1) and recorded on this tape. A node's
         gradient is popped before its vjp runs and the vjp is released
-        after, so memory falls as the walk goes. A second call raises
+        after, so memory falls as the walk goes; the vjps of nodes the
+        root does not reach are released unrun. A second call raises
         RuntimeError.
         """
         if root.data.size != 1:
@@ -177,12 +179,13 @@ class Tape:
         grads: dict[int, np.ndarray] = {
             root._node_id: np.ones_like(root.data)
         }
-        for nid in range(root._node_id, -1, -1):
+        for nid in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[nid]
-            # a leaf has no vjp and keeps its gradient
-            if node.vjp is None or nid not in grads:
+            # a leaf has no vjp and keeps its gradient; a node the root
+            # does not reach is released without running
+            if node.vjp is None:
                 continue
-            parent_grads = node.vjp(grads.pop(nid))
+            parent_grads = node.vjp(grads.pop(nid)) if nid in grads else ()
             node.vjp = None
             for pid, pg in zip(node.parents, parent_grads):
                 if pid is not None and pg is not None:

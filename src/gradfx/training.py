@@ -65,11 +65,10 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads) -> bool:
-        """Apply one update. Returns False (and counts) on non-finite grads."""
-        gs = []
-        for p in self.params:
-            g = grads.get(p)
-            gs.append(np.zeros_like(p.data) if g is None else g.data)
+        """Apply one update from gradient arrays aligned with params (None:
+        no gradient). Returns False (and counts) on non-finite grads."""
+        gs = [np.zeros_like(p.data) if g is None else g
+              for p, g in zip(self.params, grads, strict=True)]
         if not all(np.all(np.isfinite(g)) for g in gs):
             self.skipped += 1
             return False
@@ -118,14 +117,66 @@ def _loss(y, y_hat, cfg: TrainConfig):
     return L.weighted_loss(yt, y_hat, cfg.weights, cfg.mrstft_cfg)
 
 
-def _update(tape: Tape, tot: Tensor, optimizer: Adam) -> tuple:
-    """Backward and one optimizer step when the loss is finite, a counted
-    skip otherwise; returns (loss value, whether the update applied)."""
-    loss_val = tot.item()
-    if not np.isfinite(loss_val):
+def _update(model, xs, ys, cs, states, a, b, optimizer: Adam,
+            cfg: TrainConfig) -> tuple:
+    """One update on the mean loss over every segment's samples [a, b).
+
+    Each segment runs its forward, loss and backward on its own tape, so
+    only one segment's graph is alive at a time; its state goes on
+    detached. Returns (loss value, l1 value, mrstft value, whether the
+    update applied), the values means over the segments.
+    """
+    seg_grads = []
+    l1_val = mr_val = 0.0
+    for i in range(len(xs)):
+        with Tape() as tape:
+            y_hat, state = model.forward(
+                Tensor(np.asarray(xs[i][a:b], dtype=T.default_dtype())),
+                cs[i], states[i])
+            t, p1, p2 = _loss(ys[i][a:b], y_hat, cfg)
+            # once a loss is non-finite the update is skipped: no backward
+            if seg_grads is not None and np.isfinite(t.data):
+                root = t if len(xs) == 1 else T.mul(
+                    t, Tensor(np.asarray(1.0 / len(xs), dtype=t.data.dtype)))
+                grads = tape.backward(root)
+                # read now: the next tape registers the leaves again
+                seg_grads.append([None if g is None else g.data
+                                  for g in map(grads.get, optimizer.params)])
+            else:
+                seg_grads = None
+            states[i] = detach_state(state)
+            tot = t.data if i == 0 else tot + t.data
+            l1_val += p1
+            mr_val += p2
+            if i == len(xs) - 1:  # under a tape: traces count it as training
+                loss_val, applied = _apply(tot, len(xs), seg_grads, optimizer)
+    return loss_val, l1_val / len(xs), mr_val / len(xs), applied
+
+
+def _apply(tot, n: int, seg_grads, optimizer: Adam) -> tuple:
+    """Mean the sum `tot` of n segment losses and, when that is finite,
+    make one Adam step on the per-segment gradients; a counted skip
+    otherwise.
+
+    Both follow the order of one tape over all segments: the losses were
+    added first to last, and a backward from their mean would add each
+    leaf's per-segment gradients last segment first. So the update is
+    bit-identical to that tape's. Returns (loss value, whether the
+    update applied).
+    """
+    if n > 1:
+        tot = tot * np.asarray(1.0 / n, dtype=tot.dtype)
+    if not np.isfinite(tot):
         optimizer.skipped += 1
-        return loss_val, False
-    return loss_val, optimizer.step(tape.backward(tot))
+        return float(tot), False
+    summed = []
+    for gs in zip(*seg_grads):
+        acc = None
+        for g in reversed(gs):
+            if g is not None:
+                acc = g if acc is None else acc + g
+        summed.append(acc)
+    return float(tot), optimizer.step(summed)
 
 
 def _step(model, segs, optimizer: Adam, cfg: TrainConfig, warmup: int,
@@ -155,25 +206,12 @@ def _step(model, segs, optimizer: Adam, cfg: TrainConfig, warmup: int,
     updates = 0
     for a in starts:
         b = None if chunk is None else a + chunk
-        with Tape() as tape:
-            tot = None
-            l1_val = mr_val = 0.0
-            for i, (x, y) in enumerate(zip(xs, ys)):
-                xt = Tensor(np.asarray(x[a:b], dtype=T.default_dtype()))
-                y_hat, states[i] = model.forward(xt, cs[i], states[i])
-                t, p1, p2 = _loss(y[a:b], y_hat, cfg)
-                l1_val += p1
-                mr_val += p2
-                tot = t if tot is None else T.add(tot, t)
-            if len(segs) > 1:
-                tot = T.mul(tot, Tensor(np.asarray(1.0 / len(segs),
-                                                   dtype=tot.data.dtype)))
-            loss_val, applied = _update(tape, tot, optimizer)
+        loss_val, l1_val, mr_val, applied = _update(
+            model, xs, ys, cs, states, a, b, optimizer, cfg)
         updates += applied
-        states = [detach_state(s) for s in states]
         tots.append(loss_val)
-        l1s.append(l1_val / len(segs))
-        mrs.append(mr_val / len(segs))
+        l1s.append(l1_val)
+        mrs.append(mr_val)
     return {"loss_tot": float(np.mean(tots)), "loss_l1": float(np.mean(l1s)),
             "loss_mrstft": float(np.mean(mrs))}, updates
 

@@ -2,6 +2,8 @@
 
 Everything here is deliberately written with plain numpy/scipy floats,
 not with the package's own tensor ops, so the two routes share no code.
+The exception is `one_tape_step`, a reference for the train step's
+bookkeeping: it runs the model on the package's tape the older way.
 """
 
 import numpy as np
@@ -186,3 +188,36 @@ def logs_match(a, b) -> bool:
             if ra.get(k) != rb.get(k):
                 return False
     return True
+
+
+def one_tape_step(model, segs, optimizer, cfg):
+    """The plain train step with every segment on one tape: the mean loss
+    over `segs`, one backward from it and one Adam step, the update
+    skipped and counted when the loss is not finite. Returns (loss value,
+    whether the update applied)."""
+    from gradfx import losses as L
+    from gradfx import tensor as T
+
+    model.train()
+    with T.Tape() as tape:
+        tot = None
+        for s in segs:
+            c = None
+            if getattr(s, "controls", None) is not None and len(s.controls):
+                c = T.Tensor(np.asarray(s.controls, dtype=T.default_dtype()))
+            x = T.Tensor(np.asarray(s.x, dtype=T.default_dtype()))
+            y_hat, _ = model.forward(x, c, None)
+            y = T.Tensor(np.asarray(s.y, dtype=y_hat.data.dtype))
+            t = L.weighted_loss(y, y_hat, cfg.weights, cfg.mrstft_cfg)[0]
+            tot = t if tot is None else T.add(tot, t)
+        if len(segs) > 1:
+            tot = T.mul(tot, T.Tensor(np.asarray(1.0 / len(segs),
+                                                 dtype=tot.data.dtype)))
+        loss_val = tot.item()
+        if not np.isfinite(loss_val):
+            optimizer.skipped += 1
+            return loss_val, False
+        grads = tape.backward(tot)
+        return loss_val, optimizer.step(
+            [None if g is None else g.data
+             for g in map(grads.get, optimizer.params)])

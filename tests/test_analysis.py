@@ -429,6 +429,20 @@ def test_emit_svg_parses(tmp_path):
         A.emit_plot_data(curve, tmp_path / "x.bin", format="bin")
 
 
+def test_emit_svg_draws_a_trace_and_names_a_type_it_cannot_draw(tmp_path):
+    trace = A.TimeTrace(np.linspace(-1, 1, 16), np.ones((16, 2)),
+                        ("gain_db", "offset"))
+    p = tmp_path / "trace.svg"
+    A.emit_plot_data(trace, p, format="svg")
+    labels = [c.text for c in ET.parse(p).getroot() if c.tag.endswith("text")]
+    assert labels[:3] == ["input", "gain_db", "offset"]
+
+    q = tmp_path / "values.svg"
+    with pytest.raises(TypeError, match="ParamValues"):
+        A.emit_plot_data(A.ParamValues(["gain_db"], [0.0]), q, format="svg")
+    assert not q.exists()
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         A.ResponseCurve([10.0, 10.0], [0.0, 0.0], [0.0, 0.0])

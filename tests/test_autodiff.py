@@ -5,6 +5,7 @@ too many digits to certify anything.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -638,6 +639,23 @@ def test_backward_frees_as_it_goes():
         tracemalloc.stop()
     assert g[x].data.shape == (n,)
     assert extra < 4 * 8 * n, extra / (8 * n)
+
+
+def test_backward_releases_every_vjp_and_unreached_saved_arrays():
+    # the unreached product saves `side`; so do nodes recorded after root
+    x = t64([1.0, 2.0])
+    x.requires_grad = True
+    side = np.full(2, 3.0)
+    freed = weakref.ref(side)
+    with Tape() as tape:
+        root = T.sum_(T.tanh(x))
+        T.mul(x, Tensor(side))
+        T.exp(root)
+    del side
+    assert freed() is not None  # the closure of the unreached mul holds it
+    tape.backward(root)
+    assert all(node.vjp is None for node in tape.nodes)
+    assert freed() is None
 
 
 def test_reused_operand_accumulates():

@@ -11,10 +11,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradfx import cli
 from gradfx import processors as P
+from gradfx import training as tr
+from gradfx.data import Segment
+from gradfx.models import ModelSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,3 +79,37 @@ def test_analyze_records_one_stage_report_span_per_plotted_stage(spans,
     for s in reports:
         assert s[spans.PHASE] == "analyze"
         assert tracer.spans[s[spans.PARENT]][spans.NAME] == "cli.main"
+
+
+def test_batch_train_step_records_one_backward_per_segment(spans):
+    # tensor.backward_ms and tensor.tape_nodes count one segment per call
+    spec = ModelSpec(num_controls=0, tcn={"blocks": 2, "kernel": 3,
+                                          "dilation_growth": 2,
+                                          "channels": 4})
+    model = spec.build(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    batch = []
+    for i in range(3):
+        x = (0.3 * rng.standard_normal(2048)).astype(np.float32)
+        batch.append(Segment(x, np.tanh(x), np.zeros(0), i, 0))
+    cfg = tr.TrainConfig()
+    opt = tr.Adam(model.parameters(), cfg.lr)
+    tracer = spans.Tracer(layers=True)
+    try:
+        tr.train_step(model, batch, opt, cfg)
+    finally:
+        tracer.close()
+    steps = [i for i, s in enumerate(tracer.spans)
+             if s[spans.NAME] == spans.STEP_SPAN]
+    assert len(steps) == 1
+    step = tracer.spans[steps[0]]
+    assert {k: step[spans.EXTRA][k] for k in ("attempted", "applied",
+                                              "audio")} == \
+        {"attempted": 1, "applied": 1, "audio": 3 * 2048}
+    inside = [tracer.spans[i] for i in tracer.descendants(steps[0])]
+    backs = [s for s in inside if s[spans.NAME] == "tensor.backward"]
+    assert len(backs) == 3
+    assert all(s[spans.PHASE] == "train" for s in backs)
+    # training.adam_ms reads the update in the train phase: under a tape
+    assert [s[spans.PHASE] for s in inside
+            if s[spans.NAME] == "training.adam"] == ["train"]

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from gradfx import losses as L
 from gradfx import tensor as T
 from gradfx import training as tr
 from gradfx.data import Segment
-from gradfx.models import GrayBoxSpec, ModelSpec, StageSpec
+from gradfx.models import COND_MODES, GrayBoxSpec, ModelSpec, StageSpec
 from gradfx.tensor import Tape, Tensor
-from oracles import logs_match
+from oracles import logs_match, one_tape_step
 
 
 def _gain_spec():
@@ -29,12 +30,9 @@ def _segments(k, n=2048, seed=0, target_gain=0.5):
     return out
 
 
-class _StubGrads:
-    def __init__(self, value):
-        self.value = value
-
-    def get(self, p):
-        return Tensor(np.full_like(p.data, self.value, dtype=np.float64))
+def _full(opt, value):
+    """One gradient array per parameter, every entry `value`."""
+    return [np.full_like(p.data, value, dtype=np.float64) for p in opt.params]
 
 
 def test_config_validation():
@@ -54,7 +52,7 @@ def test_adam_matches_hand_iterates():
         with Tape() as tape:
             loss = T.mul(w, w)
             grads = tape.backward(loss)
-        assert opt.step(grads)
+        assert opt.step([grads[w].data])
         g = 2.0 * wh
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
@@ -69,25 +67,25 @@ def test_adam_zero_grad_keeps_params():
     w = Tensor(np.float64(2.5), requires_grad=True)
     opt = tr.Adam([w], lr=0.1)
     for _ in range(5):
-        assert opt.step(_StubGrads(0.0))
+        assert opt.step(_full(opt, 0.0))
     assert w.item() == 2.5
     assert opt.t == 5
     # after one real gradient the first moment decays under zero grads
-    opt.step(_StubGrads(1.0))
+    opt.step(_full(opt, 1.0))
     m1 = opt.m[0].copy()
-    opt.step(_StubGrads(0.0))
+    opt.step(_full(opt, 0.0))
     assert np.allclose(opt.m[0], 0.9 * m1)
 
 
 def test_adam_skips_nonfinite():
     w = Tensor(np.float64(1.0), requires_grad=True)
     opt = tr.Adam([w], lr=0.1)
-    assert not opt.step(_StubGrads(np.nan))
-    assert not opt.step(_StubGrads(np.inf))
+    assert not opt.step(_full(opt, np.nan))
+    assert not opt.step(_full(opt, np.inf))
     assert w.item() == 1.0
     assert opt.t == 0
     assert opt.skipped == 2
-    assert opt.step(_StubGrads(1.0))  # recovers on the next finite step
+    assert opt.step(_full(opt, 1.0))  # recovers on the next finite step
     assert opt.t == 1
 
 
@@ -98,7 +96,8 @@ def test_adam_missing_grad_treated_as_zero():
     with Tape() as tape:
         loss = T.mul(w, w)  # u never touches the tape
         grads = tape.backward(loss)
-    assert opt.step(grads)
+    assert grads.get(u) is None
+    assert opt.step([grads[w].data, grads.get(u)])
     assert u.item() == 3.0
     assert w.item() != 1.0
 
@@ -167,6 +166,120 @@ def test_grads_reach_every_parameter():
         grads = tape.backward(loss)
     for p in model.parameters():
         assert grads.get(p) is not None
+
+
+def _tcn(cond, batchnorm):
+    return {"blocks": 2, "kernel": 3, "dilation_growth": 2, "channels": 12,
+            "cond": cond, "batchnorm": batchnorm}
+
+
+def _every_stage_kind():
+    stages = [("phase_inv", "dummy"), ("gain", "static"),
+              ("dc_offset", "static_cond"), ("parametric_eq", "dynamic"),
+              ("shelving_eq", "dynamic_cond"), ("fir", "dummy"),
+              ("tanh", "dummy"), ("rational", "dummy"), ("mlp", "dummy")]
+    return {"stages": [{"processor": p, "controller": c} for p, c in stages],
+            "block_size": 128}
+
+
+# the perfbench gray box: EQ, gain, offset, rational, gain, dynamic EQ
+_BENCH_CHAIN = {"stages": [
+    {"processor": "parametric_eq", "controller": "static"},
+    {"processor": "gain", "controller": "static"},
+    {"processor": "dc_offset", "controller": "static"},
+    {"processor": "rational", "controller": "dummy"},
+    {"processor": "gain", "controller": "static"},
+    {"processor": "parametric_eq", "controller": "dynamic"}],
+    "block_size": 128}
+
+_STEP_KINDS = {
+    **{f"{kind}_{cond}{'_bn' if bn else ''}": {kind: _tcn(cond, bn)}
+       for kind in ("tcn", "gcn") for cond in COND_MODES
+       for bn in (False, True)},
+    **{f"lstm_{mode}": {"lstm": {"hidden": 4, "cond_mode": mode}}
+       for mode in ("none", "concat", "tvcond")},
+    "graybox_bench": {"graybox": _BENCH_CHAIN},
+    "graybox_every_stage": {"graybox": _every_stage_kind()},
+}
+
+
+def _controlled_segments(k, n, seed, nan_target=None):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(k):
+        x = (rng.standard_normal(n) * 0.3).astype(np.float32)
+        y = np.tanh(2.0 * x).astype(np.float32)
+        if i == nan_target:
+            y[n // 2] = np.nan
+        out.append(Segment(x, y, rng.uniform(0, 1, 2).astype(np.float32),
+                           i, 0))
+    return out
+
+
+@pytest.mark.parametrize("batch", [2, 3])
+@pytest.mark.parametrize("kind", sorted(_STEP_KINDS))
+def test_train_step_is_bit_identical_to_one_tape_over_the_batch(kind, batch):
+    spec = ModelSpec(num_controls=2, **_STEP_KINDS[kind])
+    segs = _controlled_segments(batch + 2, 2048, seed=len(kind))
+    cfg = tr.TrainConfig(lr=1e-2)
+    runs = []
+    for step in (tr.train_step, one_tape_step):
+        model = spec.build(np.random.default_rng(1))
+        opt = tr.Adam(model.parameters(), cfg.lr)
+        losses = [step(model, segs[i:i + batch], opt, cfg) for i in range(3)]
+        runs.append((model.state_dict(), opt, losses))
+    (new, opt, losses), (old, opt_old, losses_old) = runs
+    assert [(d["loss_tot"], d["applied"]) for d in losses] == losses_old
+    assert opt.t == opt_old.t == 3
+    assert new.keys() == old.keys()
+    for k in new:
+        assert np.array_equal(new[k], old[k]), k
+    for a, b in zip(opt.m + opt.v, opt_old.m + opt_old.v, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_step_skips_a_batch_with_one_nan_target_once():
+    spec = ModelSpec(num_controls=2, tcn=_tcn("film", True))
+    segs = _controlled_segments(3, 2048, seed=2, nan_target=1)
+    cfg = tr.TrainConfig()
+    runs = []
+    for step in (tr.train_step, one_tape_step):
+        model = spec.build(np.random.default_rng(1))
+        opt = tr.Adam(model.parameters(), cfg.lr)
+        before = model.state_dict()
+        out = step(model, segs, opt, cfg)
+        runs.append((model.state_dict(), opt))
+        assert opt.skipped == 1 and opt.t == 0
+        for k in before:
+            if not k.endswith(("running_mean", "running_var")):
+                assert np.array_equal(before[k], runs[-1][0][k]), k
+    assert not out[1] and not tr.train_step(model, segs, opt, cfg)["applied"]
+    assert opt.skipped == 2
+    (new, _), (old, _) = runs
+    for k in new:  # batch-norm statistics move in both, identically
+        assert np.array_equal(new[k], old[k]), k
+
+
+def test_train_step_memory_does_not_grow_with_the_batch():
+    # one segment's graph is alive at a time, not the whole batch's
+    spec = ModelSpec(num_controls=2, tcn=_tcn("film", False))
+    model = spec.build(np.random.default_rng(0))
+    cfg = tr.TrainConfig()
+    opt = tr.Adam(model.parameters(), cfg.lr)
+    segs = _controlled_segments(4, 8192, seed=3)
+    tr.train_step(model, segs, opt, cfg)  # warm every cache first
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for batch in (1, 4):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tr.train_step(model, segs[:batch], opt, cfg)
+            peaks[batch] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks[4] <= 1.5 * peaks[1], peaks[4] / peaks[1]
 
 
 def _lstm_spec(hidden=4):
