@@ -3,7 +3,7 @@
 Everything here is deliberately written with plain numpy/scipy floats,
 not with the package's own tensor ops, so the two routes share no code.
 The exception is `one_tape_step`, a reference for the train step's
-bookkeeping: it runs the model on the package's tape the older way.
+bookkeeping: it runs a whole batch on one of the package's tapes.
 """
 
 import numpy as np
