@@ -856,23 +856,29 @@ def _section(xd, cols, b: int, taps, record: bool, hist):
     (x[-2], x[-1], y[-2], y[-1]). Returns the output in xd's dtype, the
     history after it and, when recording, the vjp: output gradient ->
     (input gradient in xd's dtype, the five coefficient gradients per
-    block)."""
+    block). The vjp keeps the float64 y, the taps g and xd; it rebuilds
+    the x lags from xd and the spectrum G from g, equal to the bit."""
     cb0, cb1, cb2, ca1, ca2 = cols
     n, nb = xd.shape[0], cb0.shape[0]
     big_n = nb * b
-    xh = np.concatenate([hist[:2], xd, np.zeros(big_n - n)])  # history, x
-    xs = [xh[2 - k:big_n + 2 - k].reshape(nb, b) for k in range(3)]  # x[t-k]
+    hx = hist[:2].copy()
+
+    def lags(h, s, ks):
+        # s[t-k] for each k in ks as [nb, b] blocks, the two samples h before s
+        hs = np.concatenate([h, s, np.zeros(big_n - s.shape[0])])
+        return [hs[2 - k:big_n + 2 - k].reshape(nb, b) for k in ks]
+
+    xs = lags(hx, xd, range(3))
     v = cb0[:, None] * xs[0] + cb1[:, None] * xs[1] + cb2[:, None] * xs[2]
     g, G = taps
     y = _allpole_blocks(v, g, G, ca1, ca2, float(hist[3]), float(hist[2]))
     out = y.reshape(-1)[:n].astype(xd.dtype)
-    after = np.concatenate([xh[n:n + 2],
+    after = np.concatenate([last_samples(hx, xd, 2),
                             last_samples(hist[2:], y.reshape(-1)[:n], 2)])
     if not record:
         return out, after, None
 
-    yh = np.concatenate([hist[2:], y.reshape(-1)])
-    ys = [yh[2 - k:big_n + 2 - k].reshape(nb, b) for k in (1, 2)]
+    ys = lags(hist[2:], y.reshape(-1), (1, 2))
     # injections at the edges of the reversed blocks weigh the next block;
     # with one-sample blocks, y[t-2]'s weight is two blocks on
     sh = 2 if b == 1 else 1
@@ -882,8 +888,10 @@ def _section(xd, cols, b: int, taps, record: bool, hist):
 
     def vjp(gout):
         gy = np.concatenate([gout, np.zeros(big_n - n)])
+        G = np.fft.rfft(g[:, 2:], n=2 * b, axis=1)
         w = _allpole_blocks(gy.reshape(nb, b)[::-1, ::-1], g[::-1], G[::-1],
                             a1_next[::-1], a2_next[::-1])[::-1, ::-1]
+        xs = lags(hx, xd, range(3))
         dx = (cb0[:, None] * w).reshape(-1)
         dx[:-1] += (cb1[:, None] * w).reshape(-1)[1:]
         dx[:-2] += (cb2[:, None] * w).reshape(-1)[2:]
@@ -1003,9 +1011,9 @@ def stft_mag(x: Tensor, window: np.ndarray, fft_size: int, hop: int,
             gs = g * (0.5 / out)
             c = np.zeros((num, fft_size), dtype=np.complex128)
             c[:, :re.shape[1]] = (gs * re + gs * re) + 1j * (gs * im + gs * im)
+            np.fft.ifft(c, axis=-1, out=c)
             gf = np.zeros((num, r * hop), dtype=xd.dtype)
-            gf[:, :win] = (fft_size * np.fft.ifft(c, axis=-1).real).astype(
-                xd.dtype)[:, :win] * window
+            gf[:, :win] = (fft_size * c[:, :win].real).astype(xd.dtype) * window
             # block m of frame f holds samples (f + m) * hop onwards; adding
             # the blocks last to first adds each sample's frames first to last
             gf = gf.reshape(num, r, hop)

@@ -84,12 +84,23 @@ class Adam:
         return True
 
     def load_state_dict(self, state: dict) -> None:
-        if len(state["m"]) != len(self.params):
-            raise ValueError("optimizer state does not match parameter list")
+        """Moments are cast to their parameters' dtypes; a count or shape
+        that does not match the parameters raises ValueError."""
+        for key in ("m", "v"):
+            if len(state[key]) != len(self.params):
+                raise ValueError(f"optimizer state has {len(state[key])} {key} "
+                                 f"moments for {len(self.params)} parameters")
+            for i, (a, p) in enumerate(zip(state[key], self.params)):
+                if np.shape(a) != p.data.shape:
+                    raise ValueError(f"optimizer {key}[{i}] has shape "
+                                     f"{np.shape(a)}, its parameter "
+                                     f"{p.data.shape}")
         self.t = int(state["t"])
         self.skipped = int(state["skipped"])
-        self.m = [np.asarray(a).copy() for a in state["m"]]
-        self.v = [np.asarray(a).copy() for a in state["v"]]
+        self.m = [np.array(a, dtype=p.data.dtype)
+                  for a, p in zip(state["m"], self.params)]
+        self.v = [np.array(a, dtype=p.data.dtype)
+                  for a, p in zip(state["v"], self.params)]
 
 
 def detach_state(s):

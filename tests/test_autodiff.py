@@ -13,6 +13,7 @@ import pytest
 import gradfx.tensor as T
 from gradfx.tensor import Tensor, Tape, grad_check
 from gradfx import nn
+from gradfx import processors as P
 
 import oracles
 
@@ -639,6 +640,64 @@ def test_backward_frees_as_it_goes():
         tracemalloc.stop()
     assert g[x].data.shape == (n,)
     assert extra < 4 * 8 * n, extra / (8 * n)
+
+
+def _taped_eq_bytes_per_sample(per_block):
+    """Bytes a tape keeps after a 5-section EQ forward over 16,384 float32
+    samples, per sample: per-block coefficients at block 128, or static."""
+    n, block = 16_384, 128
+    vals = np.array([82.0, 19.0, 7.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
+                     3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8], dtype=np.float32)
+    if per_block:
+        vals = vals * np.linspace(0.9, 1.1, n // block, dtype=np.float32)[:, None]
+    x = Tensor((np.random.default_rng(44).standard_normal(n) * 0.25)
+               .astype(np.float32))
+    params = Tensor(vals, requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            y = P.apply_eq(x, params, P.PARAMETRIC_EQ_LAYOUT, 48000.0,
+                           block if per_block else None)[0]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) > 1 and y.data.dtype == np.float32
+    return kept / n
+
+
+def test_taped_per_block_eq_keeps_what_its_backward_cannot_rebuild():
+    # each section keeps its float64 output and taps; its float64 input
+    # lags and tap spectra are rebuilt in the vjp (they took ~239 B/sample)
+    per_sample = _taped_eq_bytes_per_sample(per_block=True)
+    assert per_sample < 160, per_sample
+
+
+def test_taped_static_eq_keeps_what_its_backward_cannot_rebuild():
+    per_sample = _taped_eq_bytes_per_sample(per_block=False)
+    assert per_sample < 80, per_sample
+
+
+def test_stft_mag_backward_peak_is_bounded_by_its_complex_buffer():
+    # the vjp's inverse FFT runs in place in its [frames, fft] complex
+    # buffer; a second complex copy took the extra peak to ~2.9 buffers
+    n, fft, hop = 16_384, 1024, 256
+    x = Tensor(np.random.default_rng(45).standard_normal(n).astype(np.float32),
+               requires_grad=True)
+    window = np.hanning(fft).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            root = T.sum_(T.stft_mag(x, window, fft, hop, 1e-8))
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = tape.backward(root)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert g[x].data.shape == (n,)
+    buffer = ((n - fft) // hop + 1) * fft * 16
+    assert extra < 2.5 * buffer, extra / buffer
 
 
 def test_backward_releases_every_vjp_and_unreached_saved_arrays():

@@ -934,3 +934,60 @@ def test_cli_train_resume_keeps_the_run_log(tmp_path, capsys):
                    "--checkpoint", str(ckpt6)])
     assert rc == 2
     assert "--checkpoint: cannot continue" in capsys.readouterr().err
+
+
+def _eq_model_doc():
+    # one static EQ: a single [15] parameter
+    return {"kind": "graybox", "sample_rate": 48000.0, "num_controls": 0,
+            "graybox": {"stages": [{"processor": "parametric_eq",
+                                    "controller": "static"}],
+                        "block_size": 128}}
+
+
+@pytest.mark.parametrize("bad", ["m_shape", "v_count"])
+def test_cli_train_rejects_mismatched_optimizer_moments_exit2(tmp_path, capsys,
+                                                              bad):
+    # a moment of the wrong shape failed at the first Adam step (exit 3);
+    # a short v list let the step's zip skip the last parameters
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json", model=_eq_model_doc(),
+                             extra=_resume_doc(6))
+    cfg = load_config(cfg_path)
+    model = cfg.model_spec.build(np.random.default_rng(0))
+    opt = tr.Adam(model.parameters())
+    if bad == "m_shape":
+        opt.m[0] = np.zeros(16, dtype=np.float32)
+    else:
+        opt.v = opt.v[:-1]
+    ckpt = tmp_path / "ckpt.json"
+    tr.save_training_checkpoint(ckpt, model, cfg.model_spec, opt, 0)
+    rc = cli.main(["train", "--config", str(cfg_path), "--checkpoint",
+                   str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--checkpoint:" in err and "optimizer" in err
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+
+
+def test_cli_train_resumed_at_f32_from_an_f64_run_stays_f32(tmp_path):
+    # float64 moments on float32 parameters used to make the parameters
+    # float64 at the first update
+    _write_dataset(tmp_path)
+    first = _write_config(tmp_path / "first.json",
+                          extra=dict(_resume_doc(6), output_dir="first_out"))
+    try:
+        assert cli.main(["train", "--config", str(first),
+                         "--precision", "f64"]) == 0
+    finally:
+        T.set_default_dtype(np.float32)
+    saved = json.loads((tmp_path / "first_out" / "checkpoint.json").read_text())
+    assert saved["extra"]["optimizer"]["m"][0]["dtype"] == "float64"
+    resumed = _write_config(tmp_path / "resumed.json",
+                            extra=dict(_resume_doc(12), output_dir="out"))
+    assert cli.main(["train", "--config", str(resumed), "--checkpoint",
+                     str(tmp_path / "first_out" / "checkpoint.json")]) == 0
+    doc = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    opt = doc["extra"]["optimizer"]
+    assert doc["extra"]["step"] == 12
+    assert {a["dtype"] for a in list(doc["state"].values())
+            + opt["m"] + opt["v"]} == {"float32"}

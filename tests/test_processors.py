@@ -310,6 +310,13 @@ def test_per_block_taps_equal_the_expression_they_replace():
     assert np.array_equal(g, ref)
     assert np.array_equal(spectrum, np.fft.rfft(ref[:, 2:], n=2 * T._BIQUAD_BLOCK,
                                                 axis=1))
+    # a taped section's vjp rebuilds its rows of the spectrum from its taps
+    # alone: one row per section (static) or one per block
+    for rows in (1, 8):
+        for a in range(0, 40, rows):
+            assert np.array_equal(
+                np.fft.rfft(g[a:a + rows, 2:], n=2 * T._BIQUAD_BLOCK, axis=1),
+                spectrum[a:a + rows])
 
 
 @pytest.mark.parametrize("block", [128, 256])
@@ -351,7 +358,7 @@ def _stable_sections(rng, shape):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("block", [None, 256, 100])
+@pytest.mark.parametrize("block", [None, 128, 256, 100])
 def test_cascade_node_equals_chain_of_single_sections(dtype, block):
     # one node over four sections against four one-section nodes: output
     # and every gradient bit for bit
