@@ -667,20 +667,21 @@ def _taped_eq_bytes_per_sample(per_block):
 
 
 def test_taped_per_block_eq_keeps_what_its_backward_cannot_rebuild():
-    # each section keeps its float64 output and taps; its float64 input
-    # lags and tap spectra are rebuilt in the vjp (they took ~239 B/sample)
+    # each section keeps its float64 output and taps (~111 B/sample in
+    # all); keeping its float64 input lags and tap spectra too reads ~232
     per_sample = _taped_eq_bytes_per_sample(per_block=True)
     assert per_sample < 160, per_sample
 
 
 def test_taped_static_eq_keeps_what_its_backward_cannot_rebuild():
+    # ~63 B/sample; ~104 with the float64 input lags kept
     per_sample = _taped_eq_bytes_per_sample(per_block=False)
     assert per_sample < 80, per_sample
 
 
 def test_stft_mag_backward_peak_is_bounded_by_its_complex_buffer():
     # the vjp's inverse FFT runs in place in its [frames, fft] complex
-    # buffer; a second complex copy took the extra peak to ~2.9 buffers
+    # buffer (~2.1 buffers of extra peak); a second complex copy reads ~2.9
     n, fft, hop = 16_384, 1024, 256
     x = Tensor(np.random.default_rng(45).standard_normal(n).astype(np.float32),
                requires_grad=True)

@@ -947,8 +947,8 @@ def _eq_model_doc():
 @pytest.mark.parametrize("bad", ["m_shape", "v_count"])
 def test_cli_train_rejects_mismatched_optimizer_moments_exit2(tmp_path, capsys,
                                                               bad):
-    # a moment of the wrong shape failed at the first Adam step (exit 3);
-    # a short v list let the step's zip skip the last parameters
+    # unchecked, a moment of the wrong shape fails at the first Adam step
+    # (exit 3) and a short v list lets the step's zip skip parameters
     _write_dataset(tmp_path)
     cfg_path = _write_config(tmp_path / "exp.json", model=_eq_model_doc(),
                              extra=_resume_doc(6))
@@ -970,7 +970,7 @@ def test_cli_train_rejects_mismatched_optimizer_moments_exit2(tmp_path, capsys,
 
 
 def test_cli_train_resumed_at_f32_from_an_f64_run_stays_f32(tmp_path):
-    # float64 moments on float32 parameters used to make the parameters
+    # float64 moments on float32 parameters would make the parameters
     # float64 at the first update
     _write_dataset(tmp_path)
     first = _write_config(tmp_path / "first.json",
