@@ -1011,7 +1011,7 @@ def stft_mag(x: Tensor, window: np.ndarray, fft_size: int, hop: int,
             gs = g * (0.5 / out)
             c = np.zeros((num, fft_size), dtype=np.complex128)
             c[:, :re.shape[1]] = (gs * re + gs * re) + 1j * (gs * im + gs * im)
-            np.fft.ifft(c, axis=-1, out=c)
+            c = np.fft.ifft(c, axis=-1)  # frees the spectrum before gf
             gf = np.zeros((num, r * hop), dtype=xd.dtype)
             gf[:, :win] = (fft_size * c[:, :win].real).astype(xd.dtype) * window
             # block m of frame f holds samples (f + m) * hop onwards; adding

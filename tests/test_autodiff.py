@@ -680,8 +680,8 @@ def test_taped_static_eq_keeps_what_its_backward_cannot_rebuild():
 
 
 def test_stft_mag_backward_peak_is_bounded_by_its_complex_buffer():
-    # the vjp's inverse FFT runs in place in its [frames, fft] complex
-    # buffer (~2.1 buffers of extra peak); a second complex copy reads ~2.9
+    # the vjp frees its [frames, fft] complex spectrum once the inverse FFT
+    # returns (~2.1 buffers of extra peak); keeping it alive reads ~2.9
     n, fft, hop = 16_384, 1024, 256
     x = Tensor(np.random.default_rng(45).standard_normal(n).astype(np.float32),
                requires_grad=True)
