@@ -213,6 +213,16 @@ def amplitude_response(processor, points: int = 200,
                           np.tanh(grid))
 
 
+def physical_values(processor, g01) -> np.ndarray:
+    """A stage's controls g01 [..., P] in physical units, as a float64
+    [..., P] array in `param_names` order."""
+    g01 = np.asarray(g01, dtype=np.float64)
+    out = np.empty_like(g01)
+    for cols, p in zip(processor.columns, processor.physical(Tensor(g01))):
+        out[..., cols] = p.data
+    return out
+
+
 def time_trace(processor, controller, x, c: Tensor | None = None,
                state=None) -> TimeTrace:
     """Block-rate parameter trajectory of a dynamic stage, sample-aligned."""
@@ -222,8 +232,7 @@ def time_trace(processor, controller, x, c: Tensor | None = None,
     if not out.is_dynamic:
         raise ValueError("stage parameters are static; read them from the "
                          "controller directly instead of tracing")
-    vals = Tensor(np.asarray(out.values.data, dtype=np.float64))  # [nb, P]
-    phys = np.stack([p.data for p in processor.physical(vals)], axis=1)
+    phys = physical_values(processor, out.values.data)  # [nb, P]
     held = np.repeat(phys, out.block_size, axis=0)[:len(x)]
     return TimeTrace(x, held, processor.param_names)
 
@@ -250,8 +259,8 @@ def stage_report(processor, controller, c: Tensor | None,
         taps = np.asarray(processor.taps().data, dtype=np.float64)
         h = np.exp(-2j * np.pi * np.outer(freqs / sweep.fs, k)) @ taps
         return _response(freqs, h, floor=1e-12)
-    phys = processor.physical(Tensor(out.values.data.astype(np.float64)))
-    return ParamValues(processor.param_names, [p.item() for p in phys])
+    return ParamValues(processor.param_names,
+                       physical_values(processor, out.values.data))
 
 
 # -- emission ----------------------------------------------------------------

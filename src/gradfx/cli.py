@@ -110,7 +110,10 @@ def _model(cfg, checkpoint_path):
     """The checkpoint's model, or a fresh one seeded by the training seed."""
     if not checkpoint_path:
         return cfg.model_spec.build(np.random.default_rng(cfg.train_cfg.seed))
-    model, spec, _ = load_checkpoint(checkpoint_path)
+    try:
+        model, spec, _ = load_checkpoint(checkpoint_path)
+    except ValueError as e:
+        raise ConfigError([f"--checkpoint: {e}"])
     _check_spec(cfg, spec, checkpoint_path)
     return model
 
@@ -243,6 +246,7 @@ _COMMANDS = {"train": cmd_train, "test": cmd_test, "analyze": cmd_analyze,
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    dtype = T.default_dtype()
     try:
         cfg = _setup(args)
         return _COMMANDS[args.command](cfg, args)
@@ -255,6 +259,8 @@ def main(argv=None) -> int:
     except Exception as e:  # noqa: BLE001 - boundary: report, don't crash
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        T.set_default_dtype(dtype)
 
 
 if __name__ == "__main__":

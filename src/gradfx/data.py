@@ -139,7 +139,7 @@ def save_wav(path, samples, fs: int, bitdepth="float32") -> None:
     fmt_chunk = struct.pack("<4sIHHIIHH", b"fmt ", 16, fmt, 1, fs,
                             fs * block, block, bits)
     data_hdr = struct.pack("<4sI", b"data", len(payload))
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(header + fmt_chunk + data_hdr + payload)
         if len(payload) & 1:
             f.write(b"\x00")

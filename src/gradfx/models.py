@@ -259,13 +259,17 @@ class _ConvStack(nn.Module):
 
 
 class TCN(nn.Module):
-    """Causal dilated conv stack with residual blocks and a 1x1 mixer."""
+    """Causal dilated conv stack with residual blocks and a 1x1 mixer over
+    the last block's output, or over every block's output when `gated`."""
+
+    gated = False
 
     def __init__(self, cfg: TCNConfig, num_controls: int = 0,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng()
-        self.stack = _ConvStack(cfg, num_controls, rng, gate=False)
-        self.mixer = nn.Conv1d(cfg.channels, 1, 1, rng)
+        self.stack = _ConvStack(cfg, num_controls, rng, gate=self.gated)
+        self.mixer = nn.Conv1d(cfg.channels * (cfg.blocks if self.gated
+                                               else 1), 1, 1, rng)
 
     @property
     def stream_unit(self) -> int:
@@ -276,31 +280,15 @@ class TCN(nn.Module):
         return self.stack.receptive_field
 
     def forward(self, x: Tensor, c: Tensor | None = None, state=None):
-        h, _, state = self.stack(x, c, state)
-        return T.reshape(self.mixer(h), (x.data.shape[-1],)), state
+        h, skips, state = self.stack(x, c, state)
+        y = self.mixer(T.concat(skips, axis=0) if self.gated else h)
+        return T.reshape(y, (x.data.shape[-1],)), state
 
 
-class GCN(nn.Module):
+class GCN(TCN):
     """Gated conv stack: tanh/sigmoid branches, skip outputs into a mixer."""
 
-    def __init__(self, cfg: TCNConfig, num_controls: int = 0,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng()
-        self.stack = _ConvStack(cfg, num_controls, rng, gate=True)
-        self.mixer = nn.Conv1d(cfg.channels * cfg.blocks, 1, 1, rng)
-
-    @property
-    def stream_unit(self) -> int:
-        return self.stack.stream_unit
-
-    @property
-    def receptive_field(self) -> int | None:
-        return self.stack.receptive_field
-
-    def forward(self, x: Tensor, c: Tensor | None = None, state=None):
-        _, skips, state = self.stack(x, c, state)
-        y = self.mixer(T.concat(skips, axis=0))
-        return T.reshape(y, (x.data.shape[-1],)), state
+    gated = True
 
 
 # -- gray box ----------------------------------------------------------------
@@ -600,11 +588,15 @@ def save_checkpoint(path, model: nn.Module, spec: ModelSpec,
 
 
 def load_checkpoint(path, rng: np.random.Generator | None = None):
-    """Returns (model, spec, extra). Parameters match the saved bytes."""
-    with open(path) as f:
-        payload = json.load(f)
-    spec = ModelSpec.from_dict(payload["spec"])
-    model = spec.build(rng if rng is not None else np.random.default_rng(0))
-    state = {k: _decode_array(v) for k, v in payload["state"].items()}
-    model.load_state_dict(state)
+    """Returns (model, spec, extra). Parameters match the saved bytes. A
+    file that cannot be read or lacks a field raises ValueError."""
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        spec = ModelSpec.from_dict(payload["spec"])
+        model = spec.build(rng if rng is not None else np.random.default_rng(0))
+        model.load_state_dict({k: _decode_array(v)
+                               for k, v in payload["state"].items()})
+    except (json.JSONDecodeError, KeyError, OSError) as e:
+        raise ValueError(f"corrupt or unreadable checkpoint {path}: {e}") from e
     return model, spec, payload.get("extra")

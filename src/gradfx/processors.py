@@ -11,13 +11,13 @@ division normalizes by a0. The filter is differentiable in (f0, gain, Q)
 through those formulas, which stay on the tape.
 
 An EQ is a layout, a tuple of section kinds. `eq_design` turns its
-parameters into one [..., S, 6] design (b0, b1, b2, a1, a2, a0 per
+physical parameters into one [..., S, 6] design (b0, b1, b2, a1, a2, a0 per
 section), which feeds both the filter (`apply_eq`) and the analysis-side
 `frequency_response`.
 
 Controlled processors expose `num_params` physical parameters, each with
 a name and a ParamRange mapping a controller's [0,1] output to physical
-units.
+units; `Processor.physical` is the one place that applies them.
 """
 
 from __future__ import annotations
@@ -226,12 +226,9 @@ def _eq_size(layout) -> int:
     return sum(3 if kind in GAIN_KINDS else 2 for kind in layout)
 
 
-def _eq_columns(params: Tensor, layout) -> list:
-    """f0, gain and Q of a layout's params [P] or [nb, P] as [..., S]
-    tensors (gain over the sections that have one, None if none does)."""
-    if params.data.shape[-1] != _eq_size(layout):
-        raise ValueError(f"expected {_eq_size(layout)} parameters, "
-                         f"got {params.data.shape[-1]}")
+def _eq_columns(layout) -> tuple:
+    """Column indices of a layout's f0, gain and Q parameters, one array
+    per kind (gain over the sections that have one, None if none does)."""
     cols, i = ([], [], []), 0
     for kind in layout:
         gained = kind in GAIN_KINDS
@@ -240,20 +237,17 @@ def _eq_columns(params: Tensor, layout) -> list:
             cols[1].append(i + 1)
         cols[2].append(i + 1 + gained)
         i += 2 + gained
-    return [T.take(params, (Ellipsis, np.array(c))) if c else None
-            for c in cols]
+    return tuple(np.array(c) if c else None for c in cols)
 
 
-def eq_design(params: Tensor, layout, fs: float, ranges=None) -> Tensor:
-    """[..., S, 6] design of a layout over params [P] or [nb, P]: each
-    section's f0, then its gain if its kind is in GAIN_KINDS, then its Q.
-    The params are physical values, or controls in [0, 1] that `ranges`
-    (one per kind of column: f0, gain, Q) denormalize, each kind once."""
-    cols = _eq_columns(params, layout)
-    if ranges is not None:
-        cols = [c if c is None else r.denormalize(c)
-                for c, r in zip(cols, ranges)]
-    return _design(layout, *cols, fs)
+def eq_design(params: Tensor, layout, fs: float) -> Tensor:
+    """[..., S, 6] design of a layout over physical params [P] or [nb, P]:
+    each section's f0, its gain if its kind is in GAIN_KINDS, then its Q."""
+    if params.data.shape[-1] != _eq_size(layout):
+        raise ValueError(f"expected {_eq_size(layout)} parameters, "
+                         f"got {params.data.shape[-1]}")
+    return _design(layout, *(None if c is None else params[..., c]
+                             for c in _eq_columns(layout)), fs)
 
 
 # low shelf + three peaks + high shelf; (f0, gain_dB, Q) per section
@@ -263,15 +257,14 @@ SHELVING_EQ_LAYOUT = ("highpass", "lowshelf", "highshelf", "lowpass")
 
 
 def apply_eq(x: Tensor, params: Tensor, layout, fs: float,
-             block_size: int | None = None, ranges=None, history=None):
-    """Biquad cascade of `eq_design(params, layout, fs, ranges)` over a 1-D
-    signal, by exact direct-form-I recursion in one `T.biquad` node.
-    Per-block params [nb, P] hold one coefficient set per `block_size`
-    samples, applied to the history carried across blocks. Returns (y,
-    the [S, 4] filter history after x); `history` is the one before x,
-    zeros when None.
+             block_size: int | None = None, history=None):
+    """Biquad cascade of `eq_design(params, layout, fs)` over a 1-D signal,
+    by exact direct-form-I recursion in one `T.biquad` node. Per-block
+    params [nb, P] hold one coefficient set per `block_size` samples,
+    applied to the history carried across blocks. Returns (y, the [S, 4]
+    filter history after x); `history` is the one before x (None: zeros).
     """
-    return T.biquad(x, _normalize(eq_design(params, layout, fs, ranges)),
+    return T.biquad(x, _normalize(eq_design(params, layout, fs)),
                     block_size, history)
 
 
@@ -333,29 +326,29 @@ class Processor(nn.Module):
     (static) or [nb, num_params] (per-block), or None when num_params ==
     0; state is what the processor remembers of the signal before x, None
     for the zero state and always None for a memoryless processor.
+    `ranges` holds one ParamRange per control column, and `columns` the
+    column indices of each kind of control, whose columns share a range.
     """
 
     name = "processor"
     num_params = 0
     ranges: tuple = ()
+    columns: tuple = ()
     param_names: tuple = ()
 
     def apply(self, x: Tensor, g01=None, block_size: int | None = None,
               state=None):
         raise NotImplementedError
 
-    def _check(self, g01: Tensor) -> Tensor:
+    def physical(self, g01: Tensor):
+        """Each kind of control in g01 in physical units: its columns,
+        denormalized by the range of the first of them."""
         got = None if g01 is None else g01.data.shape[-1]
         if got != self.num_params:
             raise ValueError(f"{self.name} expects {self.num_params} controls, "
                              f"got {got}")
-        return g01
-
-    def physical(self, g01: Tensor):
-        """Each control column of g01 in physical units."""
-        self._check(g01)
-        return [self.ranges[i].denormalize(g01[..., i])
-                for i in range(self.num_params)]
+        return [self.ranges[np.ravel(c)[0]].denormalize(g01[..., c])
+                for c in self.columns]
 
 
 class PhaseInvert(Processor):
@@ -369,6 +362,7 @@ class Gain(Processor):
     name = "gain"
     num_params = 1
     ranges = (chain_gain_range(),)
+    columns = (0,)
     param_names = ("gain_db",)
 
     def apply(self, x, g01=None, block_size=None, state=None):
@@ -383,6 +377,7 @@ class DCOffset(Processor):
     name = "dc_offset"
     num_params = 1
     ranges = (offset_range(),)
+    columns = (0,)
     param_names = ("offset",)
 
     def apply(self, x, g01=None, block_size=None, state=None):
@@ -403,26 +398,24 @@ class ParametricEQ(Processor):
 
     def __init__(self, fs: float):
         self.fs = float(fs)
-        # one range per kind of column (f0, gain, Q), and each column's
-        self.kind_ranges = (freq_range(fs), filter_gain_range(), q_range())
+        self.columns = _eq_columns(self.layout)
+        by_kind = (freq_range(fs), filter_gain_range(), q_range())
         sections = [f"{kind}{self.layout[:i].count(kind) + 1}"
                     if self.layout.count(kind) > 1 else kind
                     for i, kind in enumerate(self.layout)]
         self.param_names, self.ranges = zip(*[
-            (f"{section}_{unit}", self.kind_ranges[j])
+            (f"{section}_{unit}", by_kind[j])
             for section, kind in zip(sections, self.layout)
             for j, unit in ((0, "f0_hz"), (1, "gain_db"), (2, "q"))
             if j != 1 or kind in GAIN_KINDS])
 
     def design(self, g01):
         """[..., S, 6] design of the controls g01."""
-        return eq_design(self._check(g01), self.layout, self.fs,
-                         self.kind_ranges)
+        return _design(self.layout, *self.physical(g01), self.fs)
 
     def apply(self, x, g01=None, block_size=None, state=None):
         """The state is the cascade's [S, 4] filter history."""
-        return apply_eq(x, self._check(g01), self.layout, self.fs,
-                        block_size, self.kind_ranges, state)
+        return T.biquad(x, _normalize(self.design(g01)), block_size, state)
 
 
 class ShelvingEQ(ParametricEQ):

@@ -7,7 +7,6 @@ uninterrupted run would have seen.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -368,10 +367,7 @@ def restore_training(path, cfg: TrainConfig,
                      rng: np.random.Generator | None = None):
     """Returns (model, spec, optimizer, step, best) rebuilt from a
     checkpoint; best is the validation tot loss it was kept for, or inf."""
-    try:
-        model, spec, extra = M.load_checkpoint(path, rng)
-    except (json.JSONDecodeError, KeyError, OSError) as e:
-        raise ValueError(f"corrupt or unreadable checkpoint {path}: {e}") from e
+    model, spec, extra = M.load_checkpoint(path, rng)
     optimizer = Adam(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     step, best = 0, np.inf
     if extra and "optimizer" in extra:

@@ -289,6 +289,33 @@ def test_time_trace_static_rejected_and_dynamic_shape():
     assert tail.max() - tail.min() < 1e-3
 
 
+def test_stage_reports_equal_each_column_denormalized_by_its_range():
+    # the reports denormalize one kind of control at a time, through
+    # Processor.physical; each column must read as its own range gives it
+    rng = np.random.default_rng(132)
+    eq = P.ParametricEQ(48000.0)
+    ctrl = C.DynamicController(15, rng, block_size=16)
+    for p in ctrl.parameters():
+        p.data = p.data + rng.normal(0.0, 0.5, p.data.shape).astype(p.data.dtype)
+    x = rng.standard_normal(16 * 20) * 0.1
+    u = Tensor(np.asarray(ctrl(x=Tensor(x.astype(T.default_dtype())))[0]
+                          .values.data, dtype=np.float64))
+    want = np.stack([r.denormalize(u[:, j]).data
+                     for j, r in enumerate(eq.ranges)], axis=1)
+    assert np.array_equal(A.time_trace(eq, ctrl, x).params,
+                          np.repeat(want, 16, axis=0))
+
+    sweep = A.SweepConfig(fs=8000.0, f1=100.0, steps=7, T=2.0, warmup=0.0)
+    for proc, b in ((P.Gain(), -1.3), (P.DCOffset(), 0.7)):
+        ctrl = C.StaticController(1)
+        ctrl.b.data[:] = b
+        u = Tensor(np.asarray(ctrl()[0].values.data, dtype=np.float64))
+        report = A.stage_report(proc, ctrl, None, sweep)
+        assert isinstance(report, A.ParamValues)
+        assert np.array_equal(report.values,
+                              [proc.ranges[0].denormalize(u[0]).item()])
+
+
 def test_stage_report_of_a_fir_stage_is_its_tap_spectrum():
     fir = P.FIRSiren(np.random.default_rng(131), num_taps=16)
     sweep = A.SweepConfig(fs=8000.0, f1=100.0, steps=7, T=2.0, warmup=0.0)

@@ -569,6 +569,42 @@ def test_cli_test_identity_zero_metrics(tmp_path):
     assert all(abs(float(v)) < 1e-9 for v in row[1:])
 
 
+@pytest.mark.parametrize("text", ["definitely { not json", "{}"],
+                         ids=["not_json", "empty_object"])
+def test_cli_rejects_a_corrupt_checkpoint_alike_in_every_command_exit2(
+        tmp_path, capsys, text):
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json")
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(text)
+    for argv in (["train"], ["test"], ["analyze"],
+                 ["render", "--input", str(tmp_path / "in_0.wav")]):
+        rc = cli.main([*argv, "--config", str(cfg_path),
+                       "--checkpoint", str(ckpt)])
+        assert rc == 2, argv[0]
+        assert (f"--checkpoint: corrupt or unreadable checkpoint {ckpt}"
+                in capsys.readouterr().err), argv[0]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_cli_restores_the_default_dtype(tmp_path, capsys):
+    # --precision f64 must not leak into the caller's later tensors, on
+    # success or on an error after the setup
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    old = T.default_dtype()
+    try:
+        for argv, rc in ((["analyze"], 0),
+                         (["test", "--checkpoint", str(bad)], 2)):
+            assert cli.main([*argv, "--config", str(cfg_path),
+                             "--precision", "f64"]) == rc
+            assert T.default_dtype() is old
+    finally:
+        T.set_default_dtype(old)
+
+
 def test_cli_test_checkpoint_mismatch_exit2(tmp_path, capsys):
     _write_dataset(tmp_path)
     cfg_path = _write_config(tmp_path / "exp.json")

@@ -38,3 +38,42 @@ def test_every_export_resolves():
     import gradfx
     for name in gradfx.__all__:
         assert hasattr(gradfx, name), name
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a call is open() or Path.open() with a mode that is not a
+    read-only literal, or Path.write_text / write_bytes."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(path, mode) or path.open(mode)
+    pos = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                pos[0] if pos else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def _file_writes() -> list:
+    """(module, enclosing function) of each call in the package that can
+    write a file."""
+    found = []
+    for path in sorted((ROOT / "src" / "gradfx").rglob("*.py")):
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if isinstance(node, ast.Call) and _writes_a_file(node):
+                found.append((path.name, where))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+        visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
+def test_every_file_write_goes_through_atomic_open():
+    # data.atomic_open moves a finished temp file over the target, so a
+    # crash mid-write leaves the previous file whole; no writer bypasses it
+    assert _file_writes() == [("data.py", "atomic_open")]

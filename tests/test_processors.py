@@ -489,16 +489,18 @@ def test_eq_design_matches_per_section_composition_bitwise(cls, block, dtype):
 
 
 def test_eq_design_is_one_division_and_one_filter_node():
-    eq = P.ParametricEQ(FS)
     x = Tensor(np.random.default_rng(42).standard_normal(512))
-    for g01 in (Tensor(np.full(15, 0.4), requires_grad=True),
-                Tensor(np.full((4, 15), 0.4), requires_grad=True)):
-        with T.Tape() as tape:
-            eq.apply(x, g01, block_size=128)
-        ops = [node.op for node in tape.nodes]
-        # the divisions: sin / 2Q, the peaks' alpha / A and the one by a0
-        assert ops.count("biquad") == 1 and ops.count("div") == 3
-        assert len(ops) < 70
+    for eq, nodes in ((P.ParametricEQ(FS), 63), (P.ShelvingEQ(FS), 61)):
+        n = eq.num_params
+        for g01 in (Tensor(np.full(n, 0.4), requires_grad=True),
+                    Tensor(np.full((4, n), 0.4), requires_grad=True)):
+            with T.Tape() as tape:
+                eq.apply(x, g01, block_size=128)
+            ops = [node.op for node in tape.nodes]
+            # the divisions: sin / 2Q, the one by a0, and the peaks'
+            # alpha / A or the lowpass and highpass (1 -/+ cos) / 2
+            assert ops.count("biquad") == 1 and ops.count("div") == 3
+            assert len(ops) == nodes
 
 
 def test_cascade_operand_errors():
