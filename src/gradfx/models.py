@@ -589,7 +589,7 @@ def save_checkpoint(path, model: nn.Module, spec: ModelSpec,
 
 def load_checkpoint(path, rng: np.random.Generator | None = None):
     """Returns (model, spec, extra). Parameters match the saved bytes. A
-    file that cannot be read or lacks a field raises ValueError."""
+    file that cannot be read or is not a checkpoint raises ValueError."""
     try:
         with open(path) as f:
             payload = json.load(f)
@@ -597,6 +597,7 @@ def load_checkpoint(path, rng: np.random.Generator | None = None):
         model = spec.build(rng if rng is not None else np.random.default_rng(0))
         model.load_state_dict({k: _decode_array(v)
                                for k, v in payload["state"].items()})
-    except (json.JSONDecodeError, KeyError, OSError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError,
+            OSError) as e:  # not JSON, a missing field, or a wrong type
         raise ValueError(f"corrupt or unreadable checkpoint {path}: {e}") from e
     return model, spec, payload.get("extra")

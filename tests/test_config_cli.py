@@ -569,8 +569,9 @@ def test_cli_test_identity_zero_metrics(tmp_path):
     assert all(abs(float(v)) < 1e-9 for v in row[1:])
 
 
-@pytest.mark.parametrize("text", ["definitely { not json", "{}"],
-                         ids=["not_json", "empty_object"])
+@pytest.mark.parametrize("text", ["definitely { not json", "{}", "[]",
+                                  '{"spec": 5, "state": {}}'],
+                         ids=["not_json", "empty_object", "list", "int_spec"])
 def test_cli_rejects_a_corrupt_checkpoint_alike_in_every_command_exit2(
         tmp_path, capsys, text):
     _write_dataset(tmp_path)
