@@ -160,6 +160,9 @@ def cmd_train(cfg, args) -> int:
         optimizer = tr.Adam(model.parameters(), cfg.train_cfg.lr,
                             cfg.train_cfg.beta1, cfg.train_cfg.beta2,
                             cfg.train_cfg.eps)
+    if not model.parameters():
+        raise ConfigError(["/model: the model has no trainable parameters; "
+                           "nothing to train"])
     log = tr.fit(model, cfg.model_spec, splits["train"], cfg.train_cfg,
                  val_segments=splits["val"] or None,
                  log_path=out / "run_log.csv", checkpoint_path=ckpt,

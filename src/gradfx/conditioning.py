@@ -18,6 +18,8 @@ The four FiLM variants share one call shape: latents(x, c, state) ->
 (z, state) once per forward, then modulate(k, h, z) -> h once per
 network block. State None is the zero state. Every gamma-producing
 head starts as the identity (zero weights, gamma bias 1, beta bias 0).
+The constructors build what they are given: which sizes and control
+counts make a valid model is decided by `models.ModelSpec` at load.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from . import nn
 from . import tensor as T
 from .controllers import BlockLSTM, _check_controls, append_controls, num_blocks
 from .tensor import Tensor
+
+# Width TTFiLM's LSTM works at, which a model's channels must exceed
+TTFILM_REDUCED = 8
 
 
 def film_apply(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -61,11 +66,6 @@ def _identity_head(layer: nn.Linear, channels: int) -> nn.Linear:
     return layer
 
 
-def _need_controls(m: nn.Module, num_controls: int) -> None:
-    if num_controls < 1:
-        raise ValueError(f"{type(m).__name__} needs num_controls >= 1")
-
-
 def _split_gamma_beta(gb: Tensor, channels: int):
     if gb.data.ndim == 1:
         return gb[0:channels], gb[channels:2 * channels]
@@ -77,7 +77,6 @@ class FiLM(nn.Module):
 
     def __init__(self, num_controls: int, channels: int, net_blocks: int,
                  rng: np.random.Generator, hidden: int = 16, latent: int = 32):
-        _need_controls(self, num_controls)
         self.channels = channels
         self.num_controls = num_controls
         self.generator = nn.MLP([num_controls, hidden, latent], rng)
@@ -106,7 +105,6 @@ class TFiLM(nn.Module):
 
     def __init__(self, num_controls: int, channels: int, net_blocks: int,
                  rng: np.random.Generator, block_size: int = 128):
-        _need_controls(self, num_controls)
         self.channels = channels
         self.num_controls = num_controls
         self.block_size = block_size
@@ -139,10 +137,7 @@ class TTFiLM(TFiLM):
 
     def __init__(self, num_controls: int, channels: int, net_blocks: int,
                  rng: np.random.Generator, block_size: int = 128,
-                 reduced: int = 8, expand_hidden: int = 24):
-        _need_controls(self, num_controls)
-        if reduced >= channels:
-            raise ValueError("reduced width must be smaller than channels")
+                 reduced: int = TTFILM_REDUCED, expand_hidden: int = 24):
         self.channels = channels
         self.num_controls = num_controls
         self.block_size = block_size

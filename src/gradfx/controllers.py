@@ -138,10 +138,5 @@ class DynamicController(BlockLSTM, Controller):
         return ControlOutput(T.sigmoid(hs), self.block_size), state
 
 
-CONTROLLER_KINDS = {
-    "dummy": DummyController,
-    "static": StaticController,
-    "static_cond": StaticCondController,
-    "dynamic": DynamicController,
-    "dynamic_cond": DynamicController,
-}
+CONTROLLER_KINDS = ("dummy", "static", "static_cond", "dynamic",
+                    "dynamic_cond")

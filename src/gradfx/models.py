@@ -319,7 +319,8 @@ def _check_opts(kind: str, field: str, opts) -> dict:
 
 
 class StageSpec:
-    """One chain stage: a processor kind plus the controller that drives it."""
+    """One chain stage: a processor kind plus the controller that drives it,
+    `dummy` exactly when the processor has no controlled parameters."""
 
     def __init__(self, processor: str, controller: str = "static",
                  processor_opts: dict | None = None,
@@ -328,6 +329,13 @@ class StageSpec:
             raise ValueError(f"unknown processor kind {processor!r}")
         if controller not in ctrl.CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {controller!r}")
+        p = proc.PROCESSOR_KINDS[processor]
+        if p.num_params == 0 and controller != "dummy":
+            raise ValueError(f"{p.name} has no controlled parameters; "
+                             f"use the dummy controller")
+        if p.num_params and controller == "dummy":
+            raise ValueError(f"{p.name} has {p.num_params} controlled "
+                             f"parameters; a dummy controller cannot drive it")
         self.processor = processor
         self.controller = controller
         self.processor_opts = _check_opts(processor, "processor_opts",
@@ -366,6 +374,10 @@ class GrayBoxSpec:
                              ("num_controls", num_controls, _NATURAL),
                              ("block_size", block_size, _COUNT)):
             _check(rule, f"graybox {key}", v)
+        for st in self.stages:
+            if num_controls < 1 and st.controller.endswith("_cond"):
+                raise ValueError(f"a {st.controller} controller needs "
+                                 f"num_controls >= 1")
         self.sample_rate = float(sample_rate)
         self.num_controls = num_controls
         self.block_size = block_size
@@ -400,18 +412,10 @@ def _build_processor(st: StageSpec, spec: GrayBoxSpec, rng) -> proc.Processor:
 def _build_controller(st: StageSpec, p: proc.Processor, spec: GrayBoxSpec,
                       rng) -> ctrl.Controller:
     kind = st.controller
-    if p.num_params == 0:
-        if kind != "dummy":
-            raise ValueError(f"{p.name} has no controlled parameters; "
-                             f"use the dummy controller")
-        return ctrl.DummyController()
     if kind == "dummy":
-        raise ValueError(f"{p.name} has {p.num_params} controlled parameters; "
-                         f"a dummy controller cannot drive it")
+        return ctrl.DummyController()
     if kind == "static":
         return ctrl.StaticController(p.num_params)
-    if spec.num_controls < 1 and kind in ("static_cond", "dynamic_cond"):
-        raise ValueError(f"a {kind} controller needs num_controls >= 1")
     if kind == "static_cond":
         return ctrl.StaticCondController(spec.num_controls, p.num_params,
                                          rng, **st.controller_opts)
@@ -432,12 +436,8 @@ class GrayBoxChain(nn.Module):
         self.controllers = []
         for st in spec.stages:
             p = _build_processor(st, spec, rng)
-            k = _build_controller(st, p, spec, rng)
-            if k.num_params != p.num_params:
-                raise ValueError(f"controller emits {k.num_params} values, "
-                                 f"{p.name} needs {p.num_params}")
             self.processors.append(p)
-            self.controllers.append(k)
+            self.controllers.append(_build_controller(st, p, spec, rng))
 
     @property
     def stream_unit(self) -> int:
@@ -480,6 +480,10 @@ class ModelSpec:
             self.config = v if isinstance(v, TCNConfig) else TCNConfig.from_dict(v)
             if self.config.cond in ("film", "tfilm", "ttfilm") and num_controls < 1:
                 raise ValueError(f"cond {self.config.cond!r} needs num_controls >= 1")
+            if (self.config.cond == "ttfilm"
+                    and self.config.channels <= cond.TTFILM_REDUCED):
+                raise ValueError(f"reduced width must be smaller than channels "
+                                 f"({cond.TTFILM_REDUCED} for ttfilm)")
         elif self.kind == "graybox":
             if not isinstance(v, GrayBoxSpec):
                 v = GrayBoxSpec.from_dict(v, sample_rate, num_controls)

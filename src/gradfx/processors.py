@@ -10,10 +10,10 @@ cookbook formula runs once per group of kinds that share it, and one
 division normalizes by a0. The filter is differentiable in (f0, gain, Q)
 through those formulas, which stay on the tape.
 
-An EQ is a layout, a tuple of section kinds. `eq_design` turns its
-physical parameters into one [..., S, 6] design (b0, b1, b2, a1, a2, a0 per
-section), which feeds both the filter (`apply_eq`) and the analysis-side
-`frequency_response`.
+An EQ is a layout, a tuple of section kinds. `ParametricEQ.design` turns
+its physical parameters into one [..., S, 6] design (b0, b1, b2, a1, a2,
+a0 per section), which feeds both the filter (`apply`, one `biquad` node)
+and the analysis-side `frequency_response`.
 
 Controlled processors expose `num_params` physical parameters, each with
 a name and a ParamRange mapping a controller's [0,1] output to physical
@@ -240,32 +240,10 @@ def _eq_columns(layout) -> tuple:
     return tuple(np.array(c) if c else None for c in cols)
 
 
-def eq_design(params: Tensor, layout, fs: float) -> Tensor:
-    """[..., S, 6] design of a layout over physical params [P] or [nb, P]:
-    each section's f0, its gain if its kind is in GAIN_KINDS, then its Q."""
-    if params.data.shape[-1] != _eq_size(layout):
-        raise ValueError(f"expected {_eq_size(layout)} parameters, "
-                         f"got {params.data.shape[-1]}")
-    return _design(layout, *(None if c is None else params[..., c]
-                             for c in _eq_columns(layout)), fs)
-
-
 # low shelf + three peaks + high shelf; (f0, gain_dB, Q) per section
 PARAMETRIC_EQ_LAYOUT = ("lowshelf", "peak", "peak", "peak", "highshelf")
 # hp(f0, Q), low shelf(f0, gain_dB, Q), high shelf(f0, gain_dB, Q), lp(f0, Q)
 SHELVING_EQ_LAYOUT = ("highpass", "lowshelf", "highshelf", "lowpass")
-
-
-def apply_eq(x: Tensor, params: Tensor, layout, fs: float,
-             block_size: int | None = None, history=None):
-    """Biquad cascade of `eq_design(params, layout, fs)` over a 1-D signal,
-    by exact direct-form-I recursion in one `T.biquad` node. Per-block
-    params [nb, P] hold one coefficient set per `block_size` samples,
-    applied to the history carried across blocks. Returns (y, the [S, 4]
-    filter history after x); `history` is the one before x (None: zeros).
-    """
-    return T.biquad(x, _normalize(eq_design(params, layout, fs)),
-                    block_size, history)
 
 
 # ---------------------------------------------------------------------------

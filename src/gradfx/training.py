@@ -393,7 +393,9 @@ def fit(model, spec, train_segments, cfg: TrainConfig,
     A resumed run may also pass the rows logged up to start_step as `log`;
     new rows are appended to it, and its wall clock continues. log_path is
     rewritten whole at every validation and at the last step, so a crash
-    loses only the rows since the last validation.
+    loses only the rows since the last validation. It is written before the
+    checkpoint: a log that runs past the checkpoint is trimmed on resume,
+    while one that stopped short of it would leave a hole.
     """
     if not train_segments:
         raise ValueError("no training segments")
@@ -411,20 +413,19 @@ def fit(model, spec, train_segments, cfg: TrainConfig,
             losses = train_step(model, [train_segments[i] for i in idx],
                                 optimizer, cfg)
         val = None
-        stop = False
         if val_segments and (step % cfg.validate_every == 0
                              or step == cfg.max_steps):
             val = evaluate(model, val_segments, cfg.weights, cfg.mrstft_cfg)
-            if checkpoint_path and val["tot"] < best:
-                best = val["tot"]
-                save_training_checkpoint(checkpoint_path, model, spec,
-                                         optimizer, step, best)
-            if (cfg.stop_metric is not None
-                    and val[cfg.stop_metric] <= cfg.stop_value):
-                stop = True
         log.add(step, losses, optimizer.skipped, time.monotonic() - t0, val)
         if log_path and (val is not None or step == cfg.max_steps):
             log.to_csv(log_path)
-        if stop:
+        if val is None:
+            continue
+        if checkpoint_path and val["tot"] < best:
+            best = val["tot"]
+            save_training_checkpoint(checkpoint_path, model, spec,
+                                     optimizer, step, best)
+        if (cfg.stop_metric is not None
+                and val[cfg.stop_metric] <= cfg.stop_value):
             break
     return log

@@ -2,12 +2,19 @@
 
 Everything here is deliberately written with plain numpy/scipy floats,
 not with the package's own tensor ops, so the two routes share no code.
-The exception is `one_tape_step`, a reference for the train step's
-bookkeeping: it runs a whole batch on one of the package's tapes.
+The exceptions are `one_tape_step`, a reference for the train step's
+bookkeeping: it runs a whole batch on one of the package's tapes; and
+`eq_design` and `apply_eq`, which drive an EQ layout's physical
+parameters through the package's own design and filter steps, the path
+the EQ processors take after `Processor.physical`.
 """
 
 import numpy as np
 import scipy.signal
+
+from gradfx import tensor as T
+from gradfx.processors import _design, _eq_columns, _eq_size, _normalize
+from gradfx.tensor import Tensor
 
 
 def rbj_coeffs(kind, f0, q, gain_db=0.0, fs=48000.0):
@@ -221,3 +228,25 @@ def one_tape_step(model, segs, optimizer, cfg):
         return loss_val, optimizer.step(
             [None if g is None else g.data
              for g in map(grads.get, optimizer.params)])
+
+
+def eq_design(params: Tensor, layout, fs: float) -> Tensor:
+    """[..., S, 6] design of a layout over physical params [P] or [nb, P]:
+    each section's f0, its gain if its kind is in GAIN_KINDS, then its Q."""
+    if params.data.shape[-1] != _eq_size(layout):
+        raise ValueError(f"expected {_eq_size(layout)} parameters, "
+                         f"got {params.data.shape[-1]}")
+    return _design(layout, *(None if c is None else params[..., c]
+                             for c in _eq_columns(layout)), fs)
+
+
+def apply_eq(x: Tensor, params: Tensor, layout, fs: float,
+             block_size: int | None = None, history=None):
+    """Biquad cascade of `eq_design(params, layout, fs)` over a 1-D signal,
+    by exact direct-form-I recursion in one `T.biquad` node. Per-block
+    params [nb, P] hold one coefficient set per `block_size` samples,
+    applied to the history carried across blocks. Returns (y, the [S, 4]
+    filter history after x); `history` is the one before x (None: zeros).
+    """
+    return T.biquad(x, _normalize(eq_design(params, layout, fs)),
+                    block_size, history)

@@ -16,7 +16,7 @@ from gradfx import controllers as C
 from gradfx import models as M
 from gradfx import processors as P
 from gradfx.tensor import Tensor
-from oracles import plot_csv
+from oracles import apply_eq, eq_design, plot_csv
 
 
 class _ScaleModel:
@@ -42,7 +42,7 @@ class _LTIModel:
 
     def forward(self, x, c=None, state=None):
         y = T.mul(x, Tensor(np.asarray(self.g, dtype=x.data.dtype)))
-        y = P.apply_eq(y, self.params, self.layout, self.fs)[0]
+        y = apply_eq(y, self.params, self.layout, self.fs)[0]
         return y, state
 
 
@@ -90,7 +90,7 @@ def test_lti_chain_matches_analytic_response():
     curve = A.stepped_sine_response(_LTIModel(params, ("lowpass",), fs, gain),
                                     cfg)
 
-    design = P.eq_design(params, ("lowpass",), fs).data
+    design = eq_design(params, ("lowpass",), fs).data
     h = P.frequency_response(design, curve.freqs, fs) * gain
     mag_ref = 20 * np.log10(np.abs(h))
     ph_ref = np.unwrap(np.angle(h))

@@ -657,8 +657,8 @@ def _taped_eq_bytes_per_sample(per_block):
     try:
         before = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
-            y = P.apply_eq(x, params, P.PARAMETRIC_EQ_LAYOUT, 48000.0,
-                           block if per_block else None)[0]
+            y = oracles.apply_eq(x, params, P.PARAMETRIC_EQ_LAYOUT,
+                                 48000.0, block if per_block else None)[0]
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -6,6 +6,7 @@ import pytest
 import gradfx.tensor as T
 from gradfx import conditioning as F
 from gradfx.controllers import BlockLSTM
+from gradfx.models import ModelSpec
 from gradfx.tensor import Tensor, Tape, grad_check
 
 
@@ -132,8 +133,9 @@ def test_ttfilm_identity_and_reduction_guard():
     out = ttf.modulate(0, h, ttf.latents(None, c, None)[0])
     assert np.array_equal(out.data, h.data)
 
-    with pytest.raises(ValueError):
-        F.TTFiLM(2, channels=4, net_blocks=1, rng=rng, reduced=4)
+    # the guard lives in the model spec, which rejects it at load
+    with pytest.raises(ValueError, match="reduced width must be smaller"):
+        ModelSpec(num_controls=2, tcn={"channels": 4, "cond": "ttfilm"})
 
 
 def test_ttfilm_cheaper_than_tfilm():

@@ -417,6 +417,36 @@ def test_cli_rejects_bad_stage_options_exit2(tmp_path, capsys, model,
     assert not (tmp_path / "out" / "run_log.csv").exists()
 
 
+def _ttfilm_doc(channels):
+    return {"kind": "tcn", "sample_rate": 48000.0, "num_controls": 1,
+            "tcn": {"blocks": 2, "kernel": 3, "dilation_growth": 2,
+                    "channels": channels, "cond": "ttfilm"}}
+
+
+@pytest.mark.parametrize("command", ["train", "analyze"])
+@pytest.mark.parametrize("model, message", [
+    (_stage("fir", "static"),
+     "/model: fir has no controlled parameters; use the dummy controller"),
+    (_stage("gain", "dummy"), "/model: gain has 1 controlled parameters; "
+                              "a dummy controller cannot drive it"),
+    (_gain_model_doc(0, "static_cond"),
+     "/model: a static_cond controller needs num_controls >= 1"),
+    (_gain_model_doc(0, "dynamic_cond"),
+     "/model: a dynamic_cond controller needs num_controls >= 1"),
+    (_ttfilm_doc(4), "/model: reduced width must be smaller than channels"),
+    (_ttfilm_doc(8), "/model: reduced width must be smaller than channels"),
+], ids=["fir-static", "gain-dummy", "static_cond-0", "dynamic_cond-0",
+        "ttfilm-4", "ttfilm-8"])
+def test_cli_rejects_models_that_cannot_build_exit2(tmp_path, capsys, command,
+                                                    model, message):
+    # each of these used to load and then fail while the model was built
+    _write_dataset(tmp_path)
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _gain_model_with(graybox=None, stage=None, **model):
     """The one-gain-stage model with edits to /model, its graybox section
     and its stage."""
@@ -460,6 +490,24 @@ def test_cli_rejects_bad_model_fields_exit2(tmp_path, capsys, model, message):
     assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_train_rejects_a_model_with_nothing_to_train_exit2(tmp_path,
+                                                                capsys):
+    _write_dataset(tmp_path)
+    model = _gain_model_with(stage={"processor": "tanh",
+                                    "controller": "dummy"})
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert ("/model: the model has no trainable parameters; nothing to train"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "run_log.csv").exists()
+    # a fixed chain can still be measured and run
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 0
+    D.save_wav(tmp_path / "probe.wav", np.zeros(256, np.float32), 48000,
+               bitdepth="float32")
+    assert cli.main(["render", "--config", str(cfg_path),
+                     "--input", str(tmp_path / "probe.wav")]) == 0
 
 
 def test_load_config_accepts_graybox_copies_of_model_fields(tmp_path):
@@ -971,6 +1019,57 @@ def test_cli_train_resume_keeps_the_run_log(tmp_path, capsys):
                    "--checkpoint", str(ckpt6)])
     assert rc == 2
     assert "--checkpoint: cannot continue" in capsys.readouterr().err
+
+
+class _Killed(BaseException):
+    """The process dying at a write: no handler in the CLI catches it."""
+
+
+def _kill_on_call(monkeypatch, owner, name, n):
+    """Make owner.name raise _Killed on its nth call, before it writes
+    (never for n = 0); returns the list that grows by one per call."""
+    real, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise _Killed
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("owner, name", [(tr.RunLog, "to_csv"),
+                                         (tr, "save_training_checkpoint")],
+                         ids=["log", "checkpoint"])
+def test_cli_train_resumed_after_a_kill_matches_the_uninterrupted_run(
+        tmp_path, monkeypatch, owner, name):
+    # a kill before any of the run's writes, then a resume into the same
+    # directory, leaves the files an uninterrupted run leaves
+    _write_dataset(tmp_path)
+    train = {"max_steps": 12, "lr": 0.01, "validate_every": 3, "seed": 1}
+    ref = _write_config(tmp_path / "ref.json",
+                        extra={"train": train, "output_dir": "ref"})
+    with monkeypatch.context() as m:
+        writes = _kill_on_call(m, owner, name, 0)
+        assert cli.main(["train", "--config", str(ref)]) == 0
+    assert len(writes) == 4  # one per validation
+    ref_log = tr.RunLog.from_csv(tmp_path / "ref" / "run_log.csv")
+    for n in range(1, len(writes) + 1):
+        out = tmp_path / f"killed_{n}"
+        cfg = _write_config(tmp_path / f"killed_{n}.json",
+                            extra={"train": train, "output_dir": out.name})
+        with monkeypatch.context() as m:
+            _kill_on_call(m, owner, name, n)
+            with pytest.raises(_Killed):
+                cli.main(["train", "--config", str(cfg)])
+        resume = (["--checkpoint", str(out / "checkpoint.json")]
+                  if (out / "checkpoint.json").exists() else [])
+        assert cli.main(["train", "--config", str(cfg)] + resume) == 0
+        assert logs_match(tr.RunLog.from_csv(out / "run_log.csv"), ref_log), n
+        for f in ("checkpoint.json", "metrics.csv"):
+            assert (out / f).read_bytes() == (tmp_path / "ref" / f).read_bytes()
 
 
 def _eq_model_doc():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import gradfx.tensor as T
+from gradfx import controllers as C
 from gradfx import models as M
+from gradfx import processors as P
 from gradfx.tensor import Tensor, grad_check
 
 
@@ -307,6 +309,78 @@ def test_graybox_controller_processor_mismatch():
         with pytest.raises(ValueError, match="num_controls"):
             M.GrayBoxChain(M.GrayBoxSpec([M.StageSpec("gain", kind)]),
                            np.random.default_rng(0))
+
+
+def _graybox_doc(num_controls, block_size=128, **stage):
+    return {"kind": "graybox", "num_controls": num_controls,
+            "graybox": {"stages": [stage], "block_size": block_size}}
+
+
+def _model_docs():
+    """(model section, whether the rules allow it) over every processor x
+    controller kind, every conv conditioner x width and every lstm
+    cond_mode, each at 0 and 1 controls; then the smallest sizes allowed.
+    The rules: a dummy controller exactly for a processor with no
+    controlled parameters; conditioned controllers, film, tfilm, ttfilm
+    and a conditioned lstm need controls; ttfilm needs more than its
+    reduced width of 8 channels."""
+    for nc in (0, 1):
+        for p, cls in P.PROCESSOR_KINDS.items():
+            for k in C.CONTROLLER_KINDS:
+                yield (_graybox_doc(nc, processor=p, controller=k),
+                       (k == "dummy") == (cls.num_params == 0)
+                       and (nc > 0 or not k.endswith("_cond")))
+        for kind in ("tcn", "gcn"):
+            for cond in M.COND_MODES:
+                for ch in (1, 8, 9):
+                    yield ({"kind": kind, "num_controls": nc,
+                            kind: {"blocks": 2, "kernel": 3,
+                                   "dilation_growth": 2, "channels": ch,
+                                   "cond": cond}},
+                           (nc > 0 or cond in ("none", "tvfilm"))
+                           and (cond != "ttfilm" or ch > 8))
+        for mode in ("none", "concat", "tvcond"):
+            yield ({"kind": "lstm", "num_controls": nc,
+                    "lstm": {"hidden": 4, "cond_mode": mode}},
+                   nc > 0 or mode == "none")
+    yield _graybox_doc(0, processor="fir", controller="dummy",
+                       processor_opts={"num_taps": 1}), True
+    yield _graybox_doc(1, processor="gain", controller="static_cond",
+                       controller_opts={"layers": 1}), True
+    yield _graybox_doc(1, 1, processor="gain", controller="dynamic_cond"), True
+    yield {"kind": "tcn", "tcn": {"blocks": 1, "kernel": 1,
+                                  "dilation_growth": 1, "channels": 1}}, True
+    yield ({"kind": "lstm", "num_controls": 1,
+            "lstm": {"hidden": 1, "cond_mode": "tvcond", "block_size": 1,
+                     "tvcond_latent": 1}}, True)
+
+
+def test_every_model_spec_that_loads_builds_and_runs():
+    # the spec is the one place that decides validity: a spec the rules
+    # forbid fails at load, and one they allow builds and runs
+    x = Tensor(np.random.default_rng(5).standard_normal(512)
+               .astype(np.float32))
+    wrong = []
+    for doc, valid in _model_docs():
+        try:
+            spec = M.ModelSpec.from_dict(doc)
+        except ValueError as e:
+            if valid:
+                wrong.append((doc, f"rejected: {e}"))
+            continue
+        if not valid:
+            wrong.append((doc, "loaded"))
+            continue
+        c = (Tensor(np.full(spec.num_controls, 0.5, np.float32))
+             if spec.num_controls else None)
+        try:
+            y, _ = spec.build(np.random.default_rng(0)).forward(x, c)
+        except ValueError as e:
+            wrong.append((doc, f"build or forward failed: {e}"))
+            continue
+        if y.data.shape != (512,) or not np.all(np.isfinite(y.data)):
+            wrong.append((doc, "bad output"))
+    assert not wrong, wrong
 
 
 def test_graybox_reordered_gains_commute():

@@ -10,7 +10,8 @@ from gradfx import processors as P
 from gradfx.tensor import Tensor, grad_check
 
 from oracles import (rbj_coeffs, lfilter_cascade, freqz_cascade,
-                     draw_filter_params, rel_l2, df1_blocks)
+                     draw_filter_params, rel_l2, df1_blocks, apply_eq,
+                     eq_design)
 
 FS = 48000.0
 
@@ -34,20 +35,20 @@ def _params(kind, d):
 
 def test_lowpass_hand_evaluated_anchor():
     # f0 = fs/4: cos w0 = 0, sin w0 = 1, alpha = 1/(2Q) = sqrt(2)/2
-    row = P.eq_design(t32([FS / 4, 1 / np.sqrt(2)]), ("lowpass",), FS).data[0]
+    row = eq_design(t32([FS / 4, 1 / np.sqrt(2)]), ("lowpass",), FS).data[0]
     b0, b1, b2, a1, a2, a0 = (float(c) for c in row)
     assert (b0, b1, b2) == pytest.approx((0.5, 1.0, 0.5), abs=1e-4)
     assert (a0, a1, a2) == pytest.approx((1.7071, 0.0, 0.2929), abs=1e-4)
 
 
 def test_peak_zero_gain_is_identity_section():
-    b0, b1, b2, a1, a2, a0 = P.eq_design(t32([800.0, 0.0, 2.0]), ("peak",),
-                                         FS).data[0]
+    b0, b1, b2, a1, a2, a0 = eq_design(t32([800.0, 0.0, 2.0]), ("peak",),
+                                       FS).data[0]
     assert np.array_equal(b0, a0) and np.array_equal(b1, a1) and np.array_equal(b2, a2)
 
 
 def test_highpass_blocks_dc():
-    b0, b1, b2, *_ = P.eq_design(t32([500.0, 0.9]), ("highpass",), FS).data[0]
+    b0, b1, b2, *_ = eq_design(t32([500.0, 0.9]), ("highpass",), FS).data[0]
     assert b0 + b1 + b2 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -56,7 +57,7 @@ def test_coefficients_match_reference_transcription(kind):
     rng = np.random.default_rng(hash(kind) % 2**32)
     for _ in range(10):
         d = draw_filter_params(rng, kind, FS)
-        row = P.eq_design(t64(_params(kind, d)), (kind,), FS).data[0]
+        row = eq_design(t64(_params(kind, d)), (kind,), FS).data[0]
         got = np.array([float(row[k]) for k in (0, 1, 2, 5, 3, 4)])
         b, a = rbj_coeffs(kind, d["f0"], d["q"], d.get("gain_db", 0.0), FS)
         ref = np.concatenate([b, a])
@@ -65,28 +66,28 @@ def test_coefficients_match_reference_transcription(kind):
 
 def test_invalid_filter_params_raise():
     with pytest.raises(ValueError):
-        P.eq_design(t32([FS / 2, 1.0]), ("lowpass",), FS)
+        eq_design(t32([FS / 2, 1.0]), ("lowpass",), FS)
     with pytest.raises(ValueError):
-        P.eq_design(t32([-10.0, 1.0]), ("lowpass",), FS)
+        eq_design(t32([-10.0, 1.0]), ("lowpass",), FS)
     with pytest.raises(ValueError):
-        P.eq_design(t32([100.0, 3.0, 0.0]), ("peak",), FS)
+        eq_design(t32([100.0, 3.0, 0.0]), ("peak",), FS)
     with pytest.raises(ValueError):
-        P.eq_design(t32([100.0, 1.0]), ("peak",), FS)  # gain required
+        eq_design(t32([100.0, 1.0]), ("peak",), FS)  # gain required
     with pytest.raises(ValueError):
-        P.eq_design(t32([100.0, 1.0]), ("bandstop",), FS)
+        eq_design(t32([100.0, 1.0]), ("bandstop",), FS)
 
 
 # ---------------------------------------------------------------------------
 # frequency response
 
 def test_identity_section_response_is_one():
-    design = P.eq_design(t32([1000.0, 0.0, 1.0]), ("peak",), FS).data
+    design = eq_design(t32([1000.0, 0.0, 1.0]), ("peak",), FS).data
     h = P.frequency_response(design, [10.0, 100.0, 1000.0, 20000.0], FS)
     assert np.allclose(h, 1.0 + 0j, atol=1e-15)
 
 
 def test_lowpass_unity_at_dc():
-    design = P.eq_design(t64([FS / 4, 1 / np.sqrt(2)]), ("lowpass",), FS).data
+    design = eq_design(t64([FS / 4, 1 / np.sqrt(2)]), ("lowpass",), FS).data
     h = P.frequency_response(design, [0.0], FS)
     assert abs(h[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -97,7 +98,7 @@ def test_cascade_is_product_of_sections():
     designs = []
     for kind in ("lowshelf", "peak", "highshelf"):
         d = draw_filter_params(rng, kind, FS)
-        designs.append(P.eq_design(t32(_params(kind, d)), (kind,), FS).data)
+        designs.append(eq_design(t32(_params(kind, d)), (kind,), FS).data)
     combined = P.frequency_response(np.concatenate(designs), freqs, FS)
     product = np.ones_like(combined)
     for s in designs:
@@ -129,7 +130,7 @@ def test_frequency_response_matches_scipy():
 def test_apply_filter_identity_section():
     rng = np.random.default_rng(24)
     x = Tensor(rng.standard_normal(1000).astype(np.float32))
-    y = P.apply_eq(x, t32([440.0, 0.0, 3.0]), ("peak",), FS)[0]
+    y = apply_eq(x, t32([440.0, 0.0, 3.0]), ("peak",), FS)[0]
     assert rel_l2(y.data, x.data) < 1e-6
 
 
@@ -141,8 +142,8 @@ def test_apply_filter_matches_recursion(kind):
     for _ in range(4):
         d = draw_filter_params(rng, kind, FS)
         params = t64(_params(kind, d))
-        y = P.apply_eq(t64(x), params, (kind,), FS)[0].data
-        b0, b1, b2, a1, a2, a0 = P.eq_design(params, (kind,), FS).data[0]
+        y = apply_eq(t64(x), params, (kind,), FS)[0].data
+        b0, b1, b2, a1, a2, a0 = eq_design(params, (kind,), FS).data[0]
         ref = lfilter_cascade(x, [((b0, b1, b2), (a0, a1, a2))])
         assert rel_l2(y, ref) < 1e-3, (kind, d)
 
@@ -151,12 +152,12 @@ def test_apply_filter_argument_errors():
     x = Tensor(np.zeros(100, dtype=np.float32))
     params = t32([1000.0, 1.0])
     with pytest.raises(ValueError):
-        P.apply_eq(Tensor(np.zeros((2, 50))), params, ("lowpass",), FS)  # not 1-D
+        apply_eq(Tensor(np.zeros((2, 50))), params, ("lowpass",), FS)  # not 1-D
     per_block = Tensor(np.tile([1000.0, 1.0], (4, 1)))
     with pytest.raises(ValueError):
-        P.apply_eq(x, per_block, ("lowpass",), FS)                 # no block size
+        apply_eq(x, per_block, ("lowpass",), FS)                 # no block size
     with pytest.raises(ValueError):
-        P.apply_eq(x, per_block, ("lowpass",), FS, block_size=50)  # 2 blocks, not 4
+        apply_eq(x, per_block, ("lowpass",), FS, block_size=50)  # 2 blocks, not 4
 
 
 def test_apply_filter_gradients():
@@ -166,7 +167,7 @@ def test_apply_filter_gradients():
     w = rng.standard_normal(32)
 
     def f(ts):
-        y = P.apply_eq(ts[0], ts[1], ("lowshelf",), FS)[0]
+        y = apply_eq(ts[0], ts[1], ("lowshelf",), FS)[0]
         return T.sum_(T.mul(y, Tensor(w)))
 
     assert grad_check(f, [x, params]) < 1e-4
@@ -182,8 +183,8 @@ def test_parametric_eq_zero_gain_is_identity():
     for _ in range(5):
         d = draw_filter_params(rng, "peak", FS)
         params += [d["f0"], 0.0, d["q"]]
-    y = P.apply_eq(x, Tensor(np.array(params, dtype=np.float32)),
-                   P.PARAMETRIC_EQ_LAYOUT, FS)[0]
+    y = apply_eq(x, Tensor(np.array(params, dtype=np.float32)),
+                 P.PARAMETRIC_EQ_LAYOUT, FS)[0]
     assert rel_l2(y.data, x.data) < 1e-4
 
     eq = P.ParametricEQ(FS)
@@ -198,7 +199,7 @@ def test_parametric_eq_flat_response_at_zero_gain():
     for _ in range(5):
         d = draw_filter_params(rng, "peak", FS)
         params += [d["f0"], 0.0, d["q"]]
-    design = P.eq_design(t32(params), ("peak",) * 5, FS).data
+    design = eq_design(t32(params), ("peak",) * 5, FS).data
     h = P.frequency_response(design, np.geomspace(20, 22000, 128), FS)
     assert np.max(np.abs(20 * np.log10(np.abs(h)))) < 1e-6
 
@@ -206,9 +207,9 @@ def test_parametric_eq_flat_response_at_zero_gain():
 def test_eq_param_count_errors():
     x = Tensor(np.zeros(64, dtype=np.float32))
     with pytest.raises(ValueError):
-        P.apply_eq(x, Tensor(np.full(14, 0.5)), P.PARAMETRIC_EQ_LAYOUT, FS)
+        apply_eq(x, Tensor(np.full(14, 0.5)), P.PARAMETRIC_EQ_LAYOUT, FS)
     with pytest.raises(ValueError):
-        P.apply_eq(x, Tensor(np.full(9, 0.5)), P.SHELVING_EQ_LAYOUT, FS)
+        apply_eq(x, Tensor(np.full(9, 0.5)), P.SHELVING_EQ_LAYOUT, FS)
 
 
 def test_shelving_eq_near_flat_passband():
@@ -217,8 +218,8 @@ def test_shelving_eq_near_flat_passband():
     impulse[0] = 1.0
     lo, hi = 20.0, 0.95 * FS / 2
     params = [lo, 0.707, 200.0, 0.0, 0.707, 2000.0, 0.0, 0.707, hi, 0.707]
-    y = P.apply_eq(t64(impulse), t64(np.array(params)), P.SHELVING_EQ_LAYOUT,
-                   FS)[0].data
+    y = apply_eq(t64(impulse), t64(np.array(params)), P.SHELVING_EQ_LAYOUT,
+                 FS)[0].data
     spec = np.fft.rfft(y, n)
     freqs = np.arange(len(spec)) * FS / n
     band = (freqs >= 100.0) & (freqs <= FS / 4)
@@ -233,7 +234,7 @@ def test_shelving_eq_gradients_all_params():
     w = rng.standard_normal(24)
 
     def f(ts):
-        y = P.apply_eq(x, ts[0], P.SHELVING_EQ_LAYOUT, FS)[0]
+        y = apply_eq(x, ts[0], P.SHELVING_EQ_LAYOUT, FS)[0]
         return T.sum_(T.mul(y, Tensor(w)))
 
     assert grad_check(f, [t64(vals)]) < 1e-4
@@ -245,9 +246,9 @@ def test_time_varying_equals_static_at_full_block():
     x = t64(rng.standard_normal(n))
     vals = np.array([150.0, 6.0, 1.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
                      3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8])
-    y_static = P.apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0]
-    y_tv = P.apply_eq(x, t64(vals[None, :]), P.PARAMETRIC_EQ_LAYOUT, FS,
-                      block_size=n)[0]
+    y_static = apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0]
+    y_tv = apply_eq(x, t64(vals[None, :]), P.PARAMETRIC_EQ_LAYOUT, FS,
+                    block_size=n)[0]
     assert np.array_equal(y_static.data, y_tv.data)
 
 
@@ -259,7 +260,7 @@ def test_time_varying_blocks_use_their_own_params():
     p_identity = [500.0, 0.0, 1.0]
     p_boost = [500.0, 24.0, 1.0]
     params = np.array([p_identity * 5, p_boost * 5])
-    y = P.apply_eq(x, t64(params), P.PARAMETRIC_EQ_LAYOUT, FS, block_size=128)[0]
+    y = apply_eq(x, t64(params), P.PARAMETRIC_EQ_LAYOUT, FS, block_size=128)[0]
     first, second = y.data[:128], y.data[128:]
     assert rel_l2(first, np.ones(128)) < 1e-3
     assert np.abs(second).mean() > 1.5  # boosted well above unity
@@ -285,9 +286,9 @@ def test_per_block_filter_matches_carried_state_recursion(block):
         for i, kind in enumerate(("lowshelf", "peak", "peak", "peak", "highshelf")):
             d = draw_filter_params(rng, kind, FS)
             params[k, 3 * i:3 * i + 3] = d["f0"], d["gain_db"], d["q"]
-    y = P.apply_eq(t64(x), t64(params), P.PARAMETRIC_EQ_LAYOUT, FS,
-                   block_size=block)[0].data
-    design = P.eq_design(t64(params), P.PARAMETRIC_EQ_LAYOUT, FS)
+    y = apply_eq(t64(x), t64(params), P.PARAMETRIC_EQ_LAYOUT, FS,
+                 block_size=block)[0].data
+    design = eq_design(t64(params), P.PARAMETRIC_EQ_LAYOUT, FS)
     ref = df1_blocks(x, _normalized(design), block)
     assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
 
@@ -326,10 +327,10 @@ def test_per_block_constant_coefficients_equal_static_path(block):
     x = t64(rng.standard_normal(n))
     vals = np.array([82.0, 19.0, 7.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
                      3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8])
-    y_static = P.apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0]
+    y_static = apply_eq(x, t64(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0]
     nb = -(-n // block)
-    y_tv = P.apply_eq(x, t64(np.tile(vals, (nb, 1))), P.PARAMETRIC_EQ_LAYOUT,
-                      FS, block_size=block)[0]
+    y_tv = apply_eq(x, t64(np.tile(vals, (nb, 1))), P.PARAMETRIC_EQ_LAYOUT,
+                    FS, block_size=block)[0]
     assert np.array_equal(y_static.data, y_tv.data)
 
 
@@ -341,9 +342,9 @@ def test_f32_resonant_cascade_matches_sosfilt():
     vals = np.array([82.0, 19.0, 7.0, 400.0, -3.0, 2.0, 1000.0, 2.0, 0.7,
                      3000.0, -6.0, 1.5, 8000.0, 4.0, 0.8], dtype=np.float32)
     x = Tensor((rng.standard_normal(48000) * 0.25).astype(np.float32))
-    y = P.apply_eq(x, Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0].data
+    y = apply_eq(x, Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)[0].data
     assert y.dtype == np.float32
-    design = P.eq_design(Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
+    design = eq_design(Tensor(vals), P.PARAMETRIC_EQ_LAYOUT, FS)
     sos = np.array([[b0[0], b1[0], b2[0], 1.0, a1[0], a2[0]]
                     for b0, b1, b2, a1, a2 in _normalized(design)])
     ref = sosfilt(sos, x.data.astype(np.float64))
