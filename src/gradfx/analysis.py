@@ -34,6 +34,10 @@ class SweepConfig:
         self.T = float(T)
         self.amplitude = float(amplitude)
         self.warmup = float(warmup)
+        for name in ("T", "warmup"):
+            if not math.isfinite(getattr(self, name) * self.fs):
+                raise ValueError(f"{name} = {getattr(self, name):g} s is not a "
+                                 f"finite number of samples at {self.fs:g} Hz")
         if not (0 < self.f1 < self.f2 < self.fs / 2):
             raise ValueError("need 0 < f1 < f2 < fs/2")
         if self.steps < 2:

@@ -71,7 +71,6 @@ def _setup(args):
         cfg.train_cfg.seed = args.seed
     T.set_default_dtype(np.float64 if args.precision == "f64"
                         else np.float32)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
 
@@ -236,7 +235,6 @@ def cmd_render(cfg, args) -> int:
         if controls else None
     y = render(model, x, c, np.empty(len(x)))
     out_path = cfg.output_dir / args.output
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     depth = args.bitdepth if args.bitdepth == "float32" else int(args.bitdepth)
     D.save_wav(out_path, y, fs, bitdepth=depth)
     print(out_path)

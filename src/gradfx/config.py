@@ -11,7 +11,7 @@ import os
 from pathlib import Path
 
 from .analysis import SweepConfig
-from .models import _COUNT, _NATURAL, _POSITIVE, ModelSpec, _number
+from .models import _COUNT, _NATURAL, _POSITIVE, ModelSpec, StageError, _number
 from .training import EVAL_COLUMNS, TrainConfig
 
 OUTPUT_ROOT_ENV = "GRADFX_OUTPUT_ROOT"
@@ -171,6 +171,8 @@ def load_config(path) -> ExperimentConfig:
             model_spec = ModelSpec.from_dict(doc["model"])
         except KeyError as e:
             problems.append(f"/model/{e.args[0]}: required field missing")
+        except StageError as e:
+            problems.append(f"/model/{e.path}: {e}")
         except (ValueError, TypeError) as e:
             problems.append(f"/model: {e}")
 
@@ -202,7 +204,7 @@ def load_config(path) -> ExperimentConfig:
             adoc = dict(adoc, fs=rate)
         try:
             sweep_cfg = SweepConfig(**adoc)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:
             problems.append(f"/analysis: {e}")
 
     out_dir = doc.get("output_dir")

@@ -19,8 +19,10 @@ import numpy as np
 @contextmanager
 def atomic_open(path, mode: str = "w"):
     """Open a temp file next to path; a clean exit moves it over path in
-    one os.replace, so a crash mid-write leaves the previous file whole."""
+    one os.replace, so a crash mid-write leaves the previous file whole.
+    The directory is made here, at the first write into it."""
     tmp = f"{os.fspath(path)}.tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, mode) as f:
             yield f

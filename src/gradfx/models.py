@@ -318,6 +318,15 @@ def _check_opts(kind: str, field: str, opts) -> dict:
     return dict(opts)
 
 
+class StageError(ValueError):
+    """A rule a chain stage breaks; `path` points at the stage below the
+    model section once the enclosing specs have filled it in."""
+
+    def __init__(self, message: str, path: str = ""):
+        super().__init__(message)
+        self.path = path
+
+
 class StageSpec:
     """One chain stage: a processor kind plus the controller that drives it,
     `dummy` exactly when the processor has no controlled parameters."""
@@ -331,10 +340,10 @@ class StageSpec:
             raise ValueError(f"unknown controller kind {controller!r}")
         p = proc.PROCESSOR_KINDS[processor]
         if p.num_params == 0 and controller != "dummy":
-            raise ValueError(f"{p.name} has no controlled parameters; "
+            raise StageError(f"{p.name} has no controlled parameters; "
                              f"use the dummy controller")
         if p.num_params and controller == "dummy":
-            raise ValueError(f"{p.name} has {p.num_params} controlled "
+            raise StageError(f"{p.name} has {p.num_params} controlled "
                              f"parameters; a dummy controller cannot drive it")
         self.processor = processor
         self.controller = controller
@@ -370,14 +379,16 @@ class GrayBoxSpec:
                                    else StageSpec.from_dict(s))
             except KeyError as e:
                 raise KeyError(f"stages/{i}/{e.args[0]}") from None
+            except StageError as e:
+                raise StageError(str(e), f"stages/{i}") from None
         for key, v, rule in (("sample_rate", sample_rate, _POSITIVE),
                              ("num_controls", num_controls, _NATURAL),
                              ("block_size", block_size, _COUNT)):
             _check(rule, f"graybox {key}", v)
-        for st in self.stages:
+        for i, st in enumerate(self.stages):
             if num_controls < 1 and st.controller.endswith("_cond"):
-                raise ValueError(f"a {st.controller} controller needs "
-                                 f"num_controls >= 1")
+                raise StageError(f"a {st.controller} controller needs "
+                                 f"num_controls >= 1", f"stages/{i}")
         self.sample_rate = float(sample_rate)
         self.num_controls = num_controls
         self.block_size = block_size
@@ -520,6 +531,8 @@ class ModelSpec:
                        **{kind: section})
         except KeyError as e:
             raise KeyError(f"{kind}/{e.args[0]}") from None
+        except StageError as e:
+            raise StageError(str(e), f"{kind}/{e.path}") from None
 
     def build(self, rng: np.random.Generator | None = None) -> nn.Module:
         rng = rng if rng is not None else np.random.default_rng()

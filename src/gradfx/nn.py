@@ -162,10 +162,10 @@ class LSTM(Module):
     """Runs an LSTMCell across [T, in] -> [T, hidden], or B sequences at
     once across [T, B, in] -> [T, B, hidden], with explicit state.
 
-    The input projection for all timesteps is one matmul; the recurrence
-    is the `lstm` primitive, one tape node per call whether or not a tape
-    is recording, so training and inference run the same loop. The batched
-    form is inference only: `lstm` records no gradient for it.
+    The whole layer, input projection and recurrence, is the `lstm`
+    primitive: one tape node per call whether or not a tape is recording,
+    so training and inference run the same loop. The batched form is
+    inference only: `lstm` records no gradient for it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -183,18 +183,11 @@ class LSTM(Module):
         if state is None:
             state = self.zero_state(xd.dtype, xd.shape[1:-1])
         cell = self.cell
-        if T.records((x, cell.w_x, cell.b, cell.w_h) + tuple(state)):
-            xz = T.add(T.matmul(x, cell.w_x), cell.b)  # [T, 4H]
-            out = T.lstm(xz, cell.w_h, *state)  # [T + 2, H]
-            return out[0:n], (out[n], out[n + 1])
-        # Untaped: the same sum formed in the product's buffer, so inference
-        # never holds a second [T, (B,) 4H] array, and a carried state that
-        # holds no view of the whole sequence
-        xw = xd.reshape(-1, xd.shape[-1]) @ cell.w_x.data
-        np.add(xw, cell.b.data, out=xw)
-        out = T.lstm(Tensor(xw.reshape(xd.shape[:-1] + (-1,))), cell.w_h,
-                     *state).data
-        return Tensor(out[:n]), (Tensor(out[n].copy()), Tensor(out[n + 1].copy()))
+        out = T.lstm(x, cell.w_x, cell.b, cell.w_h, *state)  # [T + 2, H]
+        y, h, c = out[0:n], out[n], out[n + 1]
+        # a carried state that holds no view of the whole sequence
+        h.data, c.data = h.data.copy(), c.data.copy()
+        return y, (h, c)
 
 
 class MLP(Module):

@@ -671,121 +671,132 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
 _LSTM_BLOCK = 16
 
 
-def lstm(xz: Tensor, w_h: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
-    """LSTM recurrence, gates ordered (input, forget, cell, output).
+def lstm(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor, h0: Tensor,
+         c0: Tensor) -> Tensor:
+    """LSTM layer, gates ordered (input, forget, cell, output).
 
-    xz: [T, 4H] input projection x @ w_x + b, w_h: [H, 4H], h0, c0: [H].
+    x: [T, in], w_x: [in, 4H], b: [4H], w_h: [H, 4H], h0, c0: [H].
     Returns [T + 2, H]: the hidden sequence, then the final h and c.
-    Records one node. Its vjp is backprop through time over the saved
-    gates and repeats, operation for operation and in the same order,
-    what the per-step composition of slice/matmul/add/sigmoid/tanh/mul
-    would compute on the tape, so the gradients equal it to the bit.
+    Records one node. Its vjp is backprop through time and repeats,
+    operation for operation and in the same order, what x @ w_x + b and
+    the per-step composition of slice/matmul/add/sigmoid/tanh/mul would
+    compute on the tape, so the gradients equal it to the bit. Taped, a
+    sample keeps 6H floats: step t writes its gates over row t of the
+    projection once it has read it, the vjp writes the gate adjoints over
+    them, and two factors per step have a buffer of their own.
 
-    Batched: xz [T, B, 4H] with h0, c0 [B, H] returns [T + 2, B, H], each
+    Batched: x [T, B, in] with h0, c0 [B, H] returns [T + 2, B, H], each
     sequence on its own row. It records no gradient: under a tape that
     would record it, it raises ValueError.
     """
-    xzd, whd, h0d, c0d = xz.data, w_h.data, h0.data, c0.data
-    n, hs = xzd.shape[0], whd.shape[0]
-    dt = xzd.dtype
-    taped = records((xz, w_h, h0, c0))
-    if xzd.ndim == 3:
-        if taped:
-            raise ValueError("a batched lstm records no gradient; run it "
-                             "untaped or on untracked inputs")
+    xd, wxd, whd, h0d, c0d = x.data, w_x.data, w_h.data, h0.data, c0.data
+    n, hs = xd.shape[0], whd.shape[0]
+    parents = (x, w_x, b, w_h, h0, c0)
+    taped = records(parents)
+    if taped and xd.ndim == 3:
+        raise ValueError("a batched lstm records no gradient; run it "
+                         "untaped or on untracked inputs")
+    xz = xd.reshape(-1, xd.shape[-1]) @ wxd
+    np.add(xz, b.data, out=xz)
+    dt = xz.dtype
+    if xd.ndim == 3:
         # gate-major steps: z[k] = h @ w_h[:, kH:(k+1)H] for all rows at once
         hshape = c0d.shape
         prod, w = np.matmul, np.ascontiguousarray(
             whd.reshape(hs, 4, hs).transpose(1, 0, 2))
         z = np.empty((4,) + hshape, dtype=dt)
-        xrows = xzd.reshape(n, -1, 4, hs).transpose(0, 2, 1, 3)
+        xrows = xz.reshape(n, hshape[0], 4, hs).transpose(0, 2, 1, 3)
     else:
         hshape = (hs,)
         prod, w = np.dot, whd
         z = np.empty(4 * hs, dtype=dt)
-        xrows = xzd
+        xrows = xz
     out = np.empty((n + 2,) + hshape, dtype=dt)
     zg = z.reshape((4,) + hshape)[2]
     sigmoid_into = _sigmoid_into(z)
     ig_fc = np.empty((2,) + hshape, dtype=dt)
     ig, fc = ig_fc
-    # A factor row holds a step's [tanh(g_t), c_{t-1}, i_t, tanh(c_t)], so
-    # [i, f] * row[:2] is [i*g, f*c] in one multiply; c_t goes to the next
-    # row. Taped, every step keeps its sigmoid gates (cell slot unused) and
-    # factors, and row n holds c_T; untaped, one gate row and two
-    # alternating factor rows serve every step.
+    # A gate row holds [i_t, f_t, tanh(c_t), o_t] and a factor row
+    # [tanh(g_t), c_{t-1}], so [i, f] * factors is [i*g, f*c] in one
+    # multiply; c_t goes to the next factor row. Taped, the gates
+    # overwrite the projection's rows and row n of the factors holds c_T;
+    # untaped, one gate row and two alternating factor rows serve every
+    # step.
     if taped:
-        gates = np.empty((n,) + z.shape, dtype=dt)
-        fac = np.empty((n + 1, 4 * hs), dtype=dt)
-        g4, f4 = gates.reshape(n, 4, hs), fac.reshape(n + 1, 4, hs)
+        fac = np.empty((n + 1, 2 * hs), dtype=dt)
+        g4, f2 = xz.reshape(n, 4, hs), fac.reshape(n + 1, 2, hs)
         # row views of column slices: cheaper per step than slicing each row
-        steps = zip(gates, g4[:, :2], g4[:, 3], f4[:-1, :2], f4[:-1, 0],
-                    f4[:-1, 3], f4[1:, 1])
+        steps = zip(xz, g4[:, :2], g4[:, 2], g4[:, 3], f2[:-1], f2[:-1, 0],
+                    f2[1:, 1])
     else:
         s = np.empty_like(z)
         s4 = s.reshape((4,) + hshape)
-        f4 = np.empty((2, 4) + hshape, dtype=dt)
-        steps = itertools.cycle([(s, s4[:2], s4[3], a[:2], a[0], a[3], b[1])
-                                 for a, b in (f4, f4[::-1])])
-    f4[0, 1] = c0d
+        f2 = np.empty((2, 2) + hshape, dtype=dt)
+        steps = itertools.cycle([(s, s4[:2], s4[2], s4[3], cur, cur[0], nxt[1])
+                                 for cur, nxt in (f2, f2[::-1])])
+    f2[0, 1] = c0d
     h, c = h0d, c0d
-    for xt, (s, s_if, s_o, f_gc, f_g, f_tc, c), ht in zip(xrows, steps, out):
+    for xt, (s, s_if, s_tc, s_o, f_gc, f_g, c), ht in zip(xrows, steps, out):
         prod(h, w, out=z)
         np.add(xt, z, out=z)
         sigmoid_into(s)
         np.tanh(zg, out=f_g)
         np.multiply(s_if, f_gc, out=ig_fc)  # [i*g, f*c]
         np.add(fc, ig, out=c)
-        np.tanh(c, out=f_tc)
-        h = np.multiply(s_o, f_tc, out=ht)
+        np.tanh(c, out=s_tc)
+        h = np.multiply(s_o, s_tc, out=ht)
     out[n] = h
     out[n + 1] = c
 
     def build():
-        # dz_t = (([dc, dc, dc, dh] * fac[t]) * gates[t]) * u_t is then each
-        # gate's adjoint in the tape's product order: x * 1 is exact
-        fac[:n, 2 * hs:3 * hs] = gates[:, :hs]
-        gates[:, 2 * hs:3 * hs] = 1.0
-
         def vjp(gout):
-            dz = np.empty_like(gates)
             dwh = np.zeros_like(whd)
             v = np.empty(4 * hs, dtype=dt)  # [dc, dc, dc, dh]
-            v4, dc, dh = v.reshape(4, hs), v[:hs], v[3 * hs:]
-            dc[:], dh[:] = gout[n + 1], gout[n]
+            v4, dh = v.reshape(4, hs), v[3 * hs:]
+            dc = gout[n + 1].astype(dt)
+            dh[:] = gout[n]
             tmp = np.empty(hs, dtype=dt)
             stack = np.empty((_LSTM_BLOCK + 1, hs, 4 * hs), dtype=dt)
             for a in reversed(range(0, n, _LSTM_BLOCK)):
                 e = min(a + _LSTM_BLOCK, n)
-                gb, fb = gates[a:e], fac[a:e]
-                # the sigmoid and tanh adjoints' second factors, (1 - s) and (1 - y*y)
+                gb, fb = xz[a:e], fac[a:e]
+                tg, tc = fb[:, :hs], gb[:, 2 * hs:3 * hs]
+                # dz_t = (([dc, dc, dc, dh] * fb4[t]) * gb[t]) * u[t] is each
+                # gate's adjoint in the tape's product order, with
+                # fb4 = [tanh(g), c_{t-1}, i, tanh(c)] and gb = [i, f, 1, o]
+                # (x * 1 is exact); u holds the sigmoid and tanh adjoints'
+                # second factors, (1 - s) and (1 - y*y)
+                fb4 = np.concatenate((fb, gb[:, :hs], tc), axis=1)
                 u = 1.0 - gb
-                u[:, 2 * hs:3 * hs] = 1.0 - fb[:, :hs] * fb[:, :hs]
-                utc = 1.0 - fb[:, 3 * hs:] * fb[:, 3 * hs:]
-                rows = (gout[a:e], gb, gb[:, hs:2 * hs], gb[:, 3 * hs:], fb, u, utc,
-                        dz[a:e])
-                for gt_out, gt, f, o, ft, ut, uct, dzt in zip(*(r[::-1] for r in rows)):
+                u[:, 2 * hs:3 * hs] = 1.0 - tg * tg
+                utc = 1.0 - tc * tc
+                tc[...] = 1.0
+                rows = (gout[a:e], gb, gb[:, hs:2 * hs], gb[:, 3 * hs:], fb4, u,
+                        utc)
+                # f_t and o_t are read before dz_t overwrites their row
+                for gt_out, gt, f, o, ft, ut, uct in zip(*(r[::-1] for r in rows)):
                     np.add(dh, gt_out, out=dh)
                     np.multiply(dh, o, out=tmp)
                     np.multiply(tmp, uct, out=tmp)
                     np.add(dc, tmp, out=dc)
-                    v4[1:3] = dc
-                    np.multiply(v, ft, out=dzt)
-                    np.multiply(dzt, gt, out=dzt)
-                    np.multiply(dzt, ut, out=dzt)
+                    v4[:3] = dc
                     np.multiply(dc, f, out=dc)
-                    np.dot(whd, dzt, out=dh)
+                    np.multiply(v, ft, out=ft)
+                    np.multiply(ft, gt, out=gt)
+                    np.multiply(gt, ut, out=gt)
+                    np.dot(whd, gt, out=dh)
                 # dW_h += outer(h_{t-1}, dz_t) for t descending: a reduction
                 # over the leading axis adds in that order, one GEMM would not
                 st = stack[:e - a + 1]
                 st[0] = dwh
                 hp = out[a - 1:e - 1] if a else np.vstack((h0d, out[:e - 1]))
-                np.multiply(hp[::-1, :, None], dz[a:e][::-1, None, :], out=st[1:])
+                np.multiply(hp[::-1, :, None], gb[::-1, None, :], out=st[1:])
                 np.add.reduce(st, axis=0, out=dwh)
-            return (dz, dwh, dh, dc)
+            # xz now holds dz: the projection's matmul and add adjoints
+            return (xz @ wxd.T, xd.T @ xz, xz.sum(axis=0), dwh, dh, dc)
         return vjp
 
-    return _emit("lstm", out, (xz, w_h, h0, c0), build)
+    return _emit("lstm", out, parents, build)
 
 
 # ---------------------------------------------------------------------------

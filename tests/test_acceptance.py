@@ -201,8 +201,7 @@ def _primitive_items(rng):
     wh, wc = lr.standard_normal(hs), lr.standard_normal(hs)
 
     def lstm_out(ts):
-        xz = T.add(T.matmul(ts[0], ts[1]), ts[3])
-        return T.lstm(xz, ts[2], ts[4], ts[5])  # [y; h_T; c_T]
+        return T.lstm(ts[0], ts[1], ts[3], ts[2], ts[4], ts[5])  # [y; h_T; c_T]
 
     def lstm_state(ts):
         out = lstm_out(ts)

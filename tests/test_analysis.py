@@ -63,6 +63,11 @@ def test_sweep_config_validation_and_tail():
     with pytest.raises(ValueError, match="no full period of f1 = 7 Hz"):
         A.SweepConfig(f1=7.0, T=1.0)  # 48000 / 7 is no integer
     assert A.SweepConfig(f1=100.0, f2=1000.0, steps=2, T=1.0).tail_length == 480
+    # lengths whose sample counts a float cannot hold
+    for bad in ({"T": math.inf}, {"warmup": math.inf}, {"warmup": math.nan},
+                {"warmup": 1e306}):
+        with pytest.raises(ValueError, match="not a finite number of samples"):
+            A.SweepConfig(**bad)
 
 
 def test_flat_gain_measurement():

@@ -372,6 +372,15 @@ def _lstm_run(forward, lstm, x, h0, c0, ws, wrt):
     return [y.data, h.data, c.data] + [grads[t].data for t in wrt]
 
 
+def _lstm_xz(xz, w_h, h0, c0):
+    """T.lstm on a given projection xz: x = xz through w_x = I and b = 0,
+    which form it exactly."""
+    d = xz.data.shape[-1]
+    dt = xz.data.dtype
+    return T.lstm(xz, Tensor(np.eye(d, dtype=dt)), Tensor(np.zeros(d, dtype=dt)),
+                  w_h, h0, c0)
+
+
 def test_lstm_fused_is_bit_identical_to_composed_f32():
     lstm, x, h0, c0, ws = _lstm_case(np.float32, 2048, 32, 1, seed=16)
     params = [lstm.cell.w_x, lstm.cell.w_h, lstm.cell.b]
@@ -432,13 +441,13 @@ def test_lstm_gradients_across_backward_blocks(monkeypatch):
 def test_lstm_empty_sequence_returns_initial_state():
     rng = np.random.default_rng(21)
     w_h, h0, c0 = randt(rng, 3, 12), randt(rng, 3), randt(rng, 3)
-    out = T.lstm(t64(np.zeros((0, 12))), w_h, h0, c0)
+    out = _lstm_xz(t64(np.zeros((0, 12))), w_h, h0, c0)
     assert np.array_equal(out.data, np.stack([h0.data, c0.data]))
     w = rng.standard_normal((2, 3))
     h0.requires_grad = c0.requires_grad = True
     with Tape() as tape:
-        grads = tape.backward(project(T.lstm(t64(np.zeros((0, 12))), w_h,
-                                             h0, c0), w))
+        grads = tape.backward(project(_lstm_xz(t64(np.zeros((0, 12))), w_h,
+                                               h0, c0), w))
     assert np.array_equal(grads[h0].data, w[0])
     assert np.array_equal(grads[c0].data, w[1])
 
@@ -480,11 +489,11 @@ def test_lstm_batched_rows_match_unbatched(dtype, b, n, hidden):
     h0 = (0.5 * rng.standard_normal((b, hidden))).astype(dtype)
     c0 = (0.5 * rng.standard_normal((b, hidden))).astype(dtype)
     assert len({row.tobytes() for row in h0}) == b  # distinct rows
-    out = T.lstm(Tensor(xz), w_h, Tensor(h0), Tensor(c0)).data
+    out = _lstm_xz(Tensor(xz), w_h, Tensor(h0), Tensor(c0)).data
     assert out.shape == (n + 2, b, hidden) and out.dtype == dtype
     for k in range(b):
-        ref = T.lstm(Tensor(np.ascontiguousarray(xz[:, k])), w_h,
-                     Tensor(h0[k]), Tensor(c0[k])).data
+        ref = _lstm_xz(Tensor(np.ascontiguousarray(xz[:, k])), w_h,
+                       Tensor(h0[k]), Tensor(c0[k])).data
         if dtype == np.float32:
             assert np.array_equal(out[:, k], ref), k
         else:
@@ -498,13 +507,13 @@ def test_lstm_batched_records_no_gradient():
     w_h.requires_grad = True
     with Tape():
         with pytest.raises(ValueError, match="batched"):
-            T.lstm(xz, w_h, h0, c0)
+            _lstm_xz(xz, w_h, h0, c0)
     # untracked inputs under a tape, and no tape at all, run
     w_h.requires_grad = False
     with Tape() as tape:
-        taped = T.lstm(xz, w_h, h0, c0)
+        taped = _lstm_xz(xz, w_h, h0, c0)
     assert tape.nodes == []
-    assert np.array_equal(taped.data, T.lstm(xz, w_h, h0, c0).data)
+    assert np.array_equal(taped.data, _lstm_xz(xz, w_h, h0, c0).data)
 
 
 def test_lstm_layer_fast_path_matches_taped():

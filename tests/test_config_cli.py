@@ -304,8 +304,7 @@ def test_cli_rejects_bad_inputs_read_after_load_exit2(
         argv = argv + ["--checkpoint", str(tmp_path / "ckpt.json")]
     assert cli.main([command, "--config", str(cfg_path)] + argv) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "out" / "run_log.csv").exists()
-    assert not (tmp_path / "out" / "metrics.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fractions", [
@@ -426,13 +425,15 @@ def _ttfilm_doc(channels):
 @pytest.mark.parametrize("command", ["train", "analyze"])
 @pytest.mark.parametrize("model, message", [
     (_stage("fir", "static"),
-     "/model: fir has no controlled parameters; use the dummy controller"),
-    (_stage("gain", "dummy"), "/model: gain has 1 controlled parameters; "
-                              "a dummy controller cannot drive it"),
+     "/model/graybox/stages/0: fir has no controlled parameters; use the "
+     "dummy controller"),
+    (_stage("gain", "dummy"), "/model/graybox/stages/0: gain has 1 controlled "
+                              "parameters; a dummy controller cannot drive it"),
     (_gain_model_doc(0, "static_cond"),
-     "/model: a static_cond controller needs num_controls >= 1"),
+     "/model/graybox/stages/0: a static_cond controller needs num_controls >= 1"),
     (_gain_model_doc(0, "dynamic_cond"),
-     "/model: a dynamic_cond controller needs num_controls >= 1"),
+     "/model/graybox/stages/0: a dynamic_cond controller needs num_controls "
+     ">= 1"),
     (_ttfilm_doc(4), "/model: reduced width must be smaller than channels"),
     (_ttfilm_doc(8), "/model: reduced width must be smaller than channels"),
 ], ids=["fir-static", "gain-dummy", "static_cond-0", "dynamic_cond-0",
@@ -444,6 +445,25 @@ def test_cli_rejects_models_that_cannot_build_exit2(tmp_path, capsys, command,
     cfg_path = _write_config(tmp_path / "exp.json", model=model)
     assert cli.main([command, "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("controller, message", [
+    ("dummy", "/model/graybox/stages/1: gain has 1 controlled parameters; "
+              "a dummy controller cannot drive it"),
+    ("static_cond", "/model/graybox/stages/1: a static_cond controller "
+                    "needs num_controls >= 1"),
+])
+def test_cli_stage_rules_name_the_stage_exit2(tmp_path, capsys, controller,
+                                              message):
+    # two gain stages: only the index tells which one breaks the rule
+    model = _gain_model_doc()
+    model["graybox"]["stages"].append({"processor": "gain",
+                                       "controller": controller})
+    cfg_path = _write_config(tmp_path / "exp.json", model=model,
+                             with_data=False)
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {message}"]
     assert not (tmp_path / "out").exists()
 
 
@@ -501,7 +521,7 @@ def test_cli_train_rejects_a_model_with_nothing_to_train_exit2(tmp_path,
     assert cli.main(["train", "--config", str(cfg_path)]) == 2
     assert ("/model: the model has no trainable parameters; nothing to train"
             in capsys.readouterr().err)
-    assert not (tmp_path / "out" / "run_log.csv").exists()
+    assert not (tmp_path / "out").exists()  # made only at the first write
     # a fixed chain can still be measured and run
     assert cli.main(["analyze", "--config", str(cfg_path)]) == 0
     D.save_wav(tmp_path / "probe.wav", np.zeros(256, np.float32), 48000,
@@ -633,7 +653,7 @@ def test_cli_rejects_a_corrupt_checkpoint_alike_in_every_command_exit2(
         assert rc == 2, argv[0]
         assert (f"--checkpoint: corrupt or unreadable checkpoint {ckpt}"
                 in capsys.readouterr().err), argv[0]
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_restores_the_default_dtype(tmp_path, capsys):
@@ -809,6 +829,28 @@ def test_cli_analyze_rejects_bad_values_exit2(tmp_path, capsys, analysis,
     doc = json.loads(cfg_path.read_text())
     doc["analysis"].update(analysis)
     cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("analysis, message", [
+    ('"T": 1e308', "/analysis: T = 1e+308 s is not a finite number of "
+                   "samples at 48000 Hz"),
+    ('"warmup": 1e306', "/analysis: warmup = 1e+306 s is not a finite "
+                        "number of samples at 48000 Hz"),
+    # fs / f1 overflows the tail length
+    ('"f1": 1e-320', "/analysis: cannot convert float infinity to integer"),
+], ids=["T-1e308", "warmup-1e306", "f1-subnormal"])
+def test_cli_analyze_rejects_sweep_lengths_past_a_float_exit2(
+        tmp_path, capsys, analysis, message):
+    # finite values whose sample counts overflow; these used to exit 3
+    cfg_path = _write_config(tmp_path / "exp.json", with_data=False)
+    doc = json.loads(cfg_path.read_text())
+    del doc["analysis"][analysis.split('"')[1]]
+    text = json.dumps(doc).replace('"analysis": {', '"analysis": {'
+                                   + analysis + ", ")
+    cfg_path.write_text(text)
     assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

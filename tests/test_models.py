@@ -8,8 +8,9 @@ import pytest
 import gradfx.tensor as T
 from gradfx import controllers as C
 from gradfx import models as M
+from gradfx import nn
 from gradfx import processors as P
-from gradfx.tensor import Tensor, grad_check
+from gradfx.tensor import Tape, Tensor, grad_check
 
 
 def t64(a):
@@ -137,6 +138,34 @@ def test_untaped_lstm_forward_keeps_no_per_step_gates():
     finally:
         tracemalloc.stop()
     assert peak < 7 * hidden * 4 * n, peak / (hidden * 4 * n)
+
+
+def test_taped_lstm_keeps_six_floats_per_unit_and_sample():
+    # a taped layer keeps 6H floats per sample, its gates in the rows of the
+    # input projection and two factors, and its vjp writes the gate
+    # adjoints over the gates; with the output, the loss's and the slice's
+    # gradients and one backward block that peaks near 10 [T, H] arrays.
+    # Gates, factors and adjoints each in a buffer of their own would
+    # reach about 15.5
+    hidden, n = 32, 2048
+    rng = np.random.default_rng(92)
+    lstm = nn.LSTM(1, hidden, rng)
+    x = Tensor((0.1 * rng.standard_normal((n, 1))).astype(np.float32))
+    w = Tensor(rng.standard_normal((n, hidden)).astype(np.float32))
+
+    def step():
+        with Tape() as tape:
+            y, _ = lstm.forward(x)
+            tape.backward(T.sum_(T.mul(y, w)))
+
+    step()  # caches and first-call allocations
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * hidden * 4 * n, peak / (hidden * 4 * n)
 
 
 # -- causality ---------------------------------------------------------------

@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,6 +23,7 @@ def _third_party_imports() -> set:
 
 
 def _declared_dependencies() -> set:
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     return {re.match(r"[A-Za-z0-9_.\-]+", d).group(0).lower().replace("-", "_")
             for d in project.get("dependencies", [])}
@@ -77,3 +76,58 @@ def test_every_file_write_goes_through_atomic_open():
     # data.atomic_open moves a finished temp file over the target, so a
     # crash mid-write leaves the previous file whole; no writer bypasses it
     assert _file_writes() == [("data.py", "atomic_open")]
+
+
+def _dotted(node) -> str:
+    """'np.fft.rfft' for the expression np.fft.rfft; '' for anything that
+    is not a dotted name. A leading numpy reads as np."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    parts.append("np" if node.id == "numpy" else node.id)
+    return ".".join(reversed(parts))
+
+
+def _numpy2_calls(source: str, filename: str = "<src>") -> list:
+    """(line, call) of each call that NumPy 1.24 does not have: the
+    np.astype and np.trapezoid functions, asarray's copy argument and the
+    out argument of the np.fft functions."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func)
+        keys = {k.arg for k in node.keywords}
+        if (name in ("np.astype", "np.trapezoid")
+                or name == "np.asarray" and "copy" in keys
+                or name.startswith("np.fft.") and "out" in keys):
+            found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("np.astype(x, np.float32)", True),
+    ("numpy.trapezoid(y, x)", True),
+    ("np.asarray(x, dtype=float, copy=False)", True),
+    ("np.fft.ifft(c, axis=-1, out=c)", True),
+    ("x.astype(np.float32)", False),
+    ("np.asarray(x, dtype=float)", False),
+    ("np.array(x, copy=False)", False),
+    ("np.fft.rfft(x, n)", False),
+    ("np.multiply(a, b, out=a)", False),
+])
+def test_numpy2_scan_flags_only_numpy2_calls(source, flagged):
+    assert bool(_numpy2_calls(source)) == flagged
+
+
+def test_no_numpy2_only_calls():
+    # pyproject declares numpy>=1.24; these calls exist from NumPy 2.0 only
+    found = []
+    for tree in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            found += [(str(path.relative_to(ROOT)), *hit)
+                      for hit in _numpy2_calls(path.read_text(), str(path))]
+    assert found == []
