@@ -103,9 +103,8 @@ def fit_mlp(seed: int, steps: int):
         with T.Tape() as tape:
             diff = T.sub(net(xt), yt)
             loss = T.mean_(T.mul(diff, diff))
-        grads = tape.backward(loss)
-        for i, p in enumerate(params):
-            g = grads[p].data
+        grads = tape.backward(loss, params)
+        for i, (p, g) in enumerate(zip(params, grads)):
             m[i] = b1 * m[i] + (1 - b1) * g
             v[i] = b2 * v[i] + (1 - b2) * g * g
             p.data = p.data - lr * (m[i] / (1 - b1 ** step)) / \

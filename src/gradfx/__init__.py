@@ -8,7 +8,6 @@ autodiff engine, one training loop, and one analysis toolkit.
 from .tensor import (
     Tensor,
     Tape,
-    Grads,
     set_default_dtype,
     default_dtype,
     grad_check,
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor",
     "Tape",
-    "Grads",
     "set_default_dtype",
     "default_dtype",
     "grad_check",

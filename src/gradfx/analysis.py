@@ -20,6 +20,9 @@ from .data import atomic_open
 from .models import RENDER_ALIGN, LSTMModel
 from .tensor import Tensor
 
+# samples a sweep may render, warm-ups included: about 23 min at 48 kHz
+MAX_SWEEP_SAMPLES = 2 ** 26
+
 
 class SweepConfig:
     """Grid and render settings for the stepped-sine measurement."""
@@ -47,6 +50,10 @@ class SweepConfig:
         if math.floor(self.tail_length * self.f1 / self.fs) < 1:
             raise ValueError(f"analysis tail of {self.tail_length} samples "
                              f"holds no full period of f1 = {self.f1:g} Hz")
+        tone = math.ceil(self.warmup * self.fs) + round(self.T * self.fs)
+        if self.steps * tone > MAX_SWEEP_SAMPLES:
+            raise ValueError(f"{self.steps} tones of {tone:.3g} samples exceed "
+                             f"the sweep limit of {MAX_SWEEP_SAMPLES} samples")
 
     @property
     def tail_length(self) -> int:

@@ -67,24 +67,17 @@ def append_controls(feats: Tensor, c, num_controls: int) -> Tensor:
     return T.concat([feats, c], axis=-1)
 
 
-class Controller(nn.Module):
-    num_params: int = 0
-
-
-class DummyController(Controller):
+class DummyController(nn.Module):
     """Placeholder for processors with no controlled parameters."""
-
-    num_params = 0
 
     def forward(self, x=None, c=None, state=None):
         return ControlOutput(None), None
 
 
-class StaticController(Controller):
+class StaticController(nn.Module):
     """g = sigmoid(b) with trainable b; starts at 0.5 (b = 0)."""
 
     def __init__(self, num_params: int):
-        self.num_params = num_params
         self.b = Tensor(np.zeros(num_params, dtype=T.default_dtype()),
                         requires_grad=True)
 
@@ -92,12 +85,11 @@ class StaticController(Controller):
         return ControlOutput(T.sigmoid(self.b)), None
 
 
-class StaticCondController(Controller):
+class StaticCondController(nn.Module):
     """g = sigmoid(MLP(c)); tanh hidden layers."""
 
     def __init__(self, num_controls: int, num_params: int, rng: np.random.Generator,
                  layers: int = 3, hidden: int = 16):
-        self.num_params = num_params
         self.num_controls = num_controls
         sizes = [num_controls] + [hidden] * (layers - 1) + [num_params]
         self.net = nn.MLP(sizes, rng)
@@ -126,12 +118,8 @@ class BlockLSTM(nn.Module):
         return self.lstm(feats, state)
 
 
-class DynamicController(BlockLSTM, Controller):
+class DynamicController(BlockLSTM):
     """Signal-driven: a BlockLSTM with hidden = num params, then sigmoid."""
-
-    @property
-    def num_params(self) -> int:
-        return self.lstm.cell.hidden_size
 
     def forward(self, x=None, c=None, state=None):
         hs, state = super().forward(x, c, state)

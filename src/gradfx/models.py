@@ -421,7 +421,7 @@ def _build_processor(st: StageSpec, spec: GrayBoxSpec, rng) -> proc.Processor:
 
 
 def _build_controller(st: StageSpec, p: proc.Processor, spec: GrayBoxSpec,
-                      rng) -> ctrl.Controller:
+                      rng) -> nn.Module:
     kind = st.controller
     if kind == "dummy":
         return ctrl.DummyController()

@@ -84,35 +84,6 @@ class Node:
         self.vjp = vjp
 
 
-class Grads:
-    """Result of a backward pass: leaf node id -> gradient array."""
-
-    def __init__(self, tape: "Tape", by_node: dict):
-        self._tape = tape
-        self._by_node = by_node
-
-    def get(self, t: Tensor):
-        """Gradient of the root w.r.t. the leaf t (zeros if the root does
-        not depend on it), or None if t is off this tape. Raises KeyError
-        for an intermediate result: its gradient was freed in backward."""
-        if t._tape is not self._tape or t._node_id is None:
-            return None
-        op = self._tape.nodes[t._node_id].op
-        if op != "leaf":
-            raise KeyError(f"gradient requested for a {op!r} node; backward "
-                           f"keeps leaf gradients only")
-        g = self._by_node.get(t._node_id)
-        if g is None:
-            return Tensor(np.zeros_like(t.data))
-        return Tensor(g)
-
-    def __getitem__(self, t: Tensor) -> Tensor:
-        g = self.get(t)
-        if g is None:
-            raise KeyError("gradient requested off-tape (tensor was never used under this tape)")
-        return g
-
-
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
@@ -159,14 +130,17 @@ class Tape:
         out._tape = self
         out._node_id = nid
 
-    def backward(self, root: Tensor) -> Grads:
-        """Gradients of root w.r.t. every leaf it depends on.
+    def backward(self, root: Tensor, wrt) -> list:
+        """Gradients of root w.r.t. each tensor in wrt, as numpy arrays.
 
-        root must be scalar (size 1) and recorded on this tape. A node's
-        gradient is popped before its vjp runs and the vjp is released
-        after, so memory falls as the walk goes; the vjps of nodes the
-        root does not reach are released unrun. A second call raises
-        RuntimeError.
+        root must be scalar (size 1) and recorded on this tape. For a leaf
+        the entry is its gradient, zeros when root does not depend on it;
+        for a tensor this tape never saw it is None. An intermediate
+        result in wrt raises KeyError, since only leaf gradients are kept.
+        A node's gradient is popped before its vjp runs and the vjp is
+        released after, so memory falls as the walk goes; the vjps of
+        nodes the root does not reach are released unrun. A second call
+        raises RuntimeError.
         """
         if root.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -175,6 +149,11 @@ class Tape:
         if self._backward_ran:
             raise RuntimeError("backward already ran on this tape and released "
                                "its vjps; record the forward again")
+        for t in wrt:
+            op = self.nodes[t._node_id].op if t._tape is self else "leaf"
+            if op != "leaf":
+                raise KeyError(f"gradient requested for a {op!r} node; backward "
+                               f"keeps leaf gradients only")
         self._backward_ran = True
         grads: dict[int, np.ndarray] = {
             root._node_id: np.ones_like(root.data)
@@ -190,7 +169,14 @@ class Tape:
             for pid, pg in zip(node.parents, parent_grads):
                 if pid is not None and pg is not None:
                     grads[pid] = grads[pid] + pg if pid in grads else pg
-        return Grads(self, grads)
+        # a loop: a comprehension would keep self and grads in closure
+        # cells, allocated at entry, for the whole walk (Python < 3.12)
+        out = [None] * len(wrt)
+        for i, t in enumerate(wrt):
+            if t._tape is self:
+                out[i] = grads[t._node_id] if t._node_id in grads \
+                    else np.zeros_like(t.data)
+        return out
 
 
 def active_tape():
@@ -269,17 +255,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(x: Tensor) -> Tensor:
     return _emit("neg", -x.data, (x,), lambda: lambda g: (-g,))
-
-
-def powi(x: Tensor, n: int) -> Tensor:
-    """Integer power. Non-integer exponents are not a primitive; use exp/log."""
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError("powi exponent must be an integer")
-    n = int(n)
-    xd = x.data
-    out = xd ** n
-    return _emit("powi", out, (x,),
-                 lambda: lambda g: (g * n * xd ** (n - 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -1056,12 +1031,9 @@ def grad_check(f, inputs, eps: float = 1e-5) -> float:
         out = f(inputs)
     if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("non-finite forward value in grad_check")
-    grads = tape.backward(out)
-    analytic = [grads.get(t) for t in inputs]
-
     worst = 0.0
-    for t, an in zip(inputs, analytic):
-        an_data = np.zeros_like(t.data) if an is None else an.data
+    for t, an in zip(inputs, tape.backward(out, inputs)):
+        an_data = np.zeros_like(t.data) if an is None else an
         flat = t.data.reshape(-1)
         num = np.zeros_like(flat)
         for i in range(flat.size):

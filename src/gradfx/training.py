@@ -148,10 +148,7 @@ def _update(model, xs, ys, cs, states, a, b, optimizer: Adam,
             if seg_grads is not None and np.isfinite(t.data):
                 root = t if len(xs) == 1 else T.mul(
                     t, Tensor(np.asarray(1.0 / len(xs), dtype=t.data.dtype)))
-                grads = tape.backward(root)
-                # read now: the next tape registers the leaves again
-                seg_grads.append([None if g is None else g.data
-                                  for g in map(grads.get, optimizer.params)])
+                seg_grads.append(tape.backward(root, optimizer.params))
             else:
                 seg_grads = None
             states[i] = detach_state(state)

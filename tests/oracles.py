@@ -224,10 +224,7 @@ def one_tape_step(model, segs, optimizer, cfg):
         if not np.isfinite(loss_val):
             optimizer.skipped += 1
             return loss_val, False
-        grads = tape.backward(tot)
-        return loss_val, optimizer.step(
-            [None if g is None else g.data
-             for g in map(grads.get, optimizer.params)])
+        return loss_val, optimizer.step(tape.backward(tot, optimizer.params))
 
 
 def eq_design(params: Tensor, layout, fs: float) -> Tensor:

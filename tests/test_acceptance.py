@@ -75,7 +75,6 @@ def _primitive_items(rng):
     it("mul", lambda ts: _wsum(T.mul(ts[0], ts[1]), w7), [a, b])
     it("div", lambda ts: _wsum(T.div(ts[0], ts[1]), w7), [a, b])
     it("neg", lambda ts: _wsum(T.neg(ts[0]), w7), [a])
-    it("powi", lambda ts: _wsum(T.powi(ts[0], 3), w7), [a])
     it("tanh", lambda ts: _wsum(T.tanh(ts[0]), w7), [a])
     it("sigmoid", lambda ts: _wsum(T.sigmoid(ts[0]), w7), [a])
     it("sin", lambda ts: _wsum(T.sin(ts[0]), w7), [a])

@@ -47,17 +47,12 @@ def test_add_sub_mul_div_broadcast():
         assert err < TOL, (op.__name__, err)
 
 
-def test_neg_and_integer_pow():
+def test_neg():
     rng = np.random.default_rng(1)
     x = randt(rng, 5)
     x.data += 2.0
     w = rng.standard_normal(5)
     assert grad_check(lambda ts: project(T.neg(ts[0]), w), [x]) < TOL
-    for n in (2, 3, 5, -1):
-        err = grad_check(lambda ts: project(T.powi(ts[0], n), w), [x])
-        assert err < TOL, (n, err)
-    with pytest.raises(TypeError):
-        T.powi(x, 0.5)
 
 
 def test_transcendental():
@@ -85,7 +80,7 @@ def test_abs_and_clip_away_from_kinks():
         xx = t64([-3.0, 0.5, 3.0])
         xx.requires_grad = True
         y = T.sum_(T.clip(xx, -1.0, 1.0))
-    g = tape.backward(y)[xx].data
+    g, = tape.backward(y, [xx])
     assert np.array_equal(g, [0.0, 1.0, 0.0])
 
 
@@ -231,11 +226,11 @@ def test_conv1d_one_chunk_equals_im2col_tensordot(c_in, c_out, k, dilation, t,
     with Tape() as tape:
         y = T.conv1d(x, w, dilation=dilation)
         s = T.sum_(T.mul(y, Tensor(g)))
-    grads = tape.backward(s)
+    dx, dw = tape.backward(s, [x, w])
     ref_y, ref_dx, ref_dw = oracles.conv1d_im2col(x.data, w.data, dilation, g)
     assert np.array_equal(y.data, ref_y)
-    assert np.array_equal(grads[x].data, ref_dx)
-    assert np.array_equal(grads[w].data, ref_dw)
+    assert np.array_equal(dx, ref_dx)
+    assert np.array_equal(dw, ref_dw)
 
 
 def test_take_basic_keys_assign_and_array_keys_accumulate():
@@ -254,7 +249,7 @@ def test_take_basic_keys_assign_and_array_keys_accumulate():
         xt = t64(np.arange(4.0))
         xt.requires_grad = True
         s = T.sum_(T.take(xt, np.array([1, 1, 2])))
-    assert np.array_equal(tape.backward(s)[xt].data, [0.0, 2.0, 1.0, 0.0])
+    assert np.array_equal(tape.backward(s, [xt])[0], [0.0, 2.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def test_stft_mag_vjp_equals_composed_order_f32(n, fft_size, hop, win_len):
     with Tape() as tape:
         m = T.stft_mag(x, window, fft_size, hop, 1e-8)
         s = T.sum_(T.mul(m, Tensor(g)))
-    gx = tape.backward(s)[x].data
+    gx, = tape.backward(s, [x])
     ref_m, ref_gx = oracles.stft_mag_composed(x.data, window, fft_size, hop,
                                               1e-8, g)
     assert m.data.dtype == gx.dtype == np.float32
@@ -368,8 +363,8 @@ def _lstm_run(forward, lstm, x, h0, c0, ws, wrt):
         y, (h, c) = forward(lstm, x, (h0, c0))
         loss = T.add(T.sum_(T.mul(y, ws[0])),
                      T.add(T.sum_(T.mul(h, ws[1])), T.sum_(T.mul(c, ws[2]))))
-        grads = tape.backward(loss)
-    return [y.data, h.data, c.data] + [grads[t].data for t in wrt]
+        grads = tape.backward(loss, wrt)
+    return [y.data, h.data, c.data] + grads
 
 
 def _lstm_xz(xz, w_h, h0, c0):
@@ -446,10 +441,10 @@ def test_lstm_empty_sequence_returns_initial_state():
     w = rng.standard_normal((2, 3))
     h0.requires_grad = c0.requires_grad = True
     with Tape() as tape:
-        grads = tape.backward(project(_lstm_xz(t64(np.zeros((0, 12))), w_h,
-                                               h0, c0), w))
-    assert np.array_equal(grads[h0].data, w[0])
-    assert np.array_equal(grads[c0].data, w[1])
+        dh0, dc0 = tape.backward(project(_lstm_xz(t64(np.zeros((0, 12))), w_h,
+                                                  h0, c0), w), [h0, c0])
+    assert np.array_equal(dh0, w[0])
+    assert np.array_equal(dc0, w[1])
 
 
 def test_lstm_tape_node_count_does_not_grow_with_length():
@@ -574,20 +569,17 @@ def test_backward_requires_scalar_root():
         x.requires_grad = True
         y = T.mul(x, x)
     with pytest.raises(ValueError):
-        tape.backward(y)
+        tape.backward(y, [x])
 
 
-def test_off_tape_gradient_raises():
+def test_off_tape_gradient_is_none():
     with Tape() as tape:
         x = t64([1.0, 2.0])
         x.requires_grad = True
         y = T.sum_(T.mul(x, x))
-    g = tape.backward(y)
     stranger = t64([3.0])
     stranger.requires_grad = True
-    with pytest.raises(KeyError):
-        g[stranger]
-    assert g.get(stranger) is None
+    assert tape.backward(y, [stranger]) == [None]
 
 
 def test_unused_leaf_gets_zero_gradient():
@@ -595,7 +587,7 @@ def test_unused_leaf_gets_zero_gradient():
         x = t64([1.0, 2.0])
         x.requires_grad = True
         y = T.sum_(x[0:1])  # second element never reaches the root
-    g = tape.backward(y)[x].data
+    g, = tape.backward(y, [x])
     assert np.array_equal(g, [1.0, 0.0])
 
 
@@ -606,13 +598,10 @@ def test_intermediate_gradient_raises():
         h = T.mul(x, x)
         h.requires_grad = True  # the node's op decides, not the flag
         y = T.sum_(h)
-    g = tape.backward(y)
-    assert np.array_equal(g[x].data, [2.0, 4.0])
     for t in (h, y):
         with pytest.raises(KeyError, match="leaf"):
-            g[t]
-        with pytest.raises(KeyError, match="leaf"):
-            g.get(t)
+            tape.backward(y, [x, t])
+    assert np.array_equal(tape.backward(y, [x])[0], [2.0, 4.0])
 
 
 def test_second_backward_raises_and_nodes_stay():
@@ -621,11 +610,11 @@ def test_second_backward_raises_and_nodes_stay():
         x.requires_grad = True
         y = T.sum_(T.tanh(T.mul(x, x)))
     count = len(tape.nodes)
-    tape.backward(y)
+    tape.backward(y, [x])
     # perfbench's tensor.tape_nodes reads the count after backward
     assert len(tape.nodes) == count
     with pytest.raises(RuntimeError, match="backward already ran"):
-        tape.backward(y)
+        tape.backward(y, [x])
 
 
 def test_backward_frees_as_it_goes():
@@ -643,11 +632,11 @@ def test_backward_frees_as_it_goes():
         del y
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        g = tape.backward(root)
+        g, = tape.backward(root, [x])
         extra = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert g[x].data.shape == (n,)
+    assert g.shape == (n,)
     assert extra < 4 * 8 * n, extra / (8 * n)
 
 
@@ -701,11 +690,11 @@ def test_stft_mag_backward_peak_is_bounded_by_its_complex_buffer():
             root = T.sum_(T.stft_mag(x, window, fft, hop, 1e-8))
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        g = tape.backward(root)
+        g, = tape.backward(root, [x])
         extra = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert g[x].data.shape == (n,)
+    assert g.shape == (n,)
     buffer = ((n - fft) // hop + 1) * fft * 16
     assert extra < 2.5 * buffer, extra / buffer
 
@@ -722,7 +711,7 @@ def test_backward_releases_every_vjp_and_unreached_saved_arrays():
         T.exp(root)
     del side
     assert freed() is not None  # the closure of the unreached mul holds it
-    tape.backward(root)
+    tape.backward(root, [x])
     assert all(node.vjp is None for node in tape.nodes)
     assert freed() is None
 
@@ -732,7 +721,7 @@ def test_reused_operand_accumulates():
         x = t64([2.0])
         x.requires_grad = True
         y = T.sum_(T.add(T.mul(x, x), x))  # x^2 + x -> 2x + 1 = 5
-    assert tape.backward(y)[x].data[0] == pytest.approx(5.0)
+    assert tape.backward(y, [x])[0][0] == pytest.approx(5.0)
 
 
 def test_tapes_do_not_nest():
@@ -749,9 +738,9 @@ def test_constants_are_not_tracked():
         x.requires_grad = True
         k = t64([5.0, 5.0])  # constant: no requires_grad
         y = T.sum_(T.mul(x, k))
-    g = tape.backward(y)
-    assert np.array_equal(g[x].data, [5.0, 5.0])
-    assert g.get(k) is None
+    gx, gk = tape.backward(y, [x, k])
+    assert np.array_equal(gx, [5.0, 5.0])
+    assert gk is None
 
 
 def test_dtype_policy():
@@ -773,6 +762,6 @@ def test_gradients_match_leaf_shapes():
         b = randt(rng, 4)
         a.requires_grad = b.requires_grad = True
         y = T.sum_(T.mul(a, b))  # broadcast to (3,4)
-    g = tape.backward(y)
-    assert g[a].data.shape == (3, 1)
-    assert g[b].data.shape == (4,)
+    ga, gb = tape.backward(y, [a, b])
+    assert ga.shape == (3, 1)
+    assert gb.shape == (4,)

@@ -733,7 +733,7 @@ def test_cli_analyze_eq_stage_reports_match_the_oracle(tmp_path):
         chain = spec.build(np.random.default_rng(0))
         rng = np.random.default_rng(45)
         for k in chain.controllers:
-            k.b.data = rng.uniform(-2.5, 2.5, k.num_params)
+            k.b.data = rng.uniform(-2.5, 2.5, k.b.data.shape)
         save_checkpoint(tmp_path / "ckpt.json", chain, spec)
         assert cli.main(["analyze", "--config", str(cfg_path), "--checkpoint",
                          str(tmp_path / "ckpt.json"), "--precision",
@@ -853,6 +853,28 @@ def test_cli_analyze_rejects_sweep_lengths_past_a_float_exit2(
     cfg_path.write_text(text)
     assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("warmup", 1e20, "6 tones of 4.8e+24 samples exceed"),
+    ("warmup", 1e6, "6 tones of 4.8e+10 samples exceed"),
+    ("sample_rate", 1e12, "6 tones of 2.05e+12 samples exceed"),
+], ids=["warmup-1e20", "warmup-1e6", "sample_rate-1e12"])
+def test_cli_analyze_rejects_a_sweep_past_the_sample_limit_exit2(
+        tmp_path, capsys, field, value, message):
+    # finite sweeps too large to render; these used to exit 3 in the sweep
+    model = _gain_model_doc()
+    model["graybox"]["stages"].append({"processor": "tanh",
+                                       "controller": "dummy"})
+    analysis = {"f1": 100.0, "steps": 6, "T": 2.0, "warmup": 0.05}
+    (analysis if field == "warmup" else model)[field] = value
+    cfg_path = _write_config(tmp_path / "exp.json", model=model,
+                             extra={"analysis": analysis}, with_data=False)
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"/analysis: {message} the sweep limit of {A.MAX_SWEEP_SAMPLES} " \
+           f"samples" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1082,25 +1104,40 @@ def _kill_on_call(monkeypatch, owner, name, n):
     return calls
 
 
-@pytest.mark.parametrize("owner, name", [(tr.RunLog, "to_csv"),
-                                         (tr, "save_training_checkpoint")],
-                         ids=["log", "checkpoint"])
+# a hidden-8 lstm trained by truncated BPTT: two 896-sample chunks after a
+# 256-sample warm-up per 2048-sample segment, spectral frames within a
+# chunk; three validations keep its run short
+_TBPTT_LSTM = ({"kind": "lstm", "sample_rate": 48000.0, "num_controls": 0,
+                "lstm": {"hidden": 8}},
+               {"max_steps": 6, "validate_every": 2, "tbptt": True,
+                "warmup_len": 256, "chunk_len": 896,
+                "mrstft_resolutions": [[256, 64, 256], [512, 128, 512]]})
+
+
+@pytest.mark.parametrize("owner, name, model, train_doc", [
+    (tr.RunLog, "to_csv", None, {}),
+    (tr, "save_training_checkpoint", None, {}),
+    (tr.RunLog, "to_csv", *_TBPTT_LSTM),
+    (tr, "save_training_checkpoint", *_TBPTT_LSTM),
+], ids=["log", "checkpoint", "lstm_tbptt-log", "lstm_tbptt-checkpoint"])
 def test_cli_train_resumed_after_a_kill_matches_the_uninterrupted_run(
-        tmp_path, monkeypatch, owner, name):
+        tmp_path, monkeypatch, owner, name, model, train_doc):
     # a kill before any of the run's writes, then a resume into the same
     # directory, leaves the files an uninterrupted run leaves
     _write_dataset(tmp_path)
-    train = {"max_steps": 12, "lr": 0.01, "validate_every": 3, "seed": 1}
-    ref = _write_config(tmp_path / "ref.json",
+    train = {"max_steps": 12, "lr": 0.01, "validate_every": 3, "seed": 1,
+             **train_doc}
+    ref = _write_config(tmp_path / "ref.json", model=model,
                         extra={"train": train, "output_dir": "ref"})
     with monkeypatch.context() as m:
         writes = _kill_on_call(m, owner, name, 0)
         assert cli.main(["train", "--config", str(ref)]) == 0
-    assert len(writes) == 4  # one per validation
+    # one per validation
+    assert len(writes) == train["max_steps"] // train["validate_every"]
     ref_log = tr.RunLog.from_csv(tmp_path / "ref" / "run_log.csv")
     for n in range(1, len(writes) + 1):
         out = tmp_path / f"killed_{n}"
-        cfg = _write_config(tmp_path / f"killed_{n}.json",
+        cfg = _write_config(tmp_path / f"killed_{n}.json", model=model,
                             extra={"train": train, "output_dir": out.name})
         with monkeypatch.context() as m:
             _kill_on_call(m, owner, name, n)

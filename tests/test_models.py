@@ -156,7 +156,7 @@ def test_taped_lstm_keeps_six_floats_per_unit_and_sample():
     def step():
         with Tape() as tape:
             y, _ = lstm.forward(x)
-            tape.backward(T.sum_(T.mul(y, w)))
+            tape.backward(T.sum_(T.mul(y, w)), lstm.parameters())
 
     step()  # caches and first-call allocations
     tracemalloc.start()

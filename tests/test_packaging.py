@@ -39,6 +39,36 @@ def test_every_export_resolves():
         assert hasattr(gradfx, name), name
 
 
+def _names(tree) -> set:
+    """Every name a syntax tree uses: bare, as an attribute or imported."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_tensor_primitive_is_test_only():
+    # every public top-level function or class of tensor.py is named by
+    # other package code (its own definition aside) or exported: a
+    # primitive only tests call is code the package carries for them
+    import gradfx
+    package = ROOT / "src" / "gradfx"
+    used = set(gradfx.__all__)
+    for path in package.rglob("*.py"):
+        if path.name != "tensor.py":
+            used |= _names(ast.parse(path.read_text(), str(path)))
+    body = ast.parse((package / "tensor.py").read_text()).body
+    defs = [s for s in body if isinstance(s, (ast.FunctionDef, ast.ClassDef))
+            and not s.name.startswith("_")]
+    assert [d.name for d in defs if d.name not in used
+            and not any(d.name in _names(s) for s in body if s is not d)] == []
+
+
 def _writes_a_file(call: ast.Call) -> bool:
     """Whether a call is open() or Path.open() with a mode that is not a
     read-only literal, or Path.write_text / write_bytes."""
