@@ -17,11 +17,8 @@ from . import controllers as C
 from . import processors as P
 from . import tensor as T
 from .data import atomic_open
-from .models import RENDER_ALIGN, LSTMModel
+from .models import MAX_SAMPLES, RENDER_ALIGN, LSTMModel
 from .tensor import Tensor
-
-# samples a sweep may render, warm-ups included: about 23 min at 48 kHz
-MAX_SWEEP_SAMPLES = 2 ** 26
 
 
 class SweepConfig:
@@ -51,9 +48,9 @@ class SweepConfig:
             raise ValueError(f"analysis tail of {self.tail_length} samples "
                              f"holds no full period of f1 = {self.f1:g} Hz")
         tone = math.ceil(self.warmup * self.fs) + round(self.T * self.fs)
-        if self.steps * tone > MAX_SWEEP_SAMPLES:
+        if self.steps * tone > MAX_SAMPLES:
             raise ValueError(f"{self.steps} tones of {tone:.3g} samples exceed "
-                             f"the sweep limit of {MAX_SWEEP_SAMPLES} samples")
+                             f"the sweep limit of {MAX_SAMPLES} samples")
 
     @property
     def tail_length(self) -> int:

@@ -14,10 +14,19 @@ of a signal fed in order with the state carried give the output of one
 call when every split point is a multiple of the model's `stream_unit`
 (its control block, 1 when it has none); bit for bit when the split
 points are also multiples of RENDER_ALIGN, the blocks the kernels work
-in. `render` streams a whole file that way. Beside `stream_unit`, each
-model has a `receptive_field`: how many past input samples, the current
-one included, one output sample can depend on in eval mode, or None when
-that is unbounded (recurrent states, IIR filters, temporal conditioners).
+in. Beside `stream_unit`, each model has a `receptive_field`: how many
+past input samples, the current one included, one output sample can
+depend on in eval mode, or None when that is unbounded (recurrent
+states, IIR filters, temporal conditioners, training-mode batch norm).
+
+`render` runs a whole file in chunks of bounded size. A model with a
+bounded receptive field (TCN and GCN without a conditioner or with FiLM,
+in eval mode) renders independent pieces from zero state, each call
+starting a lead of at least `receptive_field - 1` samples early on the
+kernels' grid, on one worker thread per available CPU when BLAS runs a
+call on one thread; otherwise the chunks stream in order with the state
+carried. Either way the output equals one call bit for bit, and memory
+is bounded by one chunk per thread.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -37,6 +48,10 @@ from .data import atomic_open
 from .tensor import Tensor
 
 COND_MODES = ("none", "film", "tfilm", "ttfilm", "tvfilm")
+# Samples a control block or a receptive field may span, and a sweep may
+# render in all: about 23 min at 48 kHz. A forward pads a signal to whole
+# blocks and a conv's input by its context, so neither may grow unbounded.
+MAX_SAMPLES = 2 ** 26
 
 
 def _number(v) -> bool:
@@ -53,6 +68,12 @@ _POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
 def _check(rule, name: str, v) -> None:
     if not rule[0](v):
         raise ValueError(f"{name} must be {rule[1]}, got {v!r}")
+
+
+def _check_span(name: str, n: int) -> None:
+    if n > MAX_SAMPLES:
+        raise ValueError(f"{name} of {n} samples exceeds the limit of "
+                         f"{MAX_SAMPLES} samples")
 
 
 def _check_keys(name: str, d, known) -> None:
@@ -85,6 +106,8 @@ def _check_lstm(num_controls: int, cfg: dict) -> None:
             raise ValueError(f"unknown lstm field {key!r}")
         else:
             _check(_COUNT, f"lstm {key}", v)
+            if key == "block_size":
+                _check_span("lstm block_size", v)
 
 
 class LSTMModel(nn.Module):
@@ -153,6 +176,9 @@ class TCNConfig:
             raise ValueError(f"cond must be one of {COND_MODES}")
         if type(batchnorm) is not bool:
             raise ValueError(f"batchnorm must be true or false, got {batchnorm!r}")
+        _check_span(f"receptive field (blocks {blocks}, kernel {kernel}, "
+                    f"dilation_growth {dilation_growth})",
+                    receptive_field(blocks, kernel, dilation_growth))
         self.blocks = blocks
         self.kernel = kernel
         self.dilation_growth = dilation_growth
@@ -385,6 +411,7 @@ class GrayBoxSpec:
                              ("num_controls", num_controls, _NATURAL),
                              ("block_size", block_size, _COUNT)):
             _check(rule, f"graybox {key}", v)
+        _check_span("graybox block_size", block_size)
         for i, st in enumerate(self.stages):
             if num_controls < 1 and st.controller.endswith("_cond"):
                 raise StageError(f"a {st.controller} controller needs "
@@ -563,17 +590,98 @@ def render_chunk(stream_unit: int) -> int:
     return -(-RENDER_MIN // unit) * unit
 
 
+def available_cpus() -> list:
+    """Ids of the CPUs this process may run on."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return list(range(os.cpu_count() or 1))
+
+
+def blas_threads() -> int | None:
+    """Threads the OpenBLAS that numpy bundles runs one call on, or None
+    when numpy bundles none that says."""
+    import ctypes  # only a render asks
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (n for n in names if "openblas" in n):
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
 def render(model: nn.Module, x: np.ndarray, c: Tensor | None,
            out: np.ndarray) -> np.ndarray:
-    """model's output for the signal x, written into out: the forward runs
-    over chunks of `render_chunk(model.stream_unit)` samples with the state
-    carried, so memory is bounded by one chunk and the output equals one
-    call bit for bit."""
+    """model's output for the signal x, written into out; equal to one
+    call bit for bit, with no call longer than one chunk of
+    `render_chunk(model.stream_unit)` samples.
+
+    When the model bounds its `receptive_field`, out is cut into pieces
+    of `chunk - lead` samples, lead being `receptive_field - 1` rounded
+    up to the grid lcm(RENDER_ALIGN, stream_unit). Each piece [a, a +
+    piece) is one zero-state call over [a - lead, a + piece), clipped at
+    0, of which it keeps the last `piece` outputs: every call starts on
+    the kernels' grid and sees the whole receptive field, so its outputs
+    are those of one call. One thread per available CPU, pinned to it,
+    takes pieces until none is left; the BLAS calls that dominate a
+    piece release the GIL, and memory is bounded by one chunk per
+    thread. Otherwise the chunks run in order with the state carried, in
+    the memory of one chunk: for an unbounded receptive field, a lead
+    not shorter than a chunk, one CPU, or a BLAS not known to run a call
+    on one thread, whose own threads would share the CPUs with the
+    workers. A worker's exception is raised here once every thread has
+    stopped. Under an active tape, whose recording every thread would
+    share, this raises ValueError.
+    """
+    if T.active_tape() is not None:
+        raise ValueError("render cannot run under an active tape")
+    unit = math.lcm(RENDER_ALIGN, model.stream_unit)
     chunk = render_chunk(model.stream_unit)
-    dt, state = T.default_dtype(), None
-    for a in range(0, len(x), chunk):
-        y, state = model.forward(Tensor(x[a:a + chunk].astype(dt)), c, state)
-        out[a:a + chunk] = y.data
+    dt, rf = T.default_dtype(), model.receptive_field
+    lead = -(-(rf - 1) // unit) * unit if rf is not None else chunk
+    piece = chunk - lead
+    starts = range(0, len(x), piece) if piece > 0 else range(0)
+    cpus = available_cpus()[:len(starts)]
+    if len(cpus) < 2 or blas_threads() != 1:
+        state = None
+        for a in range(0, len(x), chunk):
+            y, state = model.forward(Tensor(x[a:a + chunk].astype(dt)), c,
+                                     state)
+            out[a:a + chunk] = y.data
+        return out
+    todo, lock, errors = iter(starts), threading.Lock(), []
+
+    def run(cpu):
+        try:
+            # unpinned, threads that hand the GIL to each other tend to
+            # be woken on one CPU, where they take turns
+            if hasattr(os, "sched_setaffinity"):
+                os.sched_setaffinity(0, {cpu})
+            while not errors:
+                with lock:
+                    a = next(todo, None)
+                if a is None:
+                    return
+                s = max(a - lead, 0)
+                y, _ = model.forward(Tensor(x[s:a + piece].astype(dt)), c)
+                out[a:a + piece] = y.data[a - s:]
+        except Exception as e:  # noqa: BLE001 - raised by the caller
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(cpu,)) for cpu in cpus]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     return out
 
 

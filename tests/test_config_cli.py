@@ -9,6 +9,7 @@ import pytest
 from gradfx import analysis as A
 from gradfx import cli
 from gradfx import data as D
+from gradfx import models as M
 from gradfx import tensor as T
 from gradfx import training as tr
 from gradfx.config import _RULES, ConfigError, load_config
@@ -873,9 +874,49 @@ def test_cli_analyze_rejects_a_sweep_past_the_sample_limit_exit2(
                              extra={"analysis": analysis}, with_data=False)
     assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert f"/analysis: {message} the sweep limit of {A.MAX_SWEEP_SAMPLES} " \
+    assert f"/analysis: {message} the sweep limit of {M.MAX_SAMPLES} " \
            f"samples" in err
     assert not (tmp_path / "out").exists()
+
+
+_HUGE = 10 ** 12
+
+
+@pytest.mark.parametrize("model, message", [
+    (_gain_model_with({"block_size": _HUGE}, {"controller": "dynamic"}),
+     f"/model: graybox block_size of {_HUGE} samples exceeds"),
+    ({"kind": "lstm", "sample_rate": 48000.0, "num_controls": 1,
+      "lstm": {"hidden": 4, "cond_mode": "tvcond", "block_size": _HUGE}},
+     f"/model: lstm block_size of {_HUGE} samples exceeds"),
+    ({"kind": "tcn", "sample_rate": 48000.0, "num_controls": 0,
+      "tcn": {"blocks": 3, "kernel": 7, "dilation_growth": 10 ** 6}},
+     "/model: receptive field (blocks 3, kernel 7, dilation_growth 1000000) "
+     "of 6000006000007 samples exceeds"),
+], ids=["graybox-block_size", "lstm-block_size", "tcn-receptive_field"])
+def test_cli_analyze_rejects_a_model_span_past_the_sample_limit_exit2(
+        tmp_path, capsys, model, message):
+    # a forward pads to whole blocks and by each conv's context; these
+    # used to exit 3 partway through the sweep, unable to allocate TiBs
+    cfg_path = _write_config(tmp_path / "exp.json", model=model,
+                             with_data=False)
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{message} the limit of {M.MAX_SAMPLES} samples" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_spans_at_the_sample_limit_load():
+    lim = M.MAX_SAMPLES
+    ok = [_gain_model_with({"block_size": lim}),
+          {"kind": "lstm", "lstm": {"block_size": lim}},
+          {"kind": "gcn", "gcn": {"blocks": 1, "kernel": lim}}]
+    for doc in ok:
+        ModelSpec.from_dict(doc)
+    for doc in (_gain_model_with({"block_size": lim + 1}),
+                {"kind": "lstm", "lstm": {"block_size": lim + 1}},
+                {"kind": "gcn", "gcn": {"blocks": 1, "kernel": lim + 1}}):
+        with pytest.raises(ValueError, match=f"of {lim + 1} samples exceeds"):
+            ModelSpec.from_dict(doc)
 
 
 def test_rule_table_names_every_config_parameter():

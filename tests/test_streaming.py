@@ -1,5 +1,7 @@
 """Streaming contract: a signal fed in pieces with the state carried gives
-the output of one call, and `render` streams a file in bounded memory.
+the output of one call, and `render` streams a file in bounded memory:
+in order, or in zero-state pieces on worker threads when the model's
+receptive field is bounded.
 
 Every model kind, conditioner and gray-box processor and controller kind
 runs with perturbed weights (identity heads and zero biases would hide a
@@ -9,6 +11,9 @@ call bit for bit in float32 and within 1e-12 in float64.
 """
 
 import json
+import sys
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -185,26 +190,210 @@ def test_render_memory_is_bounded_by_one_chunk(name, monkeypatch):
     assert eight <= 1.05 * two, (two, eight)
 
 
-def test_cli_render_streams_a_long_file_bit_for_bit(tmp_path):
-    # two and a half chunks through a per-block EQ chain with controls
-    doc = CHAINS["eq_dynamics"]
+# chunks of three RENDER_ALIGN blocks: a conv model below, whose receptive
+# field of 27 samples needs one block of lead, renders pieces of two
+THREADED_MIN = 3 * M.RENDER_ALIGN
+# a CPU this process may run on: tests run any number of workers on it
+_ONE_CPU = M.available_cpus()[:1]
+
+
+def _cpus(monkeypatch, n, blas=1):
+    """Render as if on n CPUs, all of them _ONE_CPU, beside a BLAS that
+    runs a call on `blas` threads."""
+    monkeypatch.setattr(M, "available_cpus", lambda: n * _ONE_CPU)
+    monkeypatch.setattr(M, "blas_threads", lambda: blas)
+
+
+def _calls(model):
+    """Record (thread, length, state given) for each of model's forwards."""
+    calls, forward = [], model.forward
+
+    def spy(x, c=None, state=None):
+        calls.append((threading.current_thread(), x.data.shape[-1],
+                      state is not None))
+        return forward(x, c, state)
+
+    model.forward = spy
+    return calls
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("name", ["tcn-film", "gcn-film"])
+def test_threaded_render_equals_one_call(name, dt, monkeypatch):
+    monkeypatch.setattr(M, "RENDER_MIN", THREADED_MIN)
+    _cpus(monkeypatch, 2)
+    rng = np.random.default_rng(11)
+    with _dtype(dt):
+        model = _model(MODELS[name])
+        chunk = M.render_chunk(model.stream_unit)
+        piece = chunk - M.RENDER_ALIGN
+        # four whole pieces and a partial fifth
+        n = 4 * piece + 700
+        x = 0.3 * rng.standard_normal(n)
+        c = Tensor(rng.uniform(0.0, 1.0, NUM_CONTROLS).astype(dt))
+        one = model.forward(Tensor(x.astype(dt)), c)[0].data
+        calls = _calls(model)
+        out = M.render(model, x, c, np.empty(n, dtype=dt))
+    assert np.array_equal(out, one), np.abs(out - one).max()
+    # five zero-state calls of at most one chunk, on worker threads
+    assert len(calls) == 5 and not any(given for _, _, given in calls)
+    assert max(length for _, length, _ in calls) == chunk
+    assert threading.current_thread() not in {t for t, _, _ in calls}
+
+
+def test_threaded_render_with_more_workers_than_cores_equals_one_call(
+        monkeypatch):
+    # eight threads switching every microsecond write disjoint slices of
+    # one output; a lost or misplaced write shows as a difference
+    monkeypatch.setattr(M, "RENDER_MIN", THREADED_MIN)
+    _cpus(monkeypatch, 8)
+    model = _model(MODELS["gcn-film"])
+    piece = M.render_chunk(model.stream_unit) - M.RENDER_ALIGN
+    x = 0.3 * np.random.default_rng(14).standard_normal(12 * piece - 300)
+    c = Tensor(np.array([0.6, 0.1], dtype=np.float32))
+    one = model.forward(Tensor(x.astype(np.float32)), c)[0].data
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        out = M.render(model, x, c, np.full(len(x), np.nan))
+        took = time.perf_counter() - t0
+    finally:
+        sys.setswitchinterval(switch)
+    assert np.array_equal(out, one)
+    assert took < 60.0
+
+
+@pytest.mark.parametrize("cpus, blas", [(1, 1), (2, 2), (2, None)],
+                         ids=["one-cpu", "blas-threads", "blas-unknown"])
+def test_render_streams_in_order_unless_threads_can_share_cpus(
+        monkeypatch, cpus, blas):
+    monkeypatch.setattr(M, "RENDER_MIN", THREADED_MIN)
+    model = _model(MODELS["tcn-film"])
+    chunk = M.render_chunk(model.stream_unit)
+    x = 0.3 * np.random.default_rng(12).standard_normal(3 * chunk + 500)
+    c = Tensor(np.array([0.3, 0.8], dtype=np.float32))
+    _cpus(monkeypatch, 2)
+    threaded = M.render(model, x, c, np.empty(len(x)))
+    _cpus(monkeypatch, cpus, blas)
+    calls = _calls(model)
+    ordered = M.render(model, x, c, np.empty(len(x)))
+    assert np.array_equal(ordered, threaded)
+    # four chunks with the state carried, all on this thread
+    assert [(length, given) for _, length, given in calls] == [
+        (chunk, False), (chunk, True), (chunk, True), (500, True)]
+    assert {t for t, _, _ in calls} == {threading.current_thread()}
+
+
+def test_threaded_render_memory_is_bounded_by_one_chunk_per_worker(
+        monkeypatch):
+    monkeypatch.setattr(M, "RENDER_MIN", THREADED_MIN)
+    _cpus(monkeypatch, 2)
+    model = _model(MODELS["tcn-film"])
+    chunk = M.render_chunk(model.stream_unit)
+    piece = chunk - M.RENDER_ALIGN
+    c = Tensor(np.full(NUM_CONTROLS, 0.5, dtype=np.float32))
+    x = 0.3 * np.random.default_rng(13).standard_normal(16 * piece)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def render(pieces):
+        out = np.empty(pieces * piece)  # the output file's buffer
+        return peak(lambda: M.render(model, x[:pieces * piece], c, out))
+
+    def one_chunk():
+        return model.forward(Tensor(x[:chunk].astype(np.float32)), c)
+
+    render(2)  # caches and first-call allocations
+    forward = peak(one_chunk)
+    # eight chunks of signal in the memory of two forwards, whatever
+    # the threads' overlap
+    sixteen = render(16)
+    assert sixteen <= 1.05 * 2 * forward, (forward, sixteen)
+
+
+def test_render_raises_an_error_from_a_worker_thread(monkeypatch):
+    monkeypatch.setattr(M, "RENDER_MIN", THREADED_MIN)
+    _cpus(monkeypatch, 2)
+    model = _model(MODELS["gcn-film"])
+    forward = model.forward
+
+    def fail_off_main(x, c=None, state=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return forward(x, c, state)
+
+    model.forward = fail_off_main
+    x = np.zeros(4 * M.render_chunk(1))
+    with pytest.raises(RuntimeError, match="worker failed"):
+        M.render(model, x, Tensor(np.full(NUM_CONTROLS, 0.5)), np.empty(len(x)))
+
+
+def test_render_refuses_an_active_tape():
+    # worker threads would record onto the caller's tape
+    model = _model(MODELS["tcn-film"])
+    x = np.zeros(1000)
+    c = Tensor(np.full(NUM_CONTROLS, 0.5, dtype=np.float32))
+    with T.Tape() as tape:
+        with pytest.raises(ValueError, match="active tape"):
+            M.render(model, x, c, np.empty(len(x)))
+    assert tape.nodes == []
+
+
+def _render_cli(tmp_path, name, n):
+    """`gradfx render` of n samples of noise through _model(name) at
+    controls (0.25, 0.75), float32: (exit code, model, input)."""
+    doc = MODELS[name]
     model = _model(doc)
-    spec = M.ModelSpec.from_dict(doc)
     ckpt = tmp_path / "model.json"
-    M.save_checkpoint(ckpt, model, spec)
-    n = 2 * M.render_chunk(model.stream_unit) + 1000
+    M.save_checkpoint(ckpt, model, M.ModelSpec.from_dict(doc))
     x = (0.3 * np.random.default_rng(4).standard_normal(n)).astype(np.float32)
     D.save_wav(tmp_path / "in.wav", x, int(FS), bitdepth="float32")
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"model": doc, "output_dir": "out"}))
-    assert cli.main(["render", "--config", str(cfg), "--checkpoint",
-                     str(ckpt), "--input", str(tmp_path / "in.wav"),
-                     "--controls", "0.25", "0.75",
-                     "--bitdepth", "float32"]) == 0
+    rc = cli.main(["render", "--config", str(cfg), "--checkpoint", str(ckpt),
+                   "--input", str(tmp_path / "in.wav"),
+                   "--controls", "0.25", "0.75", "--bitdepth", "float32"])
+    return rc, model, x
+
+
+@pytest.mark.parametrize("name", ["graybox-eq_dynamics", "tcn-film"])
+def test_cli_render_streams_a_long_file_bit_for_bit(tmp_path, monkeypatch,
+                                                    name):
+    # two and a half chunks through a per-block EQ chain with controls,
+    # two and a half pieces through a TCN on two threads
+    _cpus(monkeypatch, 2)
+    unit = _model(MODELS[name]).stream_unit
+    span = M.render_chunk(unit) - (M.RENDER_ALIGN if name == "tcn-film" else 0)
+    rc, model, x = _render_cli(tmp_path, name, 2 * span + 1000)
+    assert rc == 0
     got, _ = D.load_wav(tmp_path / "out" / "rendered.wav")
     c = Tensor(np.array([0.25, 0.75], dtype=np.float32))
     one = model.forward(Tensor(x), c)[0].data
     assert np.array_equal(got.astype(np.float32), one)
+
+
+def test_cli_render_exits_3_without_a_file_when_a_worker_fails(
+        tmp_path, monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    forward = M.TCN.forward
+
+    def fail_off_main(self, x, c=None, state=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return forward(self, x, c, state)
+
+    monkeypatch.setattr(M.TCN, "forward", fail_off_main)
+    rc, _, _ = _render_cli(tmp_path, "tcn-film", 3 * M.render_chunk(1))
+    assert rc == 3
+    assert "worker failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rendered.wav").exists()
 
 
 def test_sweep_warmup_fills_the_state_of_one_call():
