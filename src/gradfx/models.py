@@ -32,6 +32,7 @@ is bounded by one chunk per thread.
 from __future__ import annotations
 
 import base64
+import ctypes
 import json
 import math
 import os
@@ -601,8 +602,6 @@ def available_cpus() -> list:
 def blas_threads() -> int | None:
     """Threads the OpenBLAS that numpy bundles runs one call on, or None
     when numpy bundles none that says."""
-    import ctypes  # only a render asks
-
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs")
     names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
@@ -612,7 +611,7 @@ def blas_threads() -> int | None:
                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
             fn = getattr(lib, sym, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
+                fn.argtypes, fn.restype = [], ctypes.c_int
                 return fn()
     return None
 
