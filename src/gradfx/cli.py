@@ -83,7 +83,7 @@ def _load_splits(cfg, need: str) -> dict:
         splits = D.segment(manifest, cfg.data["segment_len"],
                            cfg.data["hop"], cfg.data["fractions"],
                            cfg.data["seed"])
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         raise ConfigError([f"/data/manifest: {e}"])
     if manifest.sample_rate != cfg.model_spec.sample_rate:
         raise ConfigError([f"/data/manifest: sample rate "

@@ -9,6 +9,7 @@ the model's business.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -18,13 +19,18 @@ import numpy as np
 
 @contextmanager
 def atomic_open(path, mode: str = "w"):
-    """Open a temp file next to path; a clean exit moves it over path in
-    one os.replace, so a crash mid-write leaves the previous file whole.
-    The directory is made here, at the first write into it."""
-    tmp = f"{os.fspath(path)}.tmp"
+    """Open a temp file next to path, for writing in mode "w" or "wb"; a
+    clean exit moves it over path in one os.replace, so a crash mid-write
+    leaves the previous file whole. Each call has its own temp name,
+    created exclusively with the mode a plain open gives, so writers of
+    one path do not share a temp file: the last to close wins. On failure
+    only this call's temp file is removed. The directory is made here, at
+    the first write into it."""
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
     os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
+    f = open(tmp, mode.replace("w", "x"))
     try:
-        with open(tmp, mode) as f:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -173,6 +179,11 @@ class RunManifest:
         return len(self.entries)
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number: not a bool, a string, NaN or an infinity."""
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
 def load_manifest(path) -> RunManifest:
     """Parse and validate a manifest; relative paths resolve next to it."""
     with open(path) as f:
@@ -180,9 +191,10 @@ def load_manifest(path) -> RunManifest:
     if not isinstance(doc, dict) or "sample_rate" not in doc \
             or "entries" not in doc:
         raise ValueError("manifest needs sample_rate and entries")
-    if type(doc["sample_rate"]) not in (int, float) or doc["sample_rate"] <= 0:
-        raise ValueError(f"sample_rate must be a number > 0, "
-                         f"got {doc['sample_rate']!r}")
+    fs = doc["sample_rate"]
+    if not (_is_number(fs) and fs > 0 and fs == int(fs)):
+        raise ValueError(f"sample_rate must be a whole number of Hz > 0, "
+                         f"got {fs!r}")
     if not isinstance(doc["entries"], list):
         raise ValueError(f"entries must be a list, got {doc['entries']!r}")
     root = os.path.dirname(os.path.abspath(path))
@@ -191,11 +203,11 @@ def load_manifest(path) -> RunManifest:
         if not isinstance(e, dict):
             raise ValueError(f"entry {i}: expected an object, got {e!r}")
         controls = e.get("controls", [])
-        if not isinstance(controls, list) or any(
-                not isinstance(v, (int, float, str)) for v in controls):
+        if not isinstance(controls, list) or not all(map(_is_number,
+                                                         controls)):
             raise ValueError(f"entry {i}: controls must be a list of "
                              f"numbers, got {controls!r}")
-        if any(not (0.0 <= float(v) <= 1.0) for v in controls):
+        if any(not (0.0 <= v <= 1.0) for v in controls):
             raise ValueError(f"entry {i}: controls must lie in [0, 1]")
         pair = []
         for key in ("input", "target"):
@@ -208,13 +220,17 @@ def load_manifest(path) -> RunManifest:
                 p = os.path.join(root, p)
             if not os.path.exists(p):
                 raise FileNotFoundError(f"entry {i}: {p} does not exist")
-            fs, _ = wav_info(p)
-            if fs != int(doc["sample_rate"]):
-                raise ValueError(f"entry {i}: {p} is {fs} Hz, manifest says "
-                                 f"{doc['sample_rate']}")
+            try:
+                file_fs, _ = wav_info(p)
+            except OSError as err:
+                raise ValueError(f"entry {i}: cannot read {p}: "
+                                 f"{err.strerror or err}") from None
+            if file_fs != fs:
+                raise ValueError(f"entry {i}: {p} is {file_fs} Hz, manifest "
+                                 f"says {fs}")
             pair.append(p)
         entries.append(ManifestEntry(pair[0], pair[1], controls))
-    return RunManifest(entries, doc["sample_rate"])
+    return RunManifest(entries, int(fs))
 
 
 # -- segmentation ------------------------------------------------------------

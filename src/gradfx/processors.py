@@ -274,21 +274,6 @@ def fir_apply(x: Tensor, taps: Tensor, context=None) -> Tensor:
     return T.reshape(y, (n,))
 
 
-def rational_eval(x: Tensor, num: Tensor, den: Tensor) -> Tensor:
-    """R(x) = (a0 + a1 x + ... + a6 x^6) / (1 + b1 x + ... + b5 x^5).
-
-    num holds a0..a6, den holds b1..b5; Horner evaluation.
-    """
-    n = num[6]
-    for i in range(5, -1, -1):
-        n = T.add(T.mul(n, x), num[i])
-    d = den[4]
-    for i in range(3, -1, -1):
-        d = T.add(T.mul(d, x), den[i])
-    d = T.add(T.mul(d, x), _const(1.0, x.data.dtype))
-    return T.div(n, d)
-
-
 def _load_prefit(name: str) -> dict:
     path = resources.files("gradfx").joinpath(f"prefit/{name}")
     return json.loads(path.read_text())
@@ -454,7 +439,7 @@ class RationalNL(Processor):
         self.den = Tensor(np.asarray(coeffs["denominator"], dtype=dt), requires_grad=True)
 
     def apply(self, x, g01=None, block_size=None, state=None):
-        return rational_eval(T.clip(x, -8.0, 8.0), self.num, self.den), None
+        return T.rational(T.clip(x, -8.0, 8.0), self.num, self.den), None
 
 
 class MLPNL(Processor):

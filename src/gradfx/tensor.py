@@ -345,6 +345,58 @@ def clip(x: Tensor, lo=None, hi=None) -> Tensor:
     return _emit("clip", out, (x,), build)
 
 
+def _horner(xd: np.ndarray, c: list) -> list:
+    """Horner values of sum_i c[i] x^i: h_0 = c[-1], h_j = h_{j-1} x + c[-1-j]."""
+    h = [c[-1]]
+    for ci in c[-2::-1]:
+        h.append(h[-1] * xd + ci)
+    return h
+
+
+def _horner_vjp(g, xd: np.ndarray, h: list, gx):
+    """The adjoints of h_j = add(mul(h_{j-1}, x), slice(c, -1-j)) nodes,
+    last step first, for gradient g of h's last value: (dL/dc as a list in
+    coefficient order, dL/dx folded onto gx in that order). Pops h."""
+    dc = []
+    while len(h) > 1:
+        h.pop()
+        dc.append(_unbroadcast(g, ()))
+        gxj = _unbroadcast(g * h[-1], xd.shape)
+        g = _unbroadcast(g * xd, np.shape(h[-1]))
+        gx = gxj if gx is None else gx + gxj
+    dc.append(g)
+    return dc, gx
+
+
+def rational(x: Tensor, num: Tensor, den: Tensor) -> Tensor:
+    """R(x) = (a0 + a1 x + ... + am x^m) / (1 + b1 x + ... + bk x^k) as one
+    node; num holds a0..am, den b1..bk.
+
+    The forward runs Horner's rule with the numpy operations, in the order,
+    of the same ratio composed from slice/mul/add/div nodes, and the node
+    keeps only its operands. The vjp recomputes the Horner values and
+    replays the composed graph's adjoints in reverse tape order, so output
+    and gradients equal the composed graph's to the bit.
+    """
+    xd, nd, dd = x.data, num.data, den.data
+    one = np.asarray(1.0, dtype=xd.dtype)
+    out = _horner(xd, list(nd))[-1] / _horner(xd, [one, *dd])[-1]
+
+    def build():
+        def vjp(g):
+            hn, hd = _horner(xd, list(nd)), _horner(xd, [one, *dd])
+            gn, gd = g / hd[-1], -g * hn[-1] / (hd[-1] * hd[-1])
+            # the composed slices' gradients sum one-hot vectors: 0 + v
+            dc, gx = _horner_vjp(gd, xd, hd, None)
+            dden = np.zeros_like(dd) + np.asarray(dc[1:], dtype=dd.dtype)
+            dc, gx = _horner_vjp(gn, xd, hn, gx)
+            dnum = np.zeros_like(nd) + np.asarray(dc, dtype=nd.dtype)
+            return gx, dnum, dden
+        return vjp
+
+    return _emit("rational", out, (x, num, den), build)
+
+
 # ---------------------------------------------------------------------------
 # reductions and shape
 
@@ -967,6 +1019,11 @@ def biquad(x: Tensor, coeffs: Tensor, block: int | None = None,
 # ---------------------------------------------------------------------------
 # spectral magnitude
 
+# frames per block of the stft_mag backward: its complex spectrum and
+# inverse FFT span one block at a time, not every frame
+_STFT_BLOCK = 8
+
+
 def stft_mag(x: Tensor, window: np.ndarray, fft_size: int, hop: int,
              floor: float) -> Tensor:
     """Magnitude spectrogram [frames, fft_size // 2 + 1] of a 1-D signal.
@@ -977,7 +1034,9 @@ def stft_mag(x: Tensor, window: np.ndarray, fft_size: int, hop: int,
     operation, the reverse pass of the same steps composed from
     take/mul/pad_end/rfft/slice/sqrt nodes, so the gradient equals it to
     the bit: the sqrt and product rules, the complex ifft of the bin
-    gradient, the window, and an overlap-add in frame order.
+    gradient, the window, and an overlap-add in frame order. It works
+    through _STFT_BLOCK frames at a time; blocks add in order, so each
+    sample still receives its frames first to last.
     """
     xd = x.data
     if xd.ndim != 1:
@@ -994,18 +1053,24 @@ def stft_mag(x: Tensor, window: np.ndarray, fft_size: int, hop: int,
         r = -(-win // hop)  # hop-sized blocks a frame spans
 
         def vjp(g):
-            gs = g * (0.5 / out)
-            c = np.zeros((num, fft_size), dtype=np.complex128)
-            c[:, :re.shape[1]] = (gs * re + gs * re) + 1j * (gs * im + gs * im)
-            c = np.fft.ifft(c, axis=-1)  # frees the spectrum before gf
-            gf = np.zeros((num, r * hop), dtype=xd.dtype)
-            gf[:, :win] = (fft_size * c[:, :win].real).astype(xd.dtype) * window
-            # block m of frame f holds samples (f + m) * hop onwards; adding
-            # the blocks last to first adds each sample's frames first to last
-            gf = gf.reshape(num, r, hop)
             acc = np.zeros((num + r - 1, hop), dtype=xd.dtype)
-            for m in range(r - 1, -1, -1):
-                acc[m:m + num] += gf[:, m]
+            for f0 in range(0, num, _STFT_BLOCK):
+                fs = slice(f0, min(f0 + _STFT_BLOCK, num))
+                nf = fs.stop - f0
+                gs = g[fs] * (0.5 / out[fs])
+                c = np.zeros((nf, fft_size), dtype=np.complex128)
+                c[:, :re.shape[1]] = ((gs * re[fs] + gs * re[fs])
+                                      + 1j * (gs * im[fs] + gs * im[fs]))
+                c = np.fft.ifft(c, axis=-1)  # frees the spectrum before gf
+                gf = np.zeros((nf, r * hop), dtype=xd.dtype)
+                gf[:, :win] = ((fft_size * c[:, :win].real).astype(xd.dtype)
+                               * window)
+                # piece m of frame f holds samples (f + m) * hop onwards;
+                # adding the pieces last to first, block after block, adds
+                # each sample's frames first to last
+                gf = gf.reshape(nf, r, hop)
+                for m in range(r - 1, -1, -1):
+                    acc[f0 + m:f0 + m + nf] += gf[:, m]
             dx = np.zeros_like(xd)
             span = min(acc.size, dx.size)
             dx[:span] = acc.reshape(-1)[:span]

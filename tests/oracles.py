@@ -3,10 +3,12 @@
 Everything here is deliberately written with plain numpy/scipy floats,
 not with the package's own tensor ops, so the two routes share no code.
 The exceptions are `one_tape_step`, a reference for the train step's
-bookkeeping: it runs a whole batch on one of the package's tapes; and
-`eq_design` and `apply_eq`, which drive an EQ layout's physical
-parameters through the package's own design and filter steps, the path
-the EQ processors take after `Processor.physical`.
+bookkeeping: it runs a whole batch on one of the package's tapes;
+`rational_composed`, the rational ratio as the graph of slice, mul, add
+and div nodes the one-node `rational` replaced; and `eq_design` and
+`apply_eq`, which drive an EQ layout's physical parameters through the
+package's own design and filter steps, the path the EQ processors take
+after `Processor.physical`.
 """
 
 import numpy as np
@@ -175,6 +177,19 @@ def stft_mag_composed(x, window, fft_size, hop, floor, g):
     gx = np.zeros_like(x)
     np.add.at(gx, idx, gp[:, :win] * window)
     return mag, gx
+
+
+def rational_composed(x: Tensor, num: Tensor, den: Tensor) -> Tensor:
+    """(a0 + a1 x + ... + am x^m) / (1 + b1 x + ... + bk x^k) by Horner's
+    rule, one tape node per slice, product, sum and the quotient."""
+    n = num[num.data.shape[0] - 1]
+    for i in range(num.data.shape[0] - 2, -1, -1):
+        n = T.add(T.mul(n, x), num[i])
+    d = den[den.data.shape[0] - 1]
+    for i in range(den.data.shape[0] - 2, -1, -1):
+        d = T.add(T.mul(d, x), den[i])
+    d = T.add(T.mul(d, x), Tensor(np.asarray(1.0, dtype=x.data.dtype)))
+    return T.div(n, d)
 
 
 def plot_csv(obj):

@@ -270,7 +270,11 @@ def test_stft_mag_gradients_window_shorter_than_fft():
 
 @pytest.mark.parametrize("n, fft_size, hop, win_len", [
     (4096, 1024, 256, 1024), (4096, 512, 128, 512), (600, 256, 64, 200),
-    (1000, 128, 48, 100)])
+    (1000, 128, 48, 100),
+    # 1, 8, 9 and 17 frames: one block, one whole block, a frame past it,
+    # a frame past two (29 frames, (4096, 512, 128, 512), ends mid-block)
+    (200, 256, 64, 200), (648, 256, 64, 200), (484, 128, 48, 100),
+    (868, 128, 48, 100)])
 def test_stft_mag_vjp_equals_composed_order_f32(n, fft_size, hop, win_len):
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal(n).astype(np.float32), requires_grad=True)
@@ -697,6 +701,73 @@ def test_stft_mag_backward_peak_is_bounded_by_its_complex_buffer():
     assert g.shape == (n,)
     buffer = ((n - fft) // hop + 1) * fft * 16
     assert extra < 2.5 * buffer, extra / buffer
+
+
+def test_stft_mag_backward_peak_is_bounded_by_one_block():
+    # the vjp works through blocks of 8 frames: at 128 frames its extra
+    # peak is one block's complex buffers plus the signal-length
+    # overlap-add and gradient arrays (~0.76 of this bound); one pass over
+    # every frame reads ~7.5
+    fft, hop, frames = 1024, 256, 128
+    n = fft + (frames - 1) * hop
+    x = Tensor(np.random.default_rng(46).standard_normal(n).astype(np.float32),
+               requires_grad=True)
+    window = np.hanning(fft).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            root = T.sum_(T.stft_mag(x, window, fft, hop, 1e-8))
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g, = tape.backward(root, [x])
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (n,)
+    bound = 2.5 * 8 * fft * 16 + 2 * n * 4
+    assert extra < bound, extra / bound
+
+
+def test_taped_rational_stage_keeps_no_horner_values():
+    # the node keeps references to its operands only: the stage holds the
+    # clip's output and mask and its own output (~9 B/sample); the 35-node
+    # composed ratio also kept ~11 signal-length Horner values (~54)
+    n = 16_384
+    x = Tensor(np.random.default_rng(47).uniform(-9.0, 9.0, n)
+               .astype(np.float32), requires_grad=True)
+    rat = P.RationalNL()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            y = rat.apply(x)[0]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.data.dtype == np.float32 and len(tape.nodes) == 5
+    assert kept / n < 12, kept / n
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rational_equals_composed_graph_to_the_bit(dtype):
+    # inputs past the clamp on both sides, coefficients moved off the prefit
+    rng = np.random.default_rng(48)
+    rat = P.RationalNL()
+    xs = rng.uniform(-10.0, 10.0, 4096).astype(dtype)
+    num = (rat.num.data * (1 + 0.01 * rng.standard_normal(7))).astype(dtype)
+    den = (rat.den.data * (1 + 0.01 * rng.standard_normal(5))).astype(dtype)
+    w = Tensor(rng.standard_normal(4096).astype(dtype))
+    results = []
+    for ratio in (T.rational, oracles.rational_composed):
+        ts = [Tensor(v.copy(), requires_grad=True) for v in (xs, num, den)]
+        with Tape() as tape:
+            y = ratio(T.clip(ts[0], -8.0, 8.0), ts[1], ts[2])
+            root = T.sum_(T.mul(y, w))
+        results.append([y.data] + tape.backward(root, ts))
+    for mine, ref in zip(*results):
+        assert mine.dtype == ref.dtype == dtype
+        assert np.all(np.isfinite(mine))
+        assert np.array_equal(mine, ref)
 
 
 def test_backward_releases_every_vjp_and_unreached_saved_arrays():

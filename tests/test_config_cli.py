@@ -256,8 +256,9 @@ def _with_controls(*controls):
 @pytest.mark.parametrize("command, edit, data, argv, message", [
     ("train", _with_controls([1.5]), {}, [],
      "/data/manifest: entry 0: controls must lie in [0, 1]"),
-    ("train", _with_controls(["x"]), {}, [],
-     "/data/manifest: could not convert string to float: 'x'"),
+    ("train", _with_controls(["abc"]), {}, [],
+     "/data/manifest: entry 0: controls must be a list of numbers, "
+     "got ['abc']"),
     ("train", lambda m: "{ nope", {}, [],
      "/data/manifest: Expecting property name"),
     ("train", lambda m: json.dumps({"entries": m["entries"]}), {}, [],
@@ -284,7 +285,26 @@ def _with_controls(*controls):
      "/data/manifest: entry 0: controls must be a list of numbers, "
      "got [None]"),
     ("train", lambda m: json.dumps(dict(m, sample_rate=None)), {}, [],
-     "/data/manifest: sample_rate must be a number > 0, got None"),
+     "/data/manifest: sample_rate must be a whole number of Hz > 0, got None"),
+    ("train", lambda m: json.dumps(dict(m, sample_rate=float("inf"))), {}, [],
+     "/data/manifest: sample_rate must be a whole number of Hz > 0, got inf"),
+    ("train", lambda m: json.dumps(dict(m, sample_rate=float("nan"))), {}, [],
+     "/data/manifest: sample_rate must be a whole number of Hz > 0, got nan"),
+    ("train", lambda m: json.dumps(dict(m, sample_rate=48000.5)), {}, [],
+     "/data/manifest: sample_rate must be a whole number of Hz > 0, "
+     "got 48000.5"),
+    ("train", _with_controls([True]), {}, [],
+     "/data/manifest: entry 0: controls must be a list of numbers, "
+     "got [True]"),
+    ("train", _with_controls([False]), {}, [],
+     "/data/manifest: entry 0: controls must be a list of numbers, "
+     "got [False]"),
+    ("train", _with_controls(["0.5"]), {}, [],
+     "/data/manifest: entry 0: controls must be a list of numbers, "
+     "got ['0.5']"),
+    ("train", lambda m: json.dumps(dict(m, entries=[
+        dict(m["entries"][0], input=".")])), {}, [],
+     "/data/manifest: entry 0: cannot read "),
     ("train", lambda m: json.dumps(dict(m, entries=[
         dict(m["entries"][0], target="gone.wav")])), {}, [],
      "/data/manifest: entry 0: "),

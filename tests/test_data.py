@@ -152,6 +152,12 @@ def test_manifest_errors(tmp_path):
                                         name="e4.json"))
 
 
+def test_manifest_sample_rate_may_be_a_whole_float(tmp_path):
+    m = D.load_manifest(_write_manifest(tmp_path, [_make_pair(tmp_path, "w")],
+                                        fs=48000.0))
+    assert m.sample_rate == 48000 and type(m.sample_rate) is int
+
+
 def test_segment_counts_and_alignment(tmp_path):
     seg = 50
     entry = _make_pair(tmp_path, "long", n=10 * seg)
@@ -193,3 +199,41 @@ def test_segment_errors(tmp_path):
         D.segment(m, seg_len=100)
     with pytest.raises(ValueError, match="fractions"):
         D.segment(m, seg_len=10, fractions=(0.5, 0.2, 0.2))
+
+
+def test_atomic_open_interleaved_writes_of_one_path_both_complete(tmp_path):
+    # each call writes its own temp file, so the inner write does not
+    # truncate the outer one's; the last to close wins, no temp file stays
+    p = tmp_path / "run_log.csv"
+    with D.atomic_open(p) as first:
+        first.write("first\n")
+        with D.atomic_open(p) as second:
+            second.write("second\n")
+        assert p.read_text() == "second\n"
+        first.write("more\n")
+    assert p.read_text() == "first\nmore\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["run_log.csv"]
+
+
+def test_atomic_open_failure_removes_only_its_own_temp_file(tmp_path):
+    p = tmp_path / "checkpoint.json"
+    p.write_text("old")
+    with D.atomic_open(p) as kept:
+        kept.write("new")
+        with pytest.raises(RuntimeError):
+            with D.atomic_open(p) as failed:
+                failed.write("half")
+                raise RuntimeError("mid-write")
+        assert p.read_text() == "old"
+        assert len(list(tmp_path.glob("*.tmp"))) == 1
+    assert p.read_text() == "new"
+    assert [q.name for q in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
+def test_atomic_open_gives_the_mode_of_a_plain_open(tmp_path):
+    with open(tmp_path / "plain.wav", "wb"):
+        pass
+    with D.atomic_open(tmp_path / "atomic.wav", "wb") as f:
+        f.write(b"RIFF")
+    assert ((tmp_path / "atomic.wav").stat().st_mode
+            == (tmp_path / "plain.wav").stat().st_mode)

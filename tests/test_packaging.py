@@ -156,7 +156,7 @@ def test_numpy2_scan_flags_only_numpy2_calls(source, flagged):
 def test_no_numpy2_only_calls():
     # pyproject declares numpy>=1.24; these calls exist from NumPy 2.0 only
     found = []
-    for tree in ("src", "tests", "scripts"):
+    for tree in ("src", "tests", "scripts", "perfbench"):
         for path in sorted((ROOT / tree).rglob("*.py")):
             found += [(str(path.relative_to(ROOT)), *hit)
                       for hit in _numpy2_calls(path.read_text(), str(path))]

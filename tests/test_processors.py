@@ -667,7 +667,7 @@ def test_rational_gradients():
     w = rng.standard_normal(16)
 
     def f(ts):
-        return T.sum_(T.mul(P.rational_eval(ts[0], ts[1], ts[2]), Tensor(w)))
+        return T.sum_(T.mul(T.rational(ts[0], ts[1], ts[2]), Tensor(w)))
 
     assert grad_check(f, [x, nl.num, nl.den]) < 1e-4
 
