@@ -262,7 +262,7 @@ def _expand_param(param: Tensor, n: int, block_size: int | None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities and FIR
+# FIR
 
 def fir_apply(x: Tensor, taps: Tensor, context=None) -> Tensor:
     """Causal FIR: y[n] = sum_i taps[i] * x[n-i], with the K - 1 inputs
