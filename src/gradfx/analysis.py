@@ -235,13 +235,13 @@ def time_trace(processor, controller, x, c: Tensor | None = None,
                state=None) -> TimeTrace:
     """Block-rate parameter trajectory of a dynamic stage, sample-aligned."""
     x = np.asarray(x)
-    out, _ = controller(x=Tensor(x.astype(T.default_dtype())), c=c,
+    g01, _ = controller(x=Tensor(x.astype(T.default_dtype())), c=c,
                         state=state)
-    if not out.is_dynamic:
+    if g01 is None or g01.data.ndim != 2:
         raise ValueError("stage parameters are static; read them from the "
                          "controller directly instead of tracing")
-    phys = physical_values(processor, out.values.data)  # [nb, P]
-    held = np.repeat(phys, out.block_size, axis=0)[:len(x)]
+    phys = physical_values(processor, g01.data)  # [nb, P]
+    held = np.repeat(phys, controller.block_size, axis=0)[:len(x)]
     return TimeTrace(x, held, processor.param_names)
 
 
@@ -256,10 +256,10 @@ def stage_report(processor, controller, c: Tensor | None,
     if isinstance(controller, C.DynamicController):
         probe = np.random.default_rng(0).standard_normal(8192) * 0.1
         return time_trace(processor, controller, probe, c)
-    out, _ = controller(c=c)
+    g01, _ = controller(c=c)
     freqs = sweep.frequencies
     if isinstance(processor, P.ParametricEQ):
-        design = processor.design(out.values).data
+        design = processor.design(g01).data
         return _response(freqs, P.frequency_response(design, freqs,
                                                      processor.fs))
     if isinstance(processor, P.FIRSiren):
@@ -268,7 +268,7 @@ def stage_report(processor, controller, c: Tensor | None,
         h = np.exp(-2j * np.pi * np.outer(freqs / sweep.fs, k)) @ taps
         return _response(freqs, h, floor=1e-12)
     return ParamValues(processor.param_names,
-                       physical_values(processor, out.values.data))
+                       physical_values(processor, g01.data))
 
 
 # -- emission ----------------------------------------------------------------

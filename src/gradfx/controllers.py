@@ -5,9 +5,12 @@ ones emit one value per control block (non-overlapping block means of
 the signal, default 128 samples, zero-padded final block) through an
 LSTM whose hidden size equals the number of controlled parameters.
 
-Every controller shares one call shape so chains can thread them
-uniformly:  controller(x, c, state) -> (ControlOutput, new_state), where
-state None is the zero state.
+Every controller shares the call shape of every other gradfx module:
+controller(x, c, state) -> (values, new_state), where values is None
+(dummy), a [num_params] tensor (static) or a [num_blocks, num_params]
+tensor (dynamic) and state None is the zero state. A dynamic
+controller's values hold one row per `block_size` samples, an attribute
+only it has.
 """
 
 from __future__ import annotations
@@ -17,18 +20,6 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .tensor import Tensor
-
-
-class ControlOutput:
-    """values: [num_params] (static) or [num_blocks, num_params] (dynamic)."""
-
-    def __init__(self, values, block_size=None):
-        self.values = values
-        self.block_size = block_size
-
-    @property
-    def is_dynamic(self):
-        return self.values is not None and self.values.data.ndim == 2
 
 
 def num_blocks(signal_len: int, block_size: int) -> int:
@@ -71,7 +62,7 @@ class DummyController(nn.Module):
     """Placeholder for processors with no controlled parameters."""
 
     def forward(self, x=None, c=None, state=None):
-        return ControlOutput(None), None
+        return None, None
 
 
 class StaticController(nn.Module):
@@ -82,7 +73,7 @@ class StaticController(nn.Module):
                         requires_grad=True)
 
     def forward(self, x=None, c=None, state=None):
-        return ControlOutput(T.sigmoid(self.b)), None
+        return T.sigmoid(self.b), None
 
 
 class StaticCondController(nn.Module):
@@ -96,7 +87,7 @@ class StaticCondController(nn.Module):
 
     def forward(self, x=None, c=None, state=None):
         _check_controls(c, self.num_controls)
-        return ControlOutput(T.sigmoid(self.net(c))), None
+        return T.sigmoid(self.net(c)), None
 
 
 class BlockLSTM(nn.Module):
@@ -123,7 +114,7 @@ class DynamicController(BlockLSTM):
 
     def forward(self, x=None, c=None, state=None):
         hs, state = super().forward(x, c, state)
-        return ControlOutput(T.sigmoid(hs), self.block_size), state
+        return T.sigmoid(hs), state
 
 
 CONTROLLER_KINDS = ("dummy", "static", "static_cond", "dynamic",

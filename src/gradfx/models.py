@@ -95,16 +95,20 @@ def receptive_field(blocks: int, kernel: int, growth: int) -> int:
 
 # -- recurrent ---------------------------------------------------------------
 
+# The fields of an lstm section and their defaults, which LSTMModel takes
+LSTM_DEFAULTS = {"hidden": 32, "cond_mode": "none", "block_size": 128,
+                 "tvcond_latent": 16}
+
+
 def _check_lstm(num_controls: int, cfg: dict) -> None:
     """The rules of an lstm section, shared by ModelSpec and LSTMModel."""
+    _check_keys("lstm", cfg, LSTM_DEFAULTS)
     for key, v in cfg.items():
         if key == "cond_mode":
             if v not in ("none", "concat", "tvcond"):
                 raise ValueError(f"unknown cond_mode {v!r}")
             if v != "none" and num_controls < 1:
                 raise ValueError("conditioned model needs num_controls >= 1")
-        elif key not in ("hidden", "block_size", "tvcond_latent"):
-            raise ValueError(f"unknown lstm field {key!r}")
         else:
             _check(_COUNT, f"lstm {key}", v)
             if key == "block_size":
@@ -121,9 +125,12 @@ class LSTMModel(nn.Module):
 
     receptive_field = None
 
-    def __init__(self, num_controls: int = 0, hidden: int = 32,
-                 cond_mode: str = "none", rng: np.random.Generator | None = None,
-                 block_size: int = 128, tvcond_latent: int = 16):
+    def __init__(self, num_controls: int = 0,
+                 hidden: int = LSTM_DEFAULTS["hidden"],
+                 cond_mode: str = LSTM_DEFAULTS["cond_mode"],
+                 rng: np.random.Generator | None = None,
+                 block_size: int = LSTM_DEFAULTS["block_size"],
+                 tvcond_latent: int = LSTM_DEFAULTS["tvcond_latent"]):
         _check_lstm(num_controls, {"hidden": hidden, "cond_mode": cond_mode,
                                    "block_size": block_size,
                                    "tvcond_latent": tvcond_latent})
@@ -198,7 +205,9 @@ class TCNConfig:
                 "batchnorm": self.batchnorm}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TCNConfig":
+    def from_dict(cls, d: dict, name: str = "tcn") -> "TCNConfig":
+        """The section d of a `name` (tcn or gcn) model."""
+        _check_keys(name, d, cls().to_dict())
         return cls(**d)
 
 
@@ -347,7 +356,8 @@ def _check_opts(kind: str, field: str, opts) -> dict:
 
 class StageError(ValueError):
     """A rule a chain stage breaks; `path` points at the stage below the
-    model section once the enclosing specs have filled it in."""
+    model section once the enclosing specs have filled it in. A stage's
+    own rules raise ValueError, which GrayBoxSpec turns into this."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(message)
@@ -361,16 +371,17 @@ class StageSpec:
     def __init__(self, processor: str, controller: str = "static",
                  processor_opts: dict | None = None,
                  controller_opts: dict | None = None):
-        if processor not in proc.PROCESSOR_KINDS:
+        if (not isinstance(processor, str)
+                or processor not in proc.PROCESSOR_KINDS):
             raise ValueError(f"unknown processor kind {processor!r}")
         if controller not in ctrl.CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {controller!r}")
         p = proc.PROCESSOR_KINDS[processor]
         if p.num_params == 0 and controller != "dummy":
-            raise StageError(f"{p.name} has no controlled parameters; "
+            raise ValueError(f"{p.name} has no controlled parameters; "
                              f"use the dummy controller")
         if p.num_params and controller == "dummy":
-            raise StageError(f"{p.name} has {p.num_params} controlled "
+            raise ValueError(f"{p.name} has {p.num_params} controlled "
                              f"parameters; a dummy controller cannot drive it")
         self.processor = processor
         self.controller = controller
@@ -397,8 +408,9 @@ class GrayBoxSpec:
 
     def __init__(self, stages, sample_rate: float = 48000.0,
                  num_controls: int = 0, block_size: int = 128):
-        if not stages:
-            raise ValueError("a chain needs at least one stage")
+        if not isinstance(stages, list) or not stages:
+            raise ValueError(f"graybox stages must be a non-empty list, got "
+                             f"{stages!r}")
         self.stages = []
         for i, s in enumerate(stages):
             try:
@@ -406,7 +418,7 @@ class GrayBoxSpec:
                                    else StageSpec.from_dict(s))
             except KeyError as e:
                 raise KeyError(f"stages/{i}/{e.args[0]}") from None
-            except StageError as e:
+            except ValueError as e:
                 raise StageError(str(e), f"stages/{i}") from None
         for key, v, rule in (("sample_rate", sample_rate, _POSITIVE),
                              ("num_controls", num_controls, _NATURAL),
@@ -488,8 +500,8 @@ class GrayBoxChain(nn.Module):
                   else state)
         h, after = x, []
         for p, k, (ks, ps) in zip(self.processors, self.controllers, states):
-            out, ks = k(x=h, c=c, state=ks)
-            h, ps = p.apply(h, out.values, out.block_size, ps)
+            g01, ks = k(x=h, c=c, state=ks)
+            h, ps = p.apply(h, g01, getattr(k, "block_size", None), ps)
             after.append((ks, ps))
         return h, after
 
@@ -516,7 +528,8 @@ class ModelSpec:
         self.num_controls = num_controls
         v = given[self.kind]
         if self.kind in ("tcn", "gcn"):
-            self.config = v if isinstance(v, TCNConfig) else TCNConfig.from_dict(v)
+            self.config = (v if isinstance(v, TCNConfig)
+                           else TCNConfig.from_dict(v, self.kind))
             if self.config.cond in ("film", "tfilm", "ttfilm") and num_controls < 1:
                 raise ValueError(f"cond {self.config.cond!r} needs num_controls >= 1")
             if (self.config.cond == "ttfilm"
@@ -533,8 +546,8 @@ class ModelSpec:
                                      f"{getattr(self, key)!r}")
             self.config = v
         else:
-            self.config = dict(v)
-            _check_lstm(num_controls, self.config)
+            _check_lstm(num_controls, v)
+            self.config = {**LSTM_DEFAULTS, **v}
 
     def to_dict(self) -> dict:
         if self.kind == "lstm":
@@ -553,6 +566,9 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {kind!r}")
         _check_keys("model", d, ("kind", "sample_rate", "num_controls", kind))
         section = d[kind]
+        if not isinstance(section, dict):
+            raise ValueError(f"{kind} section must be an object, got "
+                             f"{section!r}")
         try:
             return cls(sample_rate=d.get("sample_rate", 48000.0),
                        num_controls=d.get("num_controls", 0),

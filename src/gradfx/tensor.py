@@ -839,23 +839,15 @@ def _allpole_taps(a1: np.ndarray, a2: np.ndarray, b: int):
     """First b taps g of 1 / (1 + a1 z^-1 + a2 z^-2), one row per (a1, a2)
     pair, behind two zeros so columns t + 1 and t hold g[t-1] and g[t-2];
     and their rfft at size 2b."""
-    if a1.shape[0] == 1:
-        # one row: Python floats are 15x faster than one-element arrays
-        m1, m2 = -float(a1[0]), -float(a2[0])
-        taps = [0.0, 0.0, 1.0]
-        for _ in range(b - 1):
-            taps.append(m1 * taps[-1] + m2 * taps[-2])
-        g = np.array([taps])
-    else:
-        g = np.zeros((b + 2, a1.shape[0]))
-        g[2] = 1.0
-        m1, tmp = -a1, np.empty_like(g[0])
-        # g[t] = -a1 * g[t-1] - a2 * g[t-2], the same operations in place
-        for g2, g1, g0 in zip(g[1:], g[2:], g[3:]):
-            np.multiply(m1, g1, out=g0)
-            np.multiply(a2, g2, out=tmp)
-            np.subtract(g0, tmp, out=g0)
-        g = np.ascontiguousarray(g.T)
+    g = np.zeros((b + 2, a1.shape[0]))
+    g[2] = 1.0
+    m1, tmp = -a1, np.empty_like(g[0])
+    # g[t] = -a1 * g[t-1] - a2 * g[t-2], in place
+    for g2, g1, g0 in zip(g[1:], g[2:], g[3:]):
+        np.multiply(m1, g1, out=g0)
+        np.multiply(a2, g2, out=tmp)
+        np.subtract(g0, tmp, out=g0)
+    g = np.ascontiguousarray(g.T)
     return g, np.fft.rfft(g[:, 2:], n=2 * b, axis=1)
 
 
@@ -957,9 +949,8 @@ def biquad(x: Tensor, coeffs: Tensor, block: int | None = None,
     to x's dtype. The vjp walks the sections in reverse; each runs the same
     block solver on its reversed output gradient (next block's a1, a2 at
     block edges) for w = dL/dv, then dL/db_k = sum w x[t-k],
-    dL/da_k = -sum w y[t-k] and dL/dx by FIR transpose. While a tape
-    records, all sections' taps come from one `_allpole_taps` call;
-    otherwise each section makes its own and keeps nothing.
+    dL/da_k = -sum w y[t-k] and dL/dx by FIR transpose. All sections'
+    all-pole taps come from one `_allpole_taps` call, taped or not.
     """
     xd, cd = x.data, coeffs.data
     if xd.ndim != 1:
@@ -992,13 +983,11 @@ def biquad(x: Tensor, coeffs: Tensor, block: int | None = None,
     else:
         cs, rows = np.repeat(c64.transpose(1, 2, 0), reps, axis=2), nb
     record = records((x, coeffs))
-    if record:
-        shared = _allpole_taps(cs[:, 3, :rows].reshape(-1),
-                               cs[:, 4, :rows].reshape(-1), b)
+    shared = _allpole_taps(cs[:, 3, :rows].reshape(-1),
+                           cs[:, 4, :rows].reshape(-1), b)
     y, backs, after = xd, [], np.empty((cd.shape[-2], 4))
     for s, cols in enumerate(cs):
-        taps = (tuple(t[s * rows:(s + 1) * rows] for t in shared) if record
-                else _allpole_taps(cols[3, :rows], cols[4, :rows], b))
+        taps = tuple(t[s * rows:(s + 1) * rows] for t in shared)
         y, after[s], back = _section(y, cols, b, taps, record, history[s])
         backs.append(back)
 

@@ -266,21 +266,21 @@ def _controller_items(rng):
     w4 = rng.standard_normal(4)
     st = C.StaticController(4)
     st.b.data = rng.normal(0.0, 0.5, 4)  # move off the zero init
-    it("static", lambda ts: _wsum(st()[0].values, w4), [st.b])
+    it("static", lambda ts: _wsum(st()[0], w4), [st.b])
 
     w3 = rng.standard_normal(3)
     c2 = Tensor(rng.uniform(0.2, 0.8, 2))
     sc = C.StaticCondController(2, 3, rng)
-    it("static_cond", lambda ts: _wsum(sc(c=c2)[0].values, w3),
+    it("static_cond", lambda ts: _wsum(sc(c=c2)[0], w3),
        sc.parameters() + [c2])
 
     w43 = rng.standard_normal((4, 3))
     xd = Tensor(rng.uniform(-0.9, 0.9, 256))
     dy = C.DynamicController(3, rng, block_size=64)
-    it("dynamic", lambda ts: _wsum(dy(x=xd)[0].values, w43),
+    it("dynamic", lambda ts: _wsum(dy(x=xd)[0], w43),
        dy.parameters() + [xd], eps=3e-4)
     dyc = C.DynamicController(3, rng, block_size=64, num_controls=2)
-    it("dynamic_cond", lambda ts: _wsum(dyc(x=xd, c=c2)[0].values, w43),
+    it("dynamic_cond", lambda ts: _wsum(dyc(x=xd, c=c2)[0], w43),
        dyc.parameters() + [xd, c2], eps=3e-4)
     return items
 

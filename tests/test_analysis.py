@@ -304,7 +304,7 @@ def test_stage_reports_equal_each_column_denormalized_by_its_range():
         p.data = p.data + rng.normal(0.0, 0.5, p.data.shape).astype(p.data.dtype)
     x = rng.standard_normal(16 * 20) * 0.1
     u = Tensor(np.asarray(ctrl(x=Tensor(x.astype(T.default_dtype())))[0]
-                          .values.data, dtype=np.float64))
+                          .data, dtype=np.float64))
     want = np.stack([r.denormalize(u[:, j]).data
                      for j, r in enumerate(eq.ranges)], axis=1)
     assert np.array_equal(A.time_trace(eq, ctrl, x).params,
@@ -314,7 +314,7 @@ def test_stage_reports_equal_each_column_denormalized_by_its_range():
     for proc, b in ((P.Gain(), -1.3), (P.DCOffset(), 0.7)):
         ctrl = C.StaticController(1)
         ctrl.b.data[:] = b
-        u = Tensor(np.asarray(ctrl()[0].values.data, dtype=np.float64))
+        u = Tensor(np.asarray(ctrl()[0].data, dtype=np.float64))
         report = A.stage_report(proc, ctrl, None, sweep)
         assert isinstance(report, A.ParamValues)
         assert np.array_equal(report.values,

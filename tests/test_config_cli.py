@@ -433,7 +433,9 @@ def test_cli_rejects_bad_stage_options_exit2(tmp_path, capsys, model,
     _write_dataset(tmp_path)
     cfg_path = _write_config(tmp_path / "exp.json", model=model)
     assert cli.main(["train", "--config", str(cfg_path)]) == 2
-    assert message in capsys.readouterr().err
+    # each message is reported under the pointer of the stage that breaks it
+    assert (message.replace("/model:", "/model/graybox/stages/0:")
+            in capsys.readouterr().err)
     assert not (tmp_path / "out" / "run_log.csv").exists()
 
 
@@ -488,6 +490,16 @@ def test_cli_stage_rules_name_the_stage_exit2(tmp_path, capsys, controller,
     assert not (tmp_path / "out").exists()
 
 
+def _lstm_doc(lstm):
+    return {"kind": "lstm", "sample_rate": 48000.0, "num_controls": 0,
+            "lstm": lstm}
+
+
+def _tcn_doc(tcn):
+    return {"kind": "tcn", "sample_rate": 48000.0, "num_controls": 0,
+            "tcn": tcn}
+
+
 def _gain_model_with(graybox=None, stage=None, **model):
     """The one-gain-stage model with edits to /model, its graybox section
     and its stage."""
@@ -510,7 +522,8 @@ def _gain_model_with(graybox=None, stage=None, **model):
     (_gain_model_with(num_controls=-1),
      "/model: num_controls must be a nonnegative integer, got -1"),
     (_gain_model_with({"foo": 1}), "/model: unknown graybox field 'foo'"),
-    (_gain_model_with(stage={"bar": 2}), "/model: unknown stage field 'bar'"),
+    (_gain_model_with(stage={"bar": 2}),
+     "/model/graybox/stages/0: unknown stage field 'bar'"),
     (_gain_model_with({"sample_rate": 8000}),
      "/model: graybox sample_rate 8000.0 differs from the model's 48000.0"),
     (_gain_model_with({"num_controls": 1}),
@@ -523,7 +536,23 @@ def _gain_model_with(graybox=None, stage=None, **model):
     (dict(_gain_model_doc(), graybox=[1]),
      "/model: graybox section must be an object, got [1]"),
     (dict(_gain_model_doc(), graybox={"stages": [5]}),
-     "/model: stage section must be an object, got 5"),
+     "/model/graybox/stages/0: stage section must be an object, got 5"),
+    # these read Python-internal text or named no field before
+    (_tcn_doc({"foo": 1}), "/model: unknown tcn field 'foo'"),
+    (_tcn_doc(5), "/model: tcn section must be an object, got 5"),
+    (_lstm_doc(5), "/model: lstm section must be an object, got 5"),
+    (_lstm_doc([1]), "/model: lstm section must be an object, got [1]"),
+    (_lstm_doc(None), "/model: lstm section must be an object, got None"),
+    (dict(_gain_model_doc(), graybox={"stages": 5}),
+     "/model: graybox stages must be a non-empty list, got 5"),
+    (dict(_gain_model_doc(), graybox={"stages": "x"}),
+     "/model: graybox stages must be a non-empty list, got 'x'"),
+    (dict(_gain_model_doc(), graybox={"stages": {"a": 1}}),
+     "/model: graybox stages must be a non-empty list, got {'a': 1}"),
+    (_gain_model_with(stage={"processor": ["gain"]}),
+     "/model/graybox/stages/0: unknown processor kind ['gain']"),
+    (_gain_model_with(stage={"controller": "bogus"}),
+     "/model/graybox/stages/0: unknown controller kind 'bogus'"),
 ])
 def test_cli_rejects_bad_model_fields_exit2(tmp_path, capsys, model, message):
     cfg_path = _write_config(tmp_path / "exp.json", model=model,
@@ -531,6 +560,33 @@ def test_cli_rejects_bad_model_fields_exit2(tmp_path, capsys, model, message):
     assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("written", [{"hidden": 4},
+                                     {"hidden": 4, "cond_mode": "none"}])
+def test_lstm_sections_that_spell_out_defaults_match_one_checkpoint(
+        tmp_path, capsys, written):
+    # the spec fills the section's defaults, so a checkpoint made from one
+    # spelling loads under the other; one that stored the section as
+    # written before the defaults were filled loads too
+    _write_dataset(tmp_path, n_files=2, length=4096)
+    train = _write_config(tmp_path / "train.json", model=_lstm_doc(written))
+    test = _write_config(tmp_path / "test.json",
+                         model=_lstm_doc({"hidden": 4, "block_size": 128}))
+    doc = json.loads(train.read_text())
+    doc["train"]["max_steps"] = 1
+    train.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(train)]) == 0
+    ckpt = tmp_path / "out" / "checkpoint.json"
+    assert cli.main(["test", "--config", str(test), "--checkpoint",
+                     str(ckpt)]) == 0
+    payload = json.loads(ckpt.read_text())
+    payload["spec"]["lstm"] = written
+    ckpt.write_text(json.dumps(payload))
+    assert cli.main(["test", "--config", str(test), "--checkpoint",
+                     str(ckpt)]) == 0
+    assert ModelSpec.from_dict(_lstm_doc(written)).to_dict()["lstm"] == \
+        M.LSTM_DEFAULTS | {"hidden": 4}
 
 
 def test_cli_train_rejects_a_model_with_nothing_to_train_exit2(tmp_path,
@@ -762,7 +818,7 @@ def test_cli_analyze_eq_stage_reports_match_the_oracle(tmp_path):
         freqs = load_config(cfg_path).sweep_cfg.frequencies
         for i, (proc, k) in enumerate(zip(chain.processors,
                                           chain.controllers)):
-            u = k()[0].values.data
+            u = k()[0].data
             phys = [r.denormalize(Tensor(u[j])).item()
                     for j, r in enumerate(proc.ranges)]
             coeffs = []

@@ -15,7 +15,7 @@ def t64(a):
 def test_dummy_controller_is_empty():
     ctrl = C.DummyController()
     out, state = ctrl()
-    assert out.values is None
+    assert out is None
     assert state is None
     assert sum(p.data.size for p in ctrl.parameters()) == 0
 
@@ -23,13 +23,13 @@ def test_dummy_controller_is_empty():
 def test_static_controller_midpoint_and_bounds():
     ctrl = C.StaticController(3)
     out, _ = ctrl()
-    assert np.array_equal(out.values.data, [0.5, 0.5, 0.5])
+    assert np.array_equal(out.data, [0.5, 0.5, 0.5])
     ctrl.b.data = np.array([50.0, -50.0, 0.0], dtype=np.float32)
     out, _ = ctrl()
-    v = out.values.data
+    v = out.data
     assert v[0] == pytest.approx(1.0, abs=1e-6) and 0 < v[0] <= 1.0
     assert v[1] == pytest.approx(0.0, abs=1e-6) and v[1] > 0.0
-    assert not out.is_dynamic
+    assert out.data.ndim == 1
 
 
 def test_static_controller_gradient_is_sigmoid_derivative():
@@ -37,7 +37,7 @@ def test_static_controller_gradient_is_sigmoid_derivative():
     ctrl.b.data = np.array([0.3, -1.1], dtype=np.float64)
     with Tape() as tape:
         out, _ = ctrl()
-        s = T.sum_(out.values)
+        s = T.sum_(out)
     g, = tape.backward(s, [ctrl.b])
     sig = 1 / (1 + np.exp(-ctrl.b.data))
     assert np.allclose(g, sig * (1 - sig), atol=1e-12)
@@ -53,14 +53,14 @@ def test_static_cond_controller():
     ctrl = C.StaticCondController(2, 5, rng)
     c = Tensor(np.array([0.2, 0.8], dtype=np.float32))
     out, _ = ctrl(c=c)
-    assert out.values.data.shape == (5,)
-    assert np.all((out.values.data > 0) & (out.values.data < 1))
+    assert out.data.shape == (5,)
+    assert np.all((out.data > 0) & (out.data < 1))
 
     for layer in ctrl.net.layers:
         layer.w.data = np.zeros_like(layer.w.data)
         layer.b.data = np.zeros_like(layer.b.data)
     out, _ = ctrl(c=c)
-    assert np.allclose(out.values.data, 0.5)
+    assert np.allclose(out.data, 0.5)
 
     with pytest.raises(ValueError):
         ctrl(c=Tensor(np.array([0.5, 0.5, 0.5])))
@@ -79,7 +79,7 @@ def test_static_cond_gradient_to_controls():
 
     def f(ts):
         out, _ = ctrl(c=ts[0])
-        return T.sum_(T.mul(out.values, Tensor(w)))
+        return T.sum_(T.mul(out, Tensor(w)))
 
     assert grad_check(f, [t64([0.3, 0.6])]) < 1e-4
 
@@ -89,13 +89,13 @@ def test_dynamic_controller_block_counts():
     ctrl = C.DynamicController(4, rng, block_size=128)
     x = Tensor(rng.standard_normal(1280).astype(np.float32))
     out, state = ctrl(x=x)
-    assert out.values.data.shape == (10, 4)
-    assert out.block_size == 128
-    assert out.is_dynamic
+    assert out.data.shape == (10, 4)
+    assert ctrl.block_size == 128
+    assert out.data.ndim == 2
     assert state is not None
 
     short, _ = ctrl(x=Tensor(np.zeros(100, dtype=np.float32)))
-    assert short.values.data.shape == (1, 4)
+    assert short.data.shape == (1, 4)
     with pytest.raises(ValueError):
         ctrl(x=None)
 
@@ -113,9 +113,9 @@ def test_dynamic_controller_steady_state_on_constant_input():
     ctrl = C.DynamicController(2, rng, block_size=16)
     x = Tensor(np.full(16 * 300, 0.25, dtype=np.float32))
     out, _ = ctrl(x=x)
-    tail = out.values.data[-50:]
+    tail = out.data[-50:]
     assert np.max(tail.max(axis=0) - tail.min(axis=0)) < 1e-3
-    assert np.all((out.values.data > 0) & (out.values.data < 1))
+    assert np.all((out.data > 0) & (out.data < 1))
 
 
 def test_dynamic_cond_controller_shapes_and_sensitivity():
@@ -125,8 +125,8 @@ def test_dynamic_cond_controller_shapes_and_sensitivity():
     x = Tensor(rng.standard_normal(1280).astype(np.float32))
     out1, _ = ctrl(x=x, c=Tensor(np.array([0.1, 0.9], dtype=np.float32)))
     out2, _ = ctrl(x=x, c=Tensor(np.array([0.9, 0.1], dtype=np.float32)))
-    assert out1.values.data.shape == (10, 3)
-    assert not np.allclose(out1.values.data, out2.values.data, atol=1e-4)
+    assert out1.data.shape == (10, 3)
+    assert not np.allclose(out1.data, out2.data, atol=1e-4)
     with pytest.raises(ValueError):
         ctrl(x=x, c=Tensor(np.array([0.5])))
 
@@ -139,8 +139,8 @@ def test_dynamic_chunked_equals_one_shot():
     full, _ = ctrl(x=Tensor(x), c=c)
     half1, st = ctrl(x=Tensor(x[:640]), c=c)
     half2, _ = ctrl(x=Tensor(x[640:]), c=c, state=st)
-    stitched = np.concatenate([half1.values.data, half2.values.data], axis=0)
-    assert np.max(np.abs(stitched - full.values.data)) < 1e-6
+    stitched = np.concatenate([half1.data, half2.data], axis=0)
+    assert np.max(np.abs(stitched - full.data)) < 1e-6
 
 
 def test_controller_registry():

@@ -1,10 +1,15 @@
-"""Input mutation: `gradfx train` on a tiny corpus, with one manifest field
-changed at a time, exits 0, or 2 with a `/data/manifest` line; never 3 and
-never with a traceback.
+"""Input mutation: a gradfx command with one input field changed at a time
+exits 0, or 2 with a line that points at the field; never 3 and never with
+a traceback.
 
-The cases are every field crossed with every mutation: deleting the field,
-or setting it to null, a bool, a string, a negative number, 0, 1e308,
-Infinity, NaN, a list, an object or the path of a directory.
+- `gradfx train` on a tiny corpus, one manifest field changed: every field
+  crossed with deleting it, or setting it to null, a bool, a string, a
+  negative number, 0, 1e308, Infinity, NaN, a list, an object or the path
+  of a directory. Exit 2 reads a `/data/manifest` line.
+- `gradfx analyze` with a tiny sweep, one `/model` field changed: every
+  key of an lstm, a tcn and a gray-box model crossed with deleting it, or
+  setting it to null, a bool, a string, -1, 0, 1e308, a list or an object.
+  Every `/model` line of exit 2 names the key, its section or its stage.
 """
 
 import json
@@ -84,3 +89,66 @@ def test_train_on_a_mutated_manifest_exits_0_or_2(tmp_path, capsys, corpus,
     if rc == 2:
         assert any(line.strip().startswith("/data/manifest: ")
                    for line in err.splitlines()), err
+
+
+MODEL_MUTATIONS = {k: MUTATIONS[k] for k in (
+    "delete", "null", "bool", "string", "negative", "zero", "1e308", "list",
+    "object")}
+# 1 kHz keeps each model's sweep at two tones of 1,000 samples
+MODELS = {
+    "lstm": {"kind": "lstm", "sample_rate": 1000.0, "num_controls": 1,
+             "lstm": {"hidden": 2, "cond_mode": "concat"}},
+    "tcn": {"kind": "tcn", "sample_rate": 1000.0, "num_controls": 1,
+            "tcn": {"blocks": 2, "kernel": 3, "dilation_growth": 2,
+                    "channels": 2, "cond": "film", "batchnorm": False}},
+    "graybox": {"kind": "graybox", "sample_rate": 1000.0, "num_controls": 0,
+                "graybox": {"stages": [
+                    {"processor": "parametric_eq", "controller": "dynamic"},
+                    {"processor": "tanh", "controller": "dummy"}],
+                    "block_size": 16}},
+}
+
+
+def _pointers(doc, prefix=""):
+    """The JSON pointer of every key and list item below doc, outer first."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, v in items:
+        pointer = f"{prefix}{key}"
+        yield pointer
+        yield from _pointers(v, pointer + "/")
+
+
+def _names(model: dict, pointer: str):
+    """What an exit-2 line about the field may name: the key (not a list
+    index), and the stage it belongs to or else its section."""
+    parts = pointer.split("/")
+    names = set() if parts[-1].isdigit() else {parts[-1]}
+    if "stages" in parts[:-1]:
+        return names | {"stages/" + parts[parts.index("stages") + 1]}
+    return names | {model["kind"]}
+
+
+MODEL_FIELDS = [(name, pointer) for name, model in MODELS.items()
+                for pointer in _pointers(model)]
+
+
+@pytest.mark.parametrize("mutation", MODEL_MUTATIONS)
+@pytest.mark.parametrize("name,field", MODEL_FIELDS)
+def test_analyze_with_a_mutated_model_exits_0_or_2(tmp_path, capsys, name,
+                                                   field, mutation):
+    model = _mutate(MODELS[name], field, MODEL_MUTATIONS[mutation])
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "model": model, "output_dir": "out",
+        "analysis": {"f1": 50.0, "steps": 2, "T": 1.0, "warmup": 0.0}}))
+    rc = cli.main(["analyze", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert rc in (0, 2), err
+    if rc == 2:
+        lines = [ln.strip() for ln in err.splitlines()
+                 if ln.strip().startswith("/model")]
+        names = _names(MODELS[name], field)
+        for line in lines:
+            assert any(n in line for n in names), (names, line)

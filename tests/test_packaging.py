@@ -52,21 +52,25 @@ def _names(tree) -> set:
     return names
 
 
-def test_no_tensor_primitive_is_test_only():
-    # every public top-level function or class of tensor.py is named by
-    # other package code (its own definition aside) or exported: a
-    # primitive only tests call is code the package carries for them
+def test_no_public_name_is_test_only():
+    # every public top-level function or class of every package module is
+    # named by other package code (its own definition aside) or exported:
+    # a primitive or wrapper only tests use is code the package carries
+    # for them
     import gradfx
-    package = ROOT / "src" / "gradfx"
-    used = set(gradfx.__all__)
-    for path in package.rglob("*.py"):
-        if path.name != "tensor.py":
-            used |= _names(ast.parse(path.read_text(), str(path)))
-    body = ast.parse((package / "tensor.py").read_text()).body
-    defs = [s for s in body if isinstance(s, (ast.FunctionDef, ast.ClassDef))
-            and not s.name.startswith("_")]
-    assert [d.name for d in defs if d.name not in used
-            and not any(d.name in _names(s) for s in body if s is not d)] == []
+    paths = sorted((ROOT / "src" / "gradfx").rglob("*.py"))
+    bodies = {p: ast.parse(p.read_text(), str(p)).body for p in paths}
+    names = {p: _names(ast.Module(body, [])) for p, body in bodies.items()}
+    unused = []
+    for path, body in bodies.items():
+        used = set(gradfx.__all__).union(*(n for p, n in names.items()
+                                           if p != path))
+        defs = [d for d in body if isinstance(d, (ast.FunctionDef,
+                                                  ast.ClassDef))
+                and not d.name.startswith("_")]
+        unused += [f"{path.name}:{d.name}" for d in defs if d.name not in used
+                   and not any(d.name in _names(s) for s in body if s is not d)]
+    assert unused == []
 
 
 def _writes_a_file(call: ast.Call) -> bool:
