@@ -13,6 +13,7 @@ import numpy as np
 
 from . import analysis as A
 from . import data as D
+from . import losses as L
 from . import tensor as T
 from . import training as tr
 from .config import ConfigError, load_config
@@ -96,6 +97,17 @@ def _load_splits(cfg, need: str) -> dict:
     if not splits[need]:
         raise ConfigError([f"/data/fractions: {cfg.data['fractions']!r} "
                            f"leaves no {need} file of {len(manifest)}"])
+    # what evaluate reads: train validates on val and reports on test, or
+    # on train without a test file; test reports on test
+    read = splits["val"] + (splits["test"] or splits["train"]) \
+        if need == "train" else splits["test"]
+    dt = T.default_dtype()
+    for seg in read:
+        try:
+            L.target_energy(Tensor(np.asarray(seg.y, dtype=dt)))
+        except ValueError as e:
+            raise ConfigError([f"/data/manifest: entry {seg.entry_index}: "
+                               f"target at offset {seg.offset}: {e}"])
     return splits
 
 

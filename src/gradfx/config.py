@@ -11,13 +11,14 @@ import os
 from pathlib import Path
 
 from .analysis import SweepConfig
-from .models import _COUNT, _NATURAL, _POSITIVE, ModelSpec, StageError, _number
+from .data import _is_number
+from .models import _COUNT, _NATURAL, _POSITIVE, ModelSpec, StageError
 from .training import EVAL_COLUMNS, TrainConfig
 
 OUTPUT_ROOT_ENV = "GRADFX_OUTPUT_ROOT"
 
-_NONNEGATIVE = (lambda v: _number(v) and v >= 0, "a number >= 0")
-_UNIT = (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)")
+_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a number >= 0")
+_UNIT = (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)")
 
 # Every field of /train, /data and /analysis: field -> (check on the JSON
 # value, what it must hold). The keys are the accepted fields; checks that
@@ -37,7 +38,8 @@ _RULES = {
         "validate_every": _COUNT, "seed": _NATURAL,
         "stop_metric": (lambda v: v is None or v in EVAL_COLUMNS,
                         "one of " + ", ".join(EVAL_COLUMNS)),
-        "stop_value": (lambda v: v is None or _number(v), "a number or null"),
+        "stop_value": (lambda v: v is None or _is_number(v),
+                       "a number or null"),
     },
     "data": {
         "manifest": (lambda v: type(v) is str, "a string path"),
@@ -45,7 +47,7 @@ _RULES = {
         "hop": (lambda v: v is None or _COUNT[0](v), "positive integer or null"),
         "fractions": (
             lambda v: type(v) is list and len(v) == 3
-            and all(_number(f) and 0 <= f <= 1 for f in v)
+            and all(_is_number(f) and 0 <= f <= 1 for f in v)
             and abs(sum(v) - 1.0) <= 1e-9,
             "[train, val, test], three numbers in [0, 1] summing to 1"),
         "seed": _NATURAL,

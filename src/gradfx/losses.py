@@ -40,7 +40,9 @@ def mape(y, y_hat) -> Tensor:
     return T.mean_(T.div(T.abs_(T.sub(y, y_hat)), denom))
 
 
-def _target_energy(y: Tensor) -> Tensor:
+def target_energy(y: Tensor) -> Tensor:
+    """sum(y^2), the denominator of esr and dc_loss; a silent target
+    raises ValueError."""
     e = T.sum_(T.mul(y, y))
     if float(e.data) == 0.0:
         raise ValueError("metric undefined for a silent target")
@@ -50,7 +52,7 @@ def _target_energy(y: Tensor) -> Tensor:
 def esr(y, y_hat) -> Tensor:
     """Error-to-signal ratio: sum((y - y_hat)^2) / sum(y^2)."""
     y, y_hat = _pair(y, y_hat)
-    e = _target_energy(y)
+    e = target_energy(y)
     d = T.sub(y, y_hat)
     return T.div(T.sum_(T.mul(d, d)), e)
 
@@ -58,7 +60,7 @@ def esr(y, y_hat) -> Tensor:
 def dc_loss(y, y_hat) -> Tensor:
     """(mean(y) - mean(y_hat))^2 / mean(y^2)."""
     y, y_hat = _pair(y, y_hat)
-    e = _target_energy(y)
+    e = target_energy(y)
     n = float(y.data.size)
     d = T.sub(T.mean_(y), T.mean_(y_hat))
     return T.div(T.mul(d, d), T.div(e, Tensor(np.asarray(n, dtype=y.data.dtype))))

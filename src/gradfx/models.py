@@ -45,7 +45,7 @@ from . import controllers as ctrl
 from . import nn
 from . import processors as proc
 from . import tensor as T
-from .data import atomic_open
+from .data import _is_number, atomic_open
 from .tensor import Tensor
 
 COND_MODES = ("none", "film", "tfilm", "ttfilm", "tvfilm")
@@ -55,15 +55,10 @@ COND_MODES = ("none", "film", "tfilm", "ttfilm", "tvfilm")
 MAX_SAMPLES = 2 ** 26
 
 
-def _number(v) -> bool:
-    """A finite JSON number: an int or float, not a bool."""
-    return type(v) is int or type(v) is float and math.isfinite(v)
-
-
 # JSON-value rules: (check on the value, what it must hold)
 _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _NATURAL = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
-_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a number > 0")
 
 
 def _check(rule, name: str, v) -> None:
@@ -336,7 +331,8 @@ _STAGE_OPTS = {
             "w0": _POSITIVE},
     "rational": {"coeffs": (
         lambda v: type(v) is dict and set(v) == {"numerator", "denominator"}
-        and all(type(v[k]) is list and len(v[k]) == n and all(map(_number, v[k]))
+        and all(type(v[k]) is list and len(v[k]) == n
+                and all(map(_is_number, v[k]))
                 for k, n in (("numerator", 7), ("denominator", 5))),
         "{numerator: 7 numbers, denominator: 5 numbers}")},
     "static_cond": {"layers": _COUNT, "hidden": _COUNT},
@@ -652,11 +648,12 @@ def render(model: nn.Module, x: np.ndarray, c: Tensor | None,
     not shorter than a chunk, one CPU, or a BLAS not known to run a call
     on one thread, whose own threads would share the CPUs with the
     workers. A worker's exception is raised here once every thread has
-    stopped. Under an active tape, whose recording every thread would
-    share, this raises ValueError.
+    stopped. Under the calling thread's active tape this raises
+    ValueError: the chunks in order would record onto it, and the
+    worker threads, which have no tape, would not.
     """
     if T.active_tape() is not None:
-        raise ValueError("render cannot run under an active tape")
+        raise ValueError("render cannot run under this thread's active tape")
     unit = math.lcm(RENDER_ALIGN, model.stream_unit)
     chunk = render_chunk(model.stream_unit)
     dt, rf = T.default_dtype(), model.receptive_field

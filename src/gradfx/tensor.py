@@ -7,26 +7,29 @@ each node's gradient is dropped once its vjp has run, and so is the vjp
 closure with the forward arrays it saved; the closures of nodes the root
 does not reach are dropped unrun. Only the leaves' gradients are kept,
 and a tape runs backward once. Without an active tape every op is
-just a numpy call, so inference costs no bookkeeping.
+just a numpy call, so inference costs no bookkeeping. A tape keeps its
+leaves' node ids itself, and each thread has its own active tape, so
+threads may record over shared parameters.
 
 Precision: tensors default to float32 (training); gradient verification
 is expected to run at float64 (finite differences are unreliable at 32
-bits). Arrays passed in as float64 keep their dtype.
+bits). Arrays passed in as float64 keep their dtype. Unlike the active
+tape, the default dtype is one for the whole process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
-_ACTIVE_TAPE = None
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the dtype used for tensors built from lists/scalars (f32 or f64)."""
+    """Set the process-wide dtype of tensors built from lists/scalars."""
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype)
     if dtype not in (np.float32, np.float64):
@@ -41,11 +44,12 @@ def default_dtype():
 class Tensor:
     """N-dimensional numeric array, optionally tracked on a tape.
 
-    requires_grad marks a leaf (trainable or checked input). Intermediate
-    results are tracked through their node id on the active tape instead.
+    requires_grad marks a leaf (trainable or checked input). A result a
+    tape recorded carries that tape's serial number and its node id there,
+    not the tape; on any other tape it is a constant.
     """
 
-    __slots__ = ("data", "requires_grad", "_tape", "_node_id")
+    __slots__ = ("data", "requires_grad", "_tape_serial", "_node_id")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -60,7 +64,7 @@ class Tensor:
                 dtype = _DEFAULT_DTYPE
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = requires_grad
-        self._tape = None
+        self._tape_serial = None
         self._node_id = None
 
     def item(self) -> float:
@@ -84,51 +88,52 @@ class Node:
         self.vjp = vjp
 
 
+class _Active(threading.local):
+    tape = None  # this thread's active tape; a new thread reads None
+
+
+_ACTIVE = _Active()
+_SERIALS = itertools.count()
+
+
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Nodes are appended in execution order, so every node's operands
     precede it; backward visits each node exactly once in reverse. It
     releases every node's vjp closure, so a tape runs backward once; the
-    nodes themselves stay.
+    nodes themselves stay. It is active on the thread that entered it and
+    never writes to a leaf, so tapes on other threads may share leaves.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.serial = next(_SERIALS)
+        self._leaves = {}  # id(leaf) -> (node id, leaf): held, ids stay unique
         self._backward_ran = False
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE.tape is not None:
             raise RuntimeError("a tape is already active; tapes do not nest")
-        _ACTIVE_TAPE = self
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE.tape = None
         return False
 
-    def _leaf(self, t: Tensor) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(Node("leaf", (), None))
-        t._tape = self
-        t._node_id = nid
-        return nid
-
-    def _ensure(self, t: Tensor):
-        """Node id of t on this tape; leaf-register if needed; None if untracked."""
-        if t._tape is self and t._node_id is not None:
+    def _id(self, t: Tensor):
+        """Node id of t on this tape, recording a leaf at its first use;
+        None if t is untracked."""
+        if t._tape_serial == self.serial:
             return t._node_id
-        if t.requires_grad:
-            return self._leaf(t)
-        return None
-
-    def _record(self, op: str, parent_ids, vjp, out: Tensor) -> None:
-        nid = len(self.nodes)
-        self.nodes.append(Node(op, tuple(parent_ids), vjp))
-        out._tape = self
-        out._node_id = nid
+        if not t.requires_grad:
+            return None
+        entry = self._leaves.get(id(t))
+        if entry is None:
+            entry = self._leaves[id(t)] = (len(self.nodes), t)
+            self.nodes.append(Node("leaf", (), None))
+        return entry[0]
 
     def backward(self, root: Tensor, wrt) -> list:
         """Gradients of root w.r.t. each tensor in wrt, as numpy arrays.
@@ -144,15 +149,15 @@ class Tape:
         """
         if root.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
-        if root._tape is not self or root._node_id is None:
+        if root._tape_serial != self.serial:
             raise ValueError("root is not recorded on this tape")
         if self._backward_ran:
             raise RuntimeError("backward already ran on this tape and released "
                                "its vjps; record the forward again")
         for t in wrt:
-            op = self.nodes[t._node_id].op if t._tape is self else "leaf"
-            if op != "leaf":
-                raise KeyError(f"gradient requested for a {op!r} node; backward "
+            if t._tape_serial == self.serial:
+                raise KeyError(f"gradient requested for a "
+                               f"{self.nodes[t._node_id].op!r} node; backward "
                                f"keeps leaf gradients only")
         self._backward_ran = True
         grads: dict[int, np.ndarray] = {
@@ -173,23 +178,24 @@ class Tape:
         # cells, allocated at entry, for the whole walk (Python < 3.12)
         out = [None] * len(wrt)
         for i, t in enumerate(wrt):
-            if t._tape is self:
-                out[i] = grads[t._node_id] if t._node_id in grads \
-                    else np.zeros_like(t.data)
+            nid, _ = self._leaves.get(id(t), (None, None))
+            if nid is not None:
+                out[i] = grads[nid] if nid in grads else np.zeros_like(t.data)
         return out
 
 
 def active_tape():
-    return _ACTIVE_TAPE
+    """The calling thread's active tape, or None."""
+    return _ACTIVE.tape
 
 
 def records(parents) -> bool:
-    """Whether an op over these parents records a node: a tape is active
-    and some parent requires grad or is already on it."""
-    tape = _ACTIVE_TAPE
+    """Whether an op over these parents records a node: this thread has a
+    tape and some parent requires grad or is already on it."""
+    tape = _ACTIVE.tape
     if tape is not None:
         for p in parents:
-            if p.requires_grad or (p._tape is tape and p._node_id is not None):
+            if p.requires_grad or p._tape_serial == tape.serial:
                 return True
     return False
 
@@ -202,8 +208,10 @@ def _emit(op: str, out_data: np.ndarray, parents, vjp_builder) -> Tensor:
     """
     out = Tensor(out_data)
     if records(parents):
-        tape = _ACTIVE_TAPE
-        tape._record(op, [tape._ensure(p) for p in parents], vjp_builder(), out)
+        tape = _ACTIVE.tape
+        node = Node(op, tuple([tape._id(p) for p in parents]), vjp_builder())
+        out._tape_serial, out._node_id = tape.serial, len(tape.nodes)
+        tape.nodes.append(node)
     return out
 
 

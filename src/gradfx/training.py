@@ -102,19 +102,6 @@ class Adam:
                   for a, p in zip(state["v"], self.params)]
 
 
-def detach_state(s):
-    """Copy a nested state structure out of the tape."""
-    if s is None:
-        return None
-    if isinstance(s, Tensor):
-        return Tensor(s.data.copy())
-    if isinstance(s, tuple):
-        return tuple(detach_state(v) for v in s)
-    if isinstance(s, list):
-        return [detach_state(v) for v in s]
-    return s
-
-
 def _controls(seg):
     if getattr(seg, "controls", None) is not None and len(seg.controls):
         return Tensor(np.asarray(seg.controls, dtype=T.default_dtype()))
@@ -132,15 +119,16 @@ def _update(model, xs, ys, cs, states, a, b, optimizer: Adam,
     """One update on the mean loss over every segment's samples [a, b).
 
     Each segment runs its forward, loss and backward on its own tape, so
-    only one segment's graph is alive at a time; its state goes on
-    detached. Returns (loss value, l1 value, mrstft value, whether the
-    update applied), the values means over the segments.
+    only one segment's graph is alive at a time; its state goes on to the
+    next update, a constant on that update's tape. Returns (loss value,
+    l1 value, mrstft value, whether the update applied), the values means
+    over the segments.
     """
     seg_grads = []
     l1_val = mr_val = 0.0
     for i in range(len(xs)):
         with Tape() as tape:
-            y_hat, state = model.forward(
+            y_hat, states[i] = model.forward(
                 Tensor(np.asarray(xs[i][a:b], dtype=T.default_dtype())),
                 cs[i], states[i])
             t, p1, p2 = _loss(ys[i][a:b], y_hat, cfg)
@@ -151,7 +139,6 @@ def _update(model, xs, ys, cs, states, a, b, optimizer: Adam,
                 seg_grads.append(tape.backward(root, optimizer.params))
             else:
                 seg_grads = None
-            states[i] = detach_state(state)
             tot = t.data if i == 0 else tot + t.data
             l1_val += p1
             mr_val += p2
@@ -190,8 +177,8 @@ def _step(model, segs, optimizer: Adam, cfg: TrainConfig, warmup: int,
           chunk: int | None) -> tuple:
     """Warm each segment up untaped over its first `warmup` samples, then
     make one update per `chunk` samples (None: the rest of the segment) on
-    the mean loss over `segs`, each segment's state carried detached from
-    the tape. Returns (mean losses over the updates, updates applied)."""
+    the mean loss over `segs`, each segment's state a constant on the next
+    update's tape. Returns (mean losses over the updates, updates applied)."""
     if not segs:
         raise ValueError("empty batch")
     xs = [np.asarray(s.x) for s in segs]
@@ -208,7 +195,7 @@ def _step(model, segs, optimizer: Adam, cfg: TrainConfig, warmup: int,
     if warmup:
         for i, x in enumerate(xs):
             warm = Tensor(np.asarray(x[:warmup], dtype=T.default_dtype()))
-            states[i] = detach_state(model.forward(warm, cs[i], None)[1])
+            states[i] = model.forward(warm, cs[i], None)[1]
     tots, l1s, mrs = [], [], []
     updates = 0
     for a in starts:
@@ -231,7 +218,7 @@ def train_step(model, batch, optimizer: Adam, cfg: TrainConfig) -> dict:
 
 def tbptt_train_step(model, seg, optimizer: Adam, cfg: TrainConfig) -> dict:
     """Chunked recurrent training: warm up without gradient, then update
-    once per chunk with the carried state detached from the tape."""
+    once per chunk, the carried state a constant on each chunk's tape."""
     losses, updates = _step(model, [seg], optimizer, cfg, cfg.warmup_len,
                             cfg.chunk_len)
     return {**losses, "updates": updates}
@@ -251,23 +238,25 @@ def evaluate(model, segments, weights: L.LossWeights | None = None,
     was_training = model.training
     model.eval()
     sums = {k: 0.0 for k in EVAL_COLUMNS}
-    for seg in segments:
-        x = Tensor(np.asarray(seg.x, dtype=T.default_dtype()))
-        y_hat, _ = model.forward(x, _controls(seg), None)
-        yt = Tensor(np.asarray(seg.y, dtype=y_hat.data.dtype))
-        row = {
-            "l1": L.l1(yt, y_hat).item(),
-            "mrstft": L.mrstft(yt, y_hat, mrstft_cfg).item(),
-            "esr": L.esr(yt, y_hat).item(),
-            "dc": L.dc_loss(yt, y_hat).item(),
-            "mse": L.mse(yt, y_hat).item(),
-            "mape": L.mape(yt, y_hat).item(),
-        }
-        row["mae"] = row["l1"]  # the same metric; kept for the log format
-        row["tot"] = w.w_l1 * row["l1"] + w.w_mrstft * row["mrstft"]
-        for k in EVAL_COLUMNS:
-            sums[k] += row[k]
-    model.train(was_training)
+    try:
+        for seg in segments:
+            x = Tensor(np.asarray(seg.x, dtype=T.default_dtype()))
+            y_hat, _ = model.forward(x, _controls(seg), None)
+            yt = Tensor(np.asarray(seg.y, dtype=y_hat.data.dtype))
+            row = {
+                "l1": L.l1(yt, y_hat).item(),
+                "mrstft": L.mrstft(yt, y_hat, mrstft_cfg).item(),
+                "esr": L.esr(yt, y_hat).item(),
+                "dc": L.dc_loss(yt, y_hat).item(),
+                "mse": L.mse(yt, y_hat).item(),
+                "mape": L.mape(yt, y_hat).item(),
+            }
+            row["mae"] = row["l1"]  # the same metric; kept for the log format
+            row["tot"] = w.w_l1 * row["l1"] + w.w_mrstft * row["mrstft"]
+            for k in EVAL_COLUMNS:
+                sums[k] += row[k]
+    finally:
+        model.train(was_training)
     return {k: sums[k] / len(segments) for k in EVAL_COLUMNS}
 
 

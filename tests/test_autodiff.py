@@ -4,6 +4,8 @@ All gradient checks run in float64: central differences at 32-bit lose
 too many digits to certify anything.
 """
 
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -14,6 +16,7 @@ import gradfx.tensor as T
 from gradfx.tensor import Tensor, Tape, grad_check
 from gradfx import nn
 from gradfx import processors as P
+from gradfx.models import ModelSpec
 
 import oracles
 
@@ -801,6 +804,74 @@ def test_tapes_do_not_nest():
             with Tape():
                 pass
         assert T.active_tape() is not None
+
+
+def _tcn_film():
+    """The benchmark's FiLM TCN shape, one control."""
+    return ModelSpec.from_dict(
+        {"kind": "tcn", "sample_rate": 48000.0, "num_controls": 1,
+         "tcn": {"blocks": 5, "kernel": 7, "dilation_growth": 4,
+                 "channels": 16, "cond": "film"}}).build(
+        np.random.default_rng(0))
+
+
+def test_a_dropped_tape_is_freed_without_backward():
+    # the parameters a forward read keep no hold on its tape
+    model = _tcn_film()
+    x = Tensor(0.3 * np.random.default_rng(1).standard_normal(4096))
+    with Tape() as tape:
+        y, state = model.forward(x, Tensor(np.full(1, 0.5)))
+    assert len(tape.nodes) > 0
+    alive = weakref.ref(tape)
+    del tape, y, state
+    assert alive() is None
+
+
+def test_threads_record_their_own_tapes_over_shared_parameters():
+    # more threads than cores, switching often: each thread's gradients
+    # equal those of the same forward run alone
+    model = _tcn_film()
+    params = model.parameters()
+    rng = np.random.default_rng(2)
+    xs = [Tensor((0.3 * rng.standard_normal(2048)).astype(np.float32))
+          for _ in range(4)]
+    c = Tensor(np.full(1, 0.5, dtype=np.float32))
+    all_open = threading.Barrier(len(xs), timeout=30)
+    out, errors = [None] * len(xs), []
+
+    def grads(x, barrier=None):
+        with Tape() as tape:
+            y = model.forward(x, c)[0]
+            loss = T.mean_(T.mul(y, y))
+            if barrier is not None:
+                barrier.wait()  # every tape is open and recorded
+            return tape.backward(loss, params)
+
+    def run(i):
+        try:
+            out[i] = grads(xs[i], all_open)
+        except Exception as e:  # noqa: BLE001 - raised below
+            errors.append(e)
+
+    alone = [grads(x) for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    for seq, par in zip(alone, out):
+        assert len(seq) == len(par) == len(params)
+        for a, b in zip(seq, par):
+            assert np.array_equal(a, b)
 
 
 def test_constants_are_not_tracked():

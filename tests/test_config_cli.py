@@ -328,6 +328,43 @@ def test_cli_rejects_bad_inputs_read_after_load_exit2(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, split", [("train", 1), ("train", 2),
+                                            ("test", 2)],
+                         ids=["train_val", "train_test", "test_test"])
+def test_cli_rejects_a_silent_target_that_evaluate_reads_exit2(
+        tmp_path, capsys, command, split):
+    # esr and dc are undefined on a target with no energy: refused at
+    # load, not after training up to the first validation
+    _write_dataset(tmp_path)
+    i = D.split_entries(5, (0.6, 0.2, 0.2), seed=0)[split][0]
+    target = tmp_path / f"out_{i}.wav"
+    y, fs = D.load_wav(target)
+    y[2048:4096] = 0.0
+    D.save_wav(target, y, fs, bitdepth="float32")
+    cfg_path = _write_config(tmp_path / "exp.json")
+    argv = [command, "--config", str(cfg_path)]
+    if command == "test":
+        spec = ModelSpec.from_dict(_gain_model_doc())
+        save_checkpoint(tmp_path / "ckpt.json",
+                        spec.build(np.random.default_rng(0)), spec)
+        argv += ["--checkpoint", str(tmp_path / "ckpt.json")]
+    assert cli.main(argv) == 2
+    assert (f"/data/manifest: entry {i}: target at offset 2048: metric "
+            f"undefined for a silent target") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_trains_on_a_silent_train_target(tmp_path):
+    # train segments only feed the losses, which a silent target leaves
+    # defined
+    _write_dataset(tmp_path)
+    i = D.split_entries(5, (0.6, 0.2, 0.2), seed=0)[0][0]
+    D.save_wav(tmp_path / f"out_{i}.wav", np.zeros(8192), 48000,
+               bitdepth="float32")
+    assert cli.main(["train", "--config",
+                     str(_write_config(tmp_path / "exp.json"))]) == 0
+
+
 @pytest.mark.parametrize("fractions", [
     [1.5, -0.5, 0], [0.5, 0.5, 0.5], [0.6, 0.4], [0.6, 0.2, "0.2"],
     [0.6, 0.2, None], 0.8, "0.8,0.1,0.1", [True, 0, 0]])

@@ -112,6 +112,18 @@ def test_every_file_write_goes_through_atomic_open():
     assert _file_writes() == [("data.py", "atomic_open")]
 
 
+def test_no_function_writes_module_state_but_the_default_dtype():
+    # module state a function writes is shared by every thread: the tape
+    # keeps its own state, and the active tape is per thread
+    found = []
+    for path in sorted((ROOT / "src" / "gradfx").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(isinstance(n, ast.Global) for n in ast.walk(node)):
+                found.append((path.name, node.name))
+    assert found == [("tensor.py", "set_default_dtype")]
+
+
 def _dotted(node) -> str:
     """'np.fft.rfft' for the expression np.fft.rfft; '' for anything that
     is not a dotted name. A leading numpy reads as np."""

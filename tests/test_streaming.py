@@ -25,6 +25,7 @@ from gradfx import analysis as A
 from gradfx import cli
 from gradfx import data as D
 from gradfx import models as M
+from gradfx import training as tr
 from gradfx.tensor import Tensor
 
 FS = 48000.0
@@ -344,6 +345,44 @@ def test_render_refuses_an_active_tape():
         with pytest.raises(ValueError, match="active tape"):
             M.render(model, x, c, np.empty(len(x)))
     assert tape.nodes == []
+
+
+def test_another_threads_render_and_evaluate_ignore_this_threads_tape(
+        monkeypatch):
+    # a tape is its thread's: another thread renders as if none were
+    # open, on worker threads when BLAS runs a call on one thread and two
+    # CPUs are free, and its evaluate records nothing onto the tape
+    monkeypatch.setattr(M, "RENDER_MIN", THREADED_MIN)
+    model = _model(MODELS["tcn-film"])
+    rng = np.random.default_rng(12)
+    n = 3 * M.render_chunk(model.stream_unit) + 700
+    x = 0.3 * rng.standard_normal(n)
+    c = Tensor(np.full(NUM_CONTROLS, 0.5, dtype=np.float32))
+    one = model.forward(Tensor(x.astype(np.float32)), c)[0].data
+    seg = D.Segment(x[:4096].astype(np.float32),
+                    np.tanh(x[:4096]).astype(np.float32),
+                    np.full(NUM_CONTROLS, 0.5, dtype=np.float32), 0, 0)
+    out, errors = {}, []
+
+    def other():
+        try:
+            out["render"] = M.render(model, x, c, np.empty(n, np.float32))
+            out["eval"] = tr.evaluate(model, [seg])
+        except Exception as e:  # noqa: BLE001 - raised below
+            errors.append(e)
+
+    with T.Tape() as tape:
+        model.forward(Tensor(x[:1000].astype(np.float32)), c)
+        recorded = len(tape.nodes)
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join()
+        assert T.active_tape() is tape
+    if errors:
+        raise errors[0]
+    assert recorded > 0 and len(tape.nodes) == recorded
+    assert np.array_equal(out["render"], one)
+    assert np.isfinite(out["eval"]["esr"])
 
 
 def _render_cli(tmp_path, name, n):

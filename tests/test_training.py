@@ -281,6 +281,35 @@ def test_train_step_memory_does_not_grow_with_the_batch():
     assert peaks[4] <= 1.5 * peaks[1], peaks[4] / peaks[1]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_skipped_step_holds_no_graph():
+    # a forward whose backward never runs must not stay alive through the
+    # parameters it read, nor raise the next step's peak
+    spec = ModelSpec(num_controls=2, tcn=_tcn("film", False))
+    model = spec.build(np.random.default_rng(0))
+    cfg = tr.TrainConfig()
+    opt = tr.Adam(model.parameters(), cfg.lr)
+    good = _controlled_segments(1, 4096, seed=5)
+    bad = _controlled_segments(1, 4096, seed=5, nan_target=0)
+    tr.train_step(model, good, opt, cfg)  # warm every cache first
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        tr.train_step(model, good, opt, cfg)
+        normal = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        assert not tr.train_step(model, bad, opt, cfg)["applied"]
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        tr.train_step(model, good, opt, cfg)
+        after = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 0.02 * normal, (held, normal)
+    assert after <= 1.05 * normal, after / normal
+
+
 def _lstm_spec(hidden=4):
     return ModelSpec(sample_rate=48000.0, num_controls=0,
                      lstm={"hidden": hidden, "cond_mode": "none"})
@@ -392,6 +421,18 @@ def test_evaluate_restores_the_callers_mode():
 
     model.train()
     tr.evaluate(model, segs)
+    assert all(m.training for m in model.modules())
+
+
+def test_evaluate_restores_the_callers_mode_when_a_metric_raises():
+    from gradfx.models import TCN, TCNConfig
+
+    model = TCN(TCNConfig(blocks=2, kernel=3, dilation_growth=2, channels=4,
+                          batchnorm=True), rng=np.random.default_rng(0))
+    seg = _segments(1, n=2048, seed=7, target_gain=0.0)[0]
+    model.train()
+    with pytest.raises(ValueError, match="silent target"):
+        tr.evaluate(model, [seg])
     assert all(m.training for m in model.modules())
 
 
