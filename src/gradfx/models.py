@@ -338,6 +338,9 @@ _STAGE_OPTS = {
     "static_cond": {"layers": _COUNT, "hidden": _COUNT},
 }
 
+# the kinds built for the chain's sample rate
+_EQ_KINDS = ("parametric_eq", "shelving_eq")
+
 
 def _check_opts(kind: str, field: str, opts) -> dict:
     if not isinstance(opts, dict):
@@ -425,6 +428,13 @@ class GrayBoxSpec:
             if num_controls < 1 and st.controller.endswith("_cond"):
                 raise StageError(f"a {st.controller} controller needs "
                                  f"num_controls >= 1", f"stages/{i}")
+            if st.processor in _EQ_KINDS:
+                try:
+                    proc.freq_range(sample_rate)
+                except ValueError as e:
+                    raise StageError(f"{st.processor} cannot run at "
+                                     f"sample_rate {sample_rate:g}: {e}",
+                                     f"stages/{i}") from None
         self.sample_rate = float(sample_rate)
         self.num_controls = num_controls
         self.block_size = block_size
@@ -449,7 +459,7 @@ class GrayBoxSpec:
 def _build_processor(st: StageSpec, spec: GrayBoxSpec, rng) -> proc.Processor:
     kind = st.processor
     cls = proc.PROCESSOR_KINDS[kind]
-    if kind in ("parametric_eq", "shelving_eq"):
+    if kind in _EQ_KINDS:
         return cls(spec.sample_rate)
     if kind == "fir":
         return cls(rng, **st.processor_opts)
@@ -706,6 +716,9 @@ def _encode_array(a: np.ndarray) -> dict:
 
 
 def _decode_array(d: dict) -> np.ndarray:
+    if d["dtype"] not in ("float32", "float64"):
+        raise ValueError(f"array dtype must be float32 or float64, got "
+                         f"{d['dtype']!r}")
     raw = base64.b64decode(d["data"])
     a = np.frombuffer(raw, dtype=np.dtype(d["dtype"]))
     return a.reshape(d["shape"]).copy()
@@ -725,16 +738,20 @@ def save_checkpoint(path, model: nn.Module, spec: ModelSpec,
 
 
 def load_checkpoint(path, rng: np.random.Generator | None = None):
-    """Returns (model, spec, extra). Parameters match the saved bytes. A
-    file that cannot be read or is not a checkpoint raises ValueError."""
+    """Returns (model, spec, extra). Parameters and buffers match the saved
+    bytes. A file that cannot be read, is not a checkpoint or holds an
+    array that is not finite raises ValueError."""
     try:
         with open(path) as f:
             payload = json.load(f)
         spec = ModelSpec.from_dict(payload["spec"])
         model = spec.build(rng if rng is not None else np.random.default_rng(0))
-        model.load_state_dict({k: _decode_array(v)
-                               for k, v in payload["state"].items()})
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError,
-            OSError) as e:  # not JSON, a missing field, or a wrong type
+        state = {k: _decode_array(v) for k, v in payload["state"].items()}
+        for k, a in state.items():
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"state entry {k} is not finite")
+        model.load_state_dict(state)
+    except (ValueError, KeyError, TypeError, AttributeError,
+            OSError) as e:  # not JSON, a missing field, a wrong type or value
         raise ValueError(f"corrupt or unreadable checkpoint {path}: {e}") from e
     return model, spec, payload.get("extra")

@@ -21,6 +21,23 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype=None) -> Tensor
     return Tensor(data.astype(dtype or T.default_dtype()), requires_grad=True)
 
 
+def load_arrays(live, saved: dict, what: str) -> None:
+    """Write each saved array into the live (name, array) of its name, in
+    place and in the live dtype. Raises ValueError naming an entry, before
+    any write, unless both sides name the same arrays, pairs of one shape."""
+    live = dict(live)
+    for name in dict.fromkeys([*live, *saved]):
+        if name not in live or name not in saved:
+            raise ValueError(f"{what} entry {name} is "
+                             f"{'missing' if name in live else 'unknown'}")
+        if np.shape(saved[name]) != live[name].shape:
+            raise ValueError(f"{what} entry {name} has shape "
+                             f"{np.shape(saved[name])}, expected "
+                             f"{live[name].shape}")
+    for name, a in live.items():
+        a[...] = saved[name]
+
+
 class Module:
     """Base class: parameter discovery, mode flags, checkpoint dicts."""
 
@@ -68,41 +85,17 @@ class Module:
         return [(k, v) for k, v in self._walk()
                 if k.rpartition(".")[2].startswith("_buf_")]
 
+    def named_arrays(self):
+        """(name, array) of each parameter's data, then each buffer."""
+        return ([(k, p.data) for k, p in self.named_parameters()]
+                + self.named_buffers())
+
     def state_dict(self) -> dict:
-        state = {name: p.data.copy() for name, p in self.named_parameters()}
-        for name, buf in self.named_buffers():
-            state[name] = np.array(buf)
-        return state
+        return {name: np.array(a) for name, a in self.named_arrays()}
 
     def load_state_dict(self, state: dict) -> None:
-        """Assign saved arrays into existing tensors (object identity kept)."""
-        params = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
-        for name, arr in state.items():
-            if name in params:
-                p = params[name]
-                if tuple(arr.shape) != tuple(p.data.shape):
-                    raise ValueError(f"shape mismatch for {name}: "
-                                     f"{arr.shape} vs {p.data.shape}")
-                p.data = np.asarray(arr, dtype=p.data.dtype)
-            elif name in buffers:
-                self._assign_buffer(name, arr)
-            else:
-                raise KeyError(f"unknown parameter {name}")
-        missing = set(params) - set(state)
-        if missing:
-            raise KeyError(f"state dict missing parameters: {sorted(missing)}")
-
-    def _assign_buffer(self, dotted: str, arr) -> None:
-        obj = self
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part.isdigit():
-                obj = obj[int(part)] if isinstance(obj, (list, tuple)) else getattr(obj, part)
-            else:
-                obj = getattr(obj, part)
-        cur = getattr(obj, parts[-1])
-        setattr(obj, parts[-1], np.asarray(arr, dtype=np.asarray(cur).dtype))
+        """Write saved arrays into the live ones (see load_arrays)."""
+        load_arrays(self.named_arrays(), state, "state")
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -13,8 +13,9 @@ import numpy as np
 
 from . import losses as L
 from . import models as M
+from . import nn
 from . import tensor as T
-from .data import atomic_open
+from .data import _is_number, atomic_open
 from .tensor import Tape, Tensor
 
 
@@ -83,23 +84,14 @@ class Adam:
         return True
 
     def load_state_dict(self, state: dict) -> None:
-        """Moments are cast to their parameters' dtypes; a count or shape
-        that does not match the parameters raises ValueError."""
-        for key in ("m", "v"):
-            if len(state[key]) != len(self.params):
-                raise ValueError(f"optimizer state has {len(state[key])} {key} "
-                                 f"moments for {len(self.params)} parameters")
-            for i, (a, p) in enumerate(zip(state[key], self.params)):
-                if np.shape(a) != p.data.shape:
-                    raise ValueError(f"optimizer {key}[{i}] has shape "
-                                     f"{np.shape(a)}, its parameter "
-                                     f"{p.data.shape}")
+        """Moments are written into this optimizer's own, in their dtypes
+        (see nn.load_arrays)."""
+        def named(moments):
+            return {f"{k}[{i}]": a for k in ("m", "v")
+                    for i, a in enumerate(moments[k])}
+        nn.load_arrays(named(vars(self)), named(state), "optimizer")
         self.t = int(state["t"])
         self.skipped = int(state["skipped"])
-        self.m = [np.array(a, dtype=p.data.dtype)
-                  for a, p in zip(state["m"], self.params)]
-        self.v = [np.array(a, dtype=p.data.dtype)
-                  for a, p in zip(state["v"], self.params)]
 
 
 def _controls(seg):
@@ -356,15 +348,31 @@ def restore_training(path, cfg: TrainConfig,
     model, spec, extra = M.load_checkpoint(path, rng)
     optimizer = Adam(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     step, best = 0, np.inf
-    if extra and "optimizer" in extra:
-        ost = extra["optimizer"]
-        optimizer.load_state_dict({
-            "t": ost["t"], "skipped": ost["skipped"],
-            "m": [M._decode_array(a) for a in ost["m"]],
-            "v": [M._decode_array(a) for a in ost["v"]]})
-        step = int(extra.get("step", 0))
-        best = float(extra.get("best", np.inf))
-    return model, spec, optimizer, step, best
+    try:
+        if extra is not None and not isinstance(extra, dict):
+            raise ValueError(f"extra must be an object, got {extra!r}")
+        if extra and "optimizer" in extra:
+            ost = extra["optimizer"]
+            if not isinstance(ost, dict):
+                raise ValueError(f"optimizer must be an object, got {ost!r}")
+            step = extra.get("step", 0)
+            best = extra.get("best", np.inf)
+            for key, v in (("step", step), ("optimizer t", ost["t"]),
+                           ("optimizer skipped", ost["skipped"])):
+                M._check(M._NATURAL, key, v)
+            if "best" in extra and not _is_number(best):
+                raise ValueError(f"best must be a number, got {best!r}")
+            for key in ("m", "v"):
+                if not isinstance(ost[key], list):
+                    raise ValueError(f"optimizer {key} must be a list, got "
+                                     f"{ost[key]!r}")
+            optimizer.load_state_dict({
+                "t": ost["t"], "skipped": ost["skipped"],
+                "m": [M._decode_array(a) for a in ost["m"]],
+                "v": [M._decode_array(a) for a in ost["v"]]})
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"corrupt or unreadable checkpoint {path}: {e}") from e
+    return model, spec, optimizer, step, float(best)
 
 
 def fit(model, spec, train_segments, cfg: TrainConfig,

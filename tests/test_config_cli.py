@@ -508,6 +508,24 @@ def test_cli_rejects_models_that_cannot_build_exit2(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("processor", ["parametric_eq", "shelving_eq"])
+def test_cli_rejects_an_eq_stage_below_its_frequency_range_exit2(
+        tmp_path, capsys, processor):
+    # at 40 Hz an EQ's f0 range would be 20 Hz to 0.95 * 20 Hz
+    model = _gain_model_doc()
+    model["sample_rate"] = 40.0
+    model["graybox"]["stages"].append({"processor": processor})
+    cfg_path = _write_config(tmp_path / "exp.json", model=model,
+                             with_data=False)
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"/model/graybox/stages/1: {processor} cannot run at sample_rate "
+            f"40: ParamRange needs min < max, got [20.0, 19.0]") in err
+    assert not (tmp_path / "out").exists()
+    model["sample_rate"] = 43.0  # the range is not empty from 42.2 Hz up
+    assert ModelSpec.from_dict(model).build().processors[1].fs == 43.0
+
+
 @pytest.mark.parametrize("controller, message", [
     ("dummy", "/model/graybox/stages/1: gain has 1 controlled parameters; "
               "a dummy controller cannot drive it"),
@@ -751,22 +769,113 @@ def test_cli_test_identity_zero_metrics(tmp_path):
     assert all(abs(float(v)) < 1e-9 for v in row[1:])
 
 
-@pytest.mark.parametrize("text", ["definitely { not json", "{}", "[]",
-                                  '{"spec": 5, "state": {}}'],
-                         ids=["not_json", "empty_object", "list", "int_spec"])
+_FIR_MODEL = {"kind": "graybox", "sample_rate": 48000.0, "num_controls": 0,
+              "graybox": {"stages": [
+                  {"processor": "gain", "controller": "static"},
+                  {"processor": "fir", "controller": "dummy",
+                   "processor_opts": {"num_taps": 8, "width": 4}}],
+                          "block_size": 128}}
+_BN_TCN_MODEL = _tcn_doc({"blocks": 2, "kernel": 3, "dilation_growth": 2,
+                          "channels": 4, "batchnorm": True})
+_DROP = object()
+
+
+def _edit(*path, value=_DROP):
+    """A checkpoint edit: drop the entry at path, or set it to value (a
+    function of the saved entry when callable)."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        if value is _DROP:
+            del doc[last]
+        else:
+            doc[last] = value(doc[last]) if callable(value) else value
+    return edit
+
+
+def _recoded(change):
+    """Set a saved array to change(the decoded array)."""
+    return lambda d: M._encode_array(change(M._decode_array(d)))
+
+
+def _with_nan(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+_ALL = ("train", "test", "analyze", "render")
+
+
+def _model_state_cases(model, name, param, buffer):
+    """Drop a parameter or a buffer, give either a wrong shape, and put a
+    NaN in the parameter or save it as int32, in every command."""
+    wrong = M._encode_array(np.zeros((3, 7), dtype=np.float32))
+    cases = [(_edit("state", param), "drop-param", param),
+             (_edit("state", buffer), "drop-buffer", buffer),
+             (_edit("state", param, value=wrong), "shape-param", param),
+             (_edit("state", buffer, value=wrong), "shape-buffer", buffer),
+             (_edit("state", param, value=_recoded(_with_nan)), "nan-param",
+              param),
+             (_edit("state", param,
+                    value=_recoded(lambda a: a.astype(np.int32))),
+              "int32-param", "int32")]
+    return [pytest.param(model, edit, _ALL, message, id=f"{name}-{case}")
+            for edit, case, message in cases]
+
+
+def _resume_cases():
+    """Resume fields that are missing or of the wrong kind, in train."""
+    opt = ("extra", "optimizer")
+    cases = [(_edit(*opt, "t"), "no-t", "'t'"),
+             (_edit(*opt, "m", 0, "data"), "no-moment-data", "'data'"),
+             (_edit("extra", "best", value=[1]), "best-list", "best"),
+             (_edit(*opt, value=[1]), "optimizer-list", "optimizer"),
+             (_edit("extra", value=[1]), "extra-list", "extra"),
+             (_edit(*opt, "t", value=-5), "negative-t", "optimizer t"),
+             (_edit("extra", "step", value=2.7), "fractional-step", "step")]
+    return [pytest.param(_FIR_MODEL, edit, ("train",), message,
+                         id=f"resume-{case}")
+            for edit, case, message in cases]
+
+
+@pytest.mark.parametrize("model, checkpoint, commands, message", [
+    pytest.param(None, text, _ALL, "", id=name)
+    for name, text in (("not_json", "definitely { not json"),
+                       ("empty_object", "{}"), ("list", "[]"),
+                       ("int_spec", '{"spec": 5, "state": {}}'))
+] + _model_state_cases(_FIR_MODEL, "fir", "controllers.0.b",
+                       "processors.1._buf_positions")
+  + _model_state_cases(_BN_TCN_MODEL, "bn_tcn", "mixer.w",
+                       "stack.norms.0._buf_running_mean")
+  + [pytest.param(_BN_TCN_MODEL, _edit(
+      "state", "stack.norms.0._buf_running_var"), _ALL,
+      "stack.norms.0._buf_running_var", id="bn_tcn-drop-running-var")]
+  + _resume_cases())
 def test_cli_rejects_a_corrupt_checkpoint_alike_in_every_command_exit2(
-        tmp_path, capsys, text):
+        tmp_path, capsys, model, checkpoint, commands, message):
     _write_dataset(tmp_path)
-    cfg_path = _write_config(tmp_path / "exp.json")
+    cfg_path = _write_config(tmp_path / "exp.json", model=model)
     ckpt = tmp_path / "bad.json"
-    ckpt.write_text(text)
-    for argv in (["train"], ["test"], ["analyze"],
-                 ["render", "--input", str(tmp_path / "in_0.wav")]):
-        rc = cli.main([*argv, "--config", str(cfg_path),
+    if callable(checkpoint):  # an edit of a real checkpoint of the model
+        spec = load_config(cfg_path).model_spec
+        net = spec.build(np.random.default_rng(0))
+        tr.save_training_checkpoint(ckpt, net, spec,
+                                    tr.Adam(net.parameters()), 4, 0.5)
+        doc = json.loads(ckpt.read_text())
+        checkpoint(doc)
+        checkpoint = json.dumps(doc)
+    ckpt.write_text(checkpoint)
+    for command in commands:
+        wav = ["--input", str(tmp_path / "in_0.wav")] * (command == "render")
+        rc = cli.main([command, *wav, "--config", str(cfg_path),
                        "--checkpoint", str(ckpt)])
-        assert rc == 2, argv[0]
+        assert rc == 2, command
+        err = capsys.readouterr().err
         assert (f"--checkpoint: corrupt or unreadable checkpoint {ckpt}"
-                in capsys.readouterr().err), argv[0]
+                in err), command
+        assert message in err and "Traceback" not in err, command
     assert not (tmp_path / "out").exists()
 
 

@@ -595,3 +595,41 @@ def test_module_walk_name_rules():
     assert [type(m).__name__ for m in r.modules()] == ["Root", "Leaf", "Leaf",
                                                         "Leaf"]
     assert list(r.modules())[2] is r._hidden
+
+
+def _bn_tcn():
+    spec = M.ModelSpec(tcn=M.TCNConfig(blocks=2, kernel=3, dilation_growth=2,
+                                       channels=4, batchnorm=True))
+    return spec.build(np.random.default_rng(0))
+
+
+def _wrong_shape(a):
+    return np.zeros(a.shape + (2,), dtype=a.dtype)
+
+
+@pytest.mark.parametrize("name", ["mixer.w", "stack.norms.0._buf_running_var"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda s, k: s.pop(k), "entry {} is missing"),
+    (lambda s, k: s.update({k + "x": s[k]}), "entry {}x is unknown"),
+    (lambda s, k: s.update({k: _wrong_shape(s[k])}), "entry {} has shape"),
+], ids=["missing", "unknown", "shape"])
+def test_load_state_dict_names_a_bad_entry_and_writes_nothing(name, edit,
+                                                              message):
+    model = _bn_tcn()
+    before = model.state_dict()
+    state = {k: a + 1 for k, a in before.items()}
+    edit(state, name)
+    with pytest.raises(ValueError, match=message.format(name)):
+        model.load_state_dict(state)
+    after = model.state_dict()
+    assert all(np.array_equal(after[k], before[k]) for k in before)
+
+
+def test_load_state_dict_writes_in_place_in_the_live_dtype():
+    model = _bn_tcn()
+    live = dict(model.named_arrays())
+    state = {k: (a + 1).astype(np.float64) for k, a in live.items()}
+    model.load_state_dict(state)
+    for k, a in model.named_arrays():
+        assert a is live[k] and a.dtype == np.float32, k
+        assert np.array_equal(a, state[k].astype(np.float32)), k

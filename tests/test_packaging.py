@@ -124,6 +124,17 @@ def test_no_function_writes_module_state_but_the_default_dtype():
     assert found == [("tensor.py", "set_default_dtype")]
 
 
+def test_no_function_calls_setattr():
+    # saved state is written into the live arrays in place, never by
+    # attribute path
+    found = []
+    for path in sorted((ROOT / "src" / "gradfx").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _dotted(node.func) == "setattr":
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 def _dotted(node) -> str:
     """'np.fft.rfft' for the expression np.fft.rfft; '' for anything that
     is not a dotted name. A leading numpy reads as np."""

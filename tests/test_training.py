@@ -102,6 +102,40 @@ def test_adam_missing_grad_treated_as_zero():
     assert w.item() != 1.0
 
 
+def _adam_state(opt):
+    return {"t": 3, "skipped": 1, "m": [np.ones_like(m) for m in opt.m],
+            "v": [np.full_like(v, 2.0) for v in opt.v]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s["m"].pop(), r"optimizer entry m\[1\] is missing"),
+    (lambda s: s["v"].append(np.zeros(1)),
+     r"optimizer entry v\[2\] is unknown"),
+    (lambda s: s["v"].__setitem__(0, np.zeros(3)),
+     r"optimizer entry v\[0\] has shape \(3,\)"),
+], ids=["missing", "unknown", "shape"])
+def test_adam_load_state_dict_names_a_bad_entry_and_writes_nothing(edit,
+                                                                   message):
+    opt = tr.Adam([Tensor(np.zeros(2), requires_grad=True),
+                   Tensor(np.zeros(()), requires_grad=True)])
+    state = _adam_state(opt)
+    edit(state)
+    with pytest.raises(ValueError, match=message):
+        opt.load_state_dict(state)
+    assert (opt.t, opt.skipped) == (0, 0)
+    assert not any(np.any(a) for a in opt.m + opt.v)
+
+
+def test_adam_load_state_dict_writes_its_own_moments():
+    opt = tr.Adam([Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)])
+    m, v = opt.m[0], opt.v[0]
+    opt.load_state_dict({"t": 3, "skipped": 1, "m": [np.ones(2)],
+                         "v": [np.full(2, 2.0)]})
+    assert opt.m[0] is m and opt.v[0] is v and m.dtype == np.float32
+    assert (opt.t, opt.skipped) == (3, 1)
+    assert m.tolist() == [1.0, 1.0] and v.tolist() == [2.0, 2.0]
+
+
 def test_train_step_converges_on_gain_task():
     spec = _gain_spec()
     model = spec.build(np.random.default_rng(0))
